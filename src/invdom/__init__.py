@@ -14,6 +14,7 @@ from .solvers import (
     gamma,
     gamma_induced,
     inverse_gamma,
+    inverse_pass,
     max_induced_bipartite,
     min_dominating_within,
     optimal_dominating_set,

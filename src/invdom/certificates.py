@@ -43,23 +43,6 @@ class InverseCertificate:
         }
 
 
-def check_domination_certificate(g: Graph, cert: DominationCertificate) -> list[str]:
-    """Structural problems with a domination certificate ([] means fine)."""
-    problems = []
-    if cert.d_set & ~g.full:
-        problems.append("d_set has vertices outside the graph")
-        return problems
-    if not g.is_dominating(cert.d_set):
-        problems.append("d_set does not dominate")
-    if cert.size != cert.d_set.bit_count():
-        problems.append("size disagrees with |d_set|")
-    if cert.isolate_count != g.induced_isolates(cert.d_set).bit_count():
-        problems.append("isolate_count disagrees with the induced subgraph")
-    if cert.induced_edges != g.induced_edge_count(cert.d_set):
-        problems.append("induced_edges disagrees with the induced subgraph")
-    return problems
-
-
 def check_inverse_certificate(
     g: Graph, cert: InverseCertificate, gamma_value: int | None = None
 ) -> list[str]:

@@ -29,10 +29,11 @@ from .errors import (
     PreconditionViolated,
 )
 from . import solvers
-from .graph import Graph, to_sorted
+from .graph import Graph
 from .graph6 import parse_edge_list, parse_graph6
 from .harness import (
     ALL_CHECKS,
+    EXIT_CHECK_FAILED,
     EXIT_CONTRADICTION,
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -94,9 +95,8 @@ def _parse_checks(raw: str | None) -> frozenset[str]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = RunConfig(
         checks=_parse_checks(args.checks),
-        jobs=args.jobs if args.jobs is not None else harness.default_jobs(),
+        jobs=args.jobs,
         strict=args.strict,
-        counterexample_path=args.counterexamples,
     )
     out_handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
 
@@ -117,18 +117,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             out_handle.close()
 
     if summary.failing_graph6:
-        path = config.counterexample_path or "counterexamples.g6"
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(args.counterexamples, "w", encoding="utf-8") as handle:
             for g6 in summary.failing_graph6:
                 handle.write(g6 + "\n")
-        print(f"counterexamples written to {path}", file=sys.stderr)
+        print(f"counterexamples written to {args.counterexamples}", file=sys.stderr)
     print(
         f"verified {summary.graphs} graphs: {summary.failures} failures, "
         f"{summary.skipped_isolates} skipped for isolates, "
         f"{summary.parse_errors} parse errors",
         file=sys.stderr,
     )
-    if summary.parse_errors and config.strict:
+    if not summary.graphs or (summary.parse_errors and config.strict):
         return EXIT_INPUT_ERROR
     return summary.exit_code()
 
@@ -180,6 +179,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    if args.n < 2:
+        print("error: --n must be at least 2: smaller graphs have isolated vertices", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     out_handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
 
     def sink(line: str) -> None:
@@ -215,10 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check every bound over a graph6 corpus")
     p.add_argument("corpus", help="graph6 file, one graph per line, or - for stdin")
     p.add_argument("--strict", action="store_true", help="abort on parse errors")
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers (default $INVDOM_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default %(default)s)")
     p.add_argument("--out", help="write JSONL reports here instead of stdout")
     p.add_argument("--checks", help="comma list from: " + ",".join(sorted(ALL_CHECKS)))
-    p.add_argument("--counterexamples", help="failing graphs land here (default counterexamples.g6)")
+    p.add_argument("--counterexamples", default="counterexamples.g6",
+                   help="failing graphs land here (default %(default)s)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("construct", help="run one construction, re-verify, print the certificate")

@@ -150,29 +150,32 @@ def haxell_condition(g: Graph, cells: Sequence[int]) -> tuple[int, ...] | None:
     return None
 
 
-def find_isr(g: Graph, cells: Sequence[int]) -> PartialIsr | None:
-    """Full independent transversal by backtracking, or None.
+def _transversals(g: Graph, cells: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All independent transversals of the cells, in lexicographic order.
 
-    Cells must be pairwise disjoint; processed in index order with
-    independence pruning against the partial choice.
+    Cells must be pairwise disjoint; the i-th entry of each transversal is
+    its representative of cells[i].
     """
-    n_cells = len(cells)
-    choice: list[int] = []
 
-    def rec(i: int, chosen: int) -> bool:
-        if i == n_cells:
-            return True
+    def rec(i: int, chosen: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+        if i == len(cells):
+            yield tuple(acc)
+            return
         for v in bits(cells[i]):
             if not g.adj[v] & chosen:
-                choice.append(v)
-                if rec(i + 1, chosen | (1 << v)):
-                    return True
-                choice.pop()
-        return False
+                acc.append(v)
+                yield from rec(i + 1, chosen | (1 << v), acc)
+                acc.pop()
 
-    if rec(0, 0):
-        return PartialIsr(mask_of(choice), {v: i for i, v in enumerate(choice)})
-    return None
+    return rec(0, 0, [])
+
+
+def find_isr(g: Graph, cells: Sequence[int]) -> PartialIsr | None:
+    """The lexicographically first full independent transversal, or None."""
+    first = next(_transversals(g, cells), None)
+    if first is None:
+        return None
+    return PartialIsr(mask_of(first), {v: i for i, v in enumerate(first)})
 
 
 def max_partial_isr(g: Graph, cells: Sequence[int]) -> PartialIsr:
@@ -564,22 +567,6 @@ def superisrs(
         "no ordering admits the two ISRs; the certificate is likely not optimal",
         {"cert": cert},
     )
-
-
-def _transversals(g: Graph, cells: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All independent transversals of the cells, in lexicographic order."""
-
-    def rec(i: int, chosen: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == len(cells):
-            yield tuple(acc)
-            return
-        for v in bits(cells[i]):
-            if not g.adj[v] & chosen:
-                acc.append(v)
-                yield from rec(i + 1, chosen | (1 << v), acc)
-                acc.pop()
-
-    return rec(0, 0, [])
 
 
 def gamma5_construct(g: Graph) -> InverseCertificate:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Iterable, Iterator
 
 from . import solvers
-from .graph import Graph, bits, disjoint_union, mask_of
+from .graph import Graph, disjoint_union
 
 
 # -- canonical forms -----------------------------------------------------------
@@ -120,14 +119,6 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     return out
 
 
-def connected_graphs(n: int) -> tuple[Graph, ...]:
-    return tuple(g for g in all_graphs(n) if g.is_connected())
-
-
-def isolate_free_graphs(n: int) -> tuple[Graph, ...]:
-    return tuple(g for g in all_graphs(n) if not g.has_isolated_vertex())
-
-
 # -- structured families -----------------------------------------------------------
 
 def empty_graph(n: int) -> Graph:
@@ -150,19 +141,6 @@ def cycle_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union plus every edge between the two sides."""
-    out = disjoint_union(g, h)
-    extra = [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
-    return Graph(out.n, list(out.edges()) + extra)
-
-
-def corona_pendant(g: Graph) -> Graph:
-    """Attach one private leaf to every vertex (gamma becomes g.n)."""
-    edges = list(g.edges()) + [(v, g.n + v) for v in range(g.n)]
-    return Graph(2 * g.n, edges)
 
 
 def with_pendant_pairs(base: Graph, leaves: int = 2) -> Graph:
@@ -189,25 +167,6 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 
 # -- seeded corpora -----------------------------------------------------------------
-
-def sampled_corpus(
-    n_lo: int, n_hi: int, per_n: int, seed: int
-) -> Iterator[Graph]:
-    """Random + structured isolate-free graphs for the mid-size spot checks."""
-    rng = random.Random(seed)
-    for n in range(n_lo, n_hi + 1):
-        yield star_graph(n - 1)
-        yield cycle_graph(n)
-        if n % 2 == 0:
-            yield corona_pendant(cycle_graph(n // 2)) if n >= 6 else path_graph(n)
-        yield join(complete_graph(max(1, n // 3)), empty_graph(n - max(1, n // 3)))
-        produced = 0
-        while produced < per_n:
-            g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5]))
-            if not g.has_isolated_vertex():
-                yield g
-                produced += 1
-
 
 def gamma5_corpus(seed: int = 20250517, minimum: int = 200) -> list[Graph]:
     """At least ``minimum`` isolate-free graphs with domination number 5.

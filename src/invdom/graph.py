@@ -175,16 +175,6 @@ class Graph:
             rest &= ~(side_a | side_b)
         return True
 
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        reach = 1
-        while True:
-            grown = self.closed_neighborhood(reach)
-            if grown == reach:
-                return reach == self.full
-            reach = grown
-
     # -- dunder plumbing -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -3,20 +3,23 @@
 One GraphReport per input graph, serialized as JSONL with a fixed field
 order.  Checks are individually toggleable; undefined quantities (inverse
 domination on graphs with isolates) are omitted rather than faked, and the
-three-halves bound is evaluated in exact integer arithmetic.
+three-halves bound is evaluated in exact integer arithmetic.  gamma^-1 and
+strong gamma^-1 come from one pass over the minimum dominating sets, run
+once per isolate-free graph when any check needs either.  A verify run uses
+``RunConfig.jobs`` worker processes (the CLI's ``--jobs``, default 1) and
+emits reports in input order either way.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator
 
 from . import constructions, generate, naive, solvers
-from .errors import Graph6Error, InputFormatError, InternalContradiction
+from .errors import Graph6Error, InternalContradiction
 from .graph import Graph, bits, mask_of
 from .graph6 import parse_graph6, write_graph6
 
@@ -89,15 +92,6 @@ class RunConfig:
     checks: frozenset[str] = ALL_CHECKS
     jobs: int = 1
     strict: bool = False
-    counterexample_path: str | None = None
-
-
-def default_jobs() -> int:
-    raw = os.environ.get("INVDOM_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def analyze_graph(
@@ -116,18 +110,19 @@ def analyze_graph(
         report.b = solvers.max_induced_bipartite(g)[0]
     isolate_free = g.n > 0 and not g.has_isolated_vertex()
     if isolate_free:
-        needs_inverse = checks & {"conjecture", "three_halves"}
-        if needs_inverse:
-            report.inv_gamma = solvers.inverse_gamma(g)[0]
+        if checks & {"conjecture", "three_halves", "strong"}:
+            inv_gamma, _, strong_inv_gamma = solvers.inverse_pass(g)
+            if checks & {"conjecture", "three_halves"}:
+                report.inv_gamma = inv_gamma
             if "conjecture" in checks:
-                report.conjecture_ok = report.inv_gamma <= alpha_value
+                report.conjecture_ok = inv_gamma <= alpha_value
             if "three_halves" in checks:
                 if g.is_clique():
                     report.three_halves_ok = "n/a"
                 else:
-                    report.three_halves_ok = 2 * report.inv_gamma <= 3 * alpha_value - 2
-        if "strong" in checks:
-            report.strong_inv_gamma = solvers.strong_inverse_gamma(g)
+                    report.three_halves_ok = 2 * inv_gamma <= 3 * alpha_value - 2
+            if "strong" in checks:
+                report.strong_inv_gamma = strong_inv_gamma
         if "main_thm" in checks:
             try:
                 cert = constructions.theorem_main_construct(g, gamma_witness)
@@ -205,7 +200,7 @@ def verify_stream(
             continue
         assert report is not None
         summary.graphs += 1
-        if count_isolate_skips(report, config.checks):
+        if report.inv_gamma is None and config.checks & {"conjecture", "three_halves"}:
             summary.skipped_isolates += 1
         failed = report.failed_checks()
         if report.contradiction:
@@ -216,10 +211,6 @@ def verify_stream(
             log(f"line {lineno}: FAILED {','.join(failed)} {report.graph6}")
         sink(report.to_json())
     return summary
-
-
-def count_isolate_skips(report: GraphReport, checks: frozenset[str]) -> bool:
-    return report.inv_gamma is None and bool(checks & {"conjecture", "three_halves"})
 
 
 # -- search ------------------------------------------------------------------------

@@ -81,31 +81,22 @@ def _greedy_cover(covers: tuple[int, ...], allowed: int, target: int) -> int | N
     return chosen
 
 
-def _min_cover(
-    covers: tuple[int, ...], allowed: int, target: int, cap: int | None = None
-) -> tuple[int, int] | None:
-    """Smallest S <= allowed with union of covers[S] >= target.
+def _min_cover(covers: tuple[int, ...], allowed: int, target: int) -> tuple[int, int] | None:
+    """Smallest S <= allowed with union of covers[S] >= target, or None.
 
     ``covers`` must be symmetric in the closed-neighborhood sense
     (u in covers[v] iff v in covers[u]), which holds for all uses here.
-    Returns None when infeasible, or when ``cap`` is given and no solution
-    of size <= cap exists.
     """
     greedy = _greedy_cover(covers, allowed, target)
     if greedy is None:
         return None
-    best_mask: int | None
-    if cap is None or greedy.bit_count() <= cap:
-        limit = greedy.bit_count()  # sizes < limit still interesting
-        best_mask = greedy
-    else:
-        limit = cap + 1
-        best_mask = None
+    limit = greedy.bit_count()  # sizes < limit still interesting
+    best_mask = greedy
 
     def search(chosen: int, count: int, undom: int, avail: int) -> None:
         nonlocal limit, best_mask
         if not undom:
-            if count < limit or best_mask is None:
+            if count < limit:
                 limit, best_mask = count, chosen
             return
         slack = limit - count - 1  # picks we may still spend
@@ -138,9 +129,7 @@ def _min_cover(
             remaining &= ~(1 << v)
 
     search(0, 0, target, allowed)
-    if best_mask is None:
-        return None
-    return best_mask.bit_count(), best_mask
+    return limit, best_mask
 
 
 def _domination_covers(g: Graph) -> tuple[int, ...]:
@@ -167,14 +156,12 @@ def gamma_induced(g: Graph, sub: int) -> int:
     return result[0]
 
 
-def min_dominating_within(
-    g: Graph, allowed: int, cap: int | None = None
-) -> tuple[int, int] | None:
+def min_dominating_within(g: Graph, allowed: int) -> tuple[int, int] | None:
     """Smallest dominating set of g contained in ``allowed``, if any."""
     g.check_subset(allowed)
     if g.n == 0:
         return 0, 0
-    return _min_cover(_domination_covers(g), allowed, g.full, cap)
+    return _min_cover(_domination_covers(g), allowed, g.full)
 
 
 def enumerate_min_dominating_sets(g: Graph) -> list[int]:
@@ -220,38 +207,39 @@ def _require_isolate_free(g: Graph) -> None:
         raise HasIsolates("a graph with isolates cannot have an inverse dominating set")
 
 
-def inverse_gamma(g: Graph) -> tuple[int, InverseCertificate]:
-    """Smallest inverse dominating set size, with a realizing (D, T) pair.
+def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
+    """gamma^-1 with its certificate, and strong gamma^-1, from one pass.
 
-    Minimizes, over minimum dominating sets D, the smallest dominating set
-    disjoint from D.  Defined only for isolate-free graphs.
+    For each minimum dominating set D, the smallest dominating set disjoint
+    from D; gamma^-1 is the least of these sizes, certified by the first D
+    in bitmask order that reaches it, and strong gamma^-1 the largest.
+    Defined only for isolate-free graphs.
     """
     _require_isolate_free(g)
     if g.n == 0:
-        return 0, InverseCertificate(0, 0, "exact", 0)
+        return 0, InverseCertificate(0, 0, "exact", 0), 0
     best: tuple[int, int, int] | None = None  # (size, t_mask, d_mask)
+    worst = 0
     for d in enumerate_min_dominating_sets(g):
-        cap = best[0] - 1 if best else None
-        found = min_dominating_within(g, g.full & ~d, cap)
-        if found is not None and (best is None or found[0] < best[0]):
+        found = min_dominating_within(g, g.full & ~d)
+        assert found is not None  # Ore: V-D dominates for isolate-free g
+        if best is None or found[0] < best[0]:
             best = (found[0], found[1], d)
-    assert best is not None  # Ore: V-D dominates for isolate-free g
+        worst = max(worst, found[0])
+    assert best is not None
     size, t_mask, d_mask = best
-    return size, InverseCertificate(d_mask, t_mask, "exact", size)
+    return size, InverseCertificate(d_mask, t_mask, "exact", size), worst
+
+
+def inverse_gamma(g: Graph) -> tuple[int, InverseCertificate]:
+    """Smallest inverse dominating set size, with a realizing (D, T) pair."""
+    size, cert, _ = inverse_pass(g)
+    return size, cert
 
 
 def strong_inverse_gamma(g: Graph) -> int:
     """Largest, over minimum dominating sets D, of the best disjoint size."""
-    _require_isolate_free(g)
-    if g.n == 0:
-        return 0
-    worst = 0
-    for d in enumerate_min_dominating_sets(g):
-        found = min_dominating_within(g, g.full & ~d)
-        assert found is not None  # Ore again
-        if found[0] > worst:
-            worst = found[0]
-    return worst
+    return inverse_pass(g)[2]
 
 
 # -- induced bipartite order ---------------------------------------------------

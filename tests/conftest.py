@@ -60,10 +60,3 @@ def corpus7():
     """All non-isomorphic graphs with 1 <= n <= 7, keyed by order."""
     return {n: all_graphs(n) for n in range(1, 8)}
 
-
-@pytest.fixture(scope="session")
-def corpus8(corpus7):
-    """All non-isomorphic graphs with 1 <= n <= 8 (takes ~30s to build)."""
-    out = dict(corpus7)
-    out[8] = all_graphs(8)
-    return out

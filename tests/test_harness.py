@@ -1,0 +1,75 @@
+"""Which fields each check sets, and verify output order under parallelism."""
+
+import json
+
+from invdom import harness, solvers
+from invdom.generate import all_graphs, cycle_graph
+from invdom.graph import Graph
+from invdom.graph6 import write_graph6
+
+BASE_FIELDS = {"graph6", "n", "m", "gamma", "alpha", "elapsed_micros"}
+
+
+def fields(report: harness.GraphReport) -> dict:
+    return json.loads(report.to_json())
+
+
+def test_strong_check_alone_sets_only_the_strong_value(corpus7):
+    for n in range(1, 6):
+        for g in corpus7[n]:
+            report = fields(harness.analyze_graph(g, checks=frozenset({"strong"})))
+            if g.has_isolated_vertex():
+                assert set(report) == BASE_FIELDS
+            else:
+                assert set(report) == BASE_FIELDS | {"strong_inv_gamma"}
+                assert report["strong_inv_gamma"] == solvers.strong_inverse_gamma(g)
+
+
+def test_conjecture_check_alone_sets_the_inverse_value(corpus7):
+    for n in range(1, 6):
+        for g in corpus7[n]:
+            report = fields(harness.analyze_graph(g, checks=frozenset({"conjecture"})))
+            if g.has_isolated_vertex():
+                assert set(report) == BASE_FIELDS
+            else:
+                assert set(report) == BASE_FIELDS | {"inv_gamma", "conjecture_ok"}
+                assert report["inv_gamma"] == solvers.inverse_gamma(g)[0]
+                assert report["conjecture_ok"] == (report["inv_gamma"] <= report["alpha"])
+
+
+def test_all_checks_on_c5():
+    report = fields(harness.analyze_graph(cycle_graph(5)))
+    report.pop("elapsed_micros")
+    assert report == {
+        "graph6": write_graph6(cycle_graph(5)), "n": 5, "m": 5, "gamma": 2, "alpha": 2,
+        "inv_gamma": 2, "strong_inv_gamma": 2, "b": 4, "conjecture_ok": True,
+        "three_halves_ok": True, "main_thm_ok": True,
+    }
+
+
+def run_verify(lines: list[str], jobs: int) -> tuple[list[dict], harness.VerifySummary]:
+    out: list[str] = []
+    summary = harness.verify_stream(lines, harness.RunConfig(jobs=jobs), out.append)
+    reports = [json.loads(line) for line in out]
+    for report in reports:
+        report.pop("elapsed_micros")
+    return reports, summary
+
+
+def test_two_jobs_emit_the_same_reports_as_one():
+    lines = [write_graph6(g) for n in range(1, 6) for g in all_graphs(n)]
+    lines.insert(10, "not a graph")
+    serial, serial_summary = run_verify(lines, jobs=1)
+    parallel, parallel_summary = run_verify(lines, jobs=2)
+    assert len(serial) == len(lines) - 1
+    assert [r["graph6"] for r in serial] == [line for line in lines if line != "not a graph"]
+    assert parallel == serial
+    assert parallel_summary == serial_summary
+    assert serial_summary.parse_errors == 1
+
+
+def test_isolates_are_counted_as_skipped():
+    lines = [write_graph6(Graph(3, [(0, 1)])), write_graph6(cycle_graph(4))]
+    _, summary = run_verify(lines, jobs=1)
+    assert summary.graphs == 2
+    assert summary.skipped_isolates == 1

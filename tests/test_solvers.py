@@ -1,6 +1,6 @@
 """Solver behavior on the worked examples plus witness and determinism
-contracts.  Full oracle equivalence over the n <= 7 corpus lives in the
-acceptance suite."""
+contracts.  The oracle sweeps of gamma, alpha, inverse gamma, strong inverse
+gamma and b run in ``invdom selftest``, which test_cli.py runs on n <= 6."""
 
 import pytest
 
@@ -50,16 +50,17 @@ def test_enumeration_is_increasing_and_restartable(c4):
     assert seq == solvers.enumerate_min_dominating_sets(c4)
 
 
+def test_enumeration_matches_the_oracle(corpus7):
+    for n in range(1, 7):
+        for g in corpus7[n]:
+            assert solvers.enumerate_min_dominating_sets(g) == naive.min_dominating_sets_naive(g)
+
+
 def test_min_dominating_within(c4, star4, k2):
     assert solvers.min_dominating_within(c4, mask_of((1, 3))) == (2, mask_of((1, 3)))
     leaves = mask_of((1, 2, 3, 4))
     assert solvers.min_dominating_within(star4, leaves) == (4, leaves)
     assert solvers.min_dominating_within(k2, 0) is None
-
-
-def test_min_dominating_within_cap(c4):
-    assert solvers.min_dominating_within(c4, c4.full, cap=1) is None
-    assert solvers.min_dominating_within(c4, c4.full, cap=2) == (2, mask_of((0, 1)))
 
 
 def test_inverse_gamma_examples(c4, star4):
