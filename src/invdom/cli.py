@@ -9,6 +9,7 @@ error, 3 violated precondition, 4 internal contradiction.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .errors import (
 )
 from . import solvers
 from .graph import Graph
-from .graph6 import parse_edge_list, parse_graph6
+from .graph6 import parse_edge_list, parse_graph6, write_graph6
 from .harness import (
     ALL_CHECKS,
     EXIT_CHECK_FAILED,
@@ -63,8 +64,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    checks = _parse_checks(args.checks)
-    report = harness.analyze_graph(g, checks=checks)
+    report = harness.analyze_graph(g, checks=args.checks)
     if report.inv_gamma is None and g.n > 0 and g.has_isolated_vertex():
         print("warning: graph has isolated vertices; inverse domination undefined", file=sys.stderr)
     label = {True: "yes", False: "NO", None: "-", "n/a": "n/a"}
@@ -82,39 +82,40 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_checks(raw: str | None) -> frozenset[str]:
+def _parse_checks(raw: str) -> frozenset[str]:
+    """argparse type of ``--checks``: an unknown name is a usage error (exit 2)."""
     if not raw:
         return ALL_CHECKS
     chosen = frozenset(part.strip().replace("-", "_") for part in raw.split(",") if part.strip())
     unknown = chosen - ALL_CHECKS
     if unknown:
-        raise SystemExit(f"unknown checks: {', '.join(sorted(unknown))}")
+        raise argparse.ArgumentTypeError(f"unknown checks: {', '.join(sorted(unknown))}")
     return chosen
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        checks=_parse_checks(args.checks),
-        jobs=args.jobs,
-        strict=args.strict,
-    )
-    out_handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    config = RunConfig(checks=args.checks, jobs=args.jobs, strict=args.strict)
+    with contextlib.ExitStack() as stack:
+        # Open the corpus before --out, so a bad corpus leaves an old report intact.
+        try:
+            corpus = (
+                sys.stdin if args.corpus == "-"
+                else stack.enter_context(open(args.corpus, "r", encoding="utf-8"))
+            )
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        out_handle = (
+            stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
+        )
 
-    def sink(line: str) -> None:
-        out_handle.write(line + "\n")
+        def sink(line: str) -> None:
+            out_handle.write(line + "\n")
 
-    def log(msg: str) -> None:
-        print(msg, file=sys.stderr)
+        def log(msg: str) -> None:
+            print(msg, file=sys.stderr)
 
-    try:
-        if args.corpus == "-":
-            summary = harness.verify_stream(sys.stdin, config, sink, log)
-        else:
-            with open(args.corpus, "r", encoding="utf-8") as handle:
-                summary = harness.verify_stream(handle, config, sink, log)
-    finally:
-        if args.out:
-            out_handle.close()
+        summary = harness.verify_stream(corpus, config, sink, log)
 
     if summary.failing_graph6:
         with open(args.counterexamples, "w", encoding="utf-8") as handle:
@@ -158,12 +159,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except InternalContradiction as exc:
-        dump = {
-            "error": str(exc),
-            "context": {k: repr(v) for k, v in exc.context.items()},
-            "graph6": args.graph,
-        }
-        print(json.dumps(dump, indent=2), file=sys.stderr)
+        print(json.dumps(exc.reproducer(write_graph6(g)), indent=2), file=sys.stderr)
         return EXIT_CONTRADICTION
 
     problems = check_inverse_certificate(g, cert, solvers.gamma(g)[0])
@@ -211,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full report for one graph")
     p.add_argument("graph", nargs="?", help="graph6 string or path to a graph6 file")
     p.add_argument("--edges", help="read an edge-list file instead")
-    p.add_argument("--checks", help="comma list from: " + ",".join(sorted(ALL_CHECKS)))
+    p.add_argument("--checks", type=_parse_checks, default=ALL_CHECKS,
+                   help="comma list from: " + ",".join(sorted(ALL_CHECKS)))
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("verify", help="check every bound over a graph6 corpus")
@@ -219,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="abort on parse errors")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default %(default)s)")
     p.add_argument("--out", help="write JSONL reports here instead of stdout")
-    p.add_argument("--checks", help="comma list from: " + ",".join(sorted(ALL_CHECKS)))
+    p.add_argument("--checks", type=_parse_checks, default=ALL_CHECKS,
+                   help="comma list from: " + ",".join(sorted(ALL_CHECKS)))
     p.add_argument("--counterexamples", default="counterexamples.g6",
                    help="failing graphs land here (default %(default)s)")
     p.set_defaults(fn=_cmd_verify)

@@ -65,6 +65,11 @@ class InternalContradiction(InvdomError):
         super().__init__(message)
         self.context = context or {}
 
+    def reproducer(self, graph6: str) -> dict:
+        """Self-contained JSON-ready record: message, context, graph."""
+        context = {k: repr(v) for k, v in self.context.items()}
+        return {"error": str(self), "context": context, "graph6": graph6}
+
 
 class LemmaViolated(InternalContradiction):
     """Neither branch of the trichotomy holds: a reportable counterexample."""

@@ -15,12 +15,14 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import permutations
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
 from . import constructions, generate, naive, solvers
+from .certificates import check_inverse_certificate
 from .errors import Graph6Error, InternalContradiction
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits, mask_of, to_sorted
 from .graph6 import parse_graph6, write_graph6
 
 ALL_CHECKS = frozenset({"conjecture", "three_halves", "main_thm", "strong", "b"})
@@ -63,7 +65,9 @@ class GraphReport:
     three_halves_ok: bool | str | None = None
     main_thm_ok: bool | None = None
     elapsed_micros: int = 0
-    contradiction: bool = False
+    # InternalContradiction.reproducer() of a failed construction; kept out
+    # of the JSONL report, logged by verify_stream.
+    contradiction: dict | None = None
 
     def failed_checks(self) -> list[str]:
         out = []
@@ -126,9 +130,9 @@ def analyze_graph(
         if "main_thm" in checks:
             try:
                 cert = constructions.theorem_main_construct(g, gamma_witness)
-            except InternalContradiction:
+            except InternalContradiction as exc:
                 report.main_thm_ok = False
-                report.contradiction = True
+                report.contradiction = exc.reproducer(graph6_str)
             else:
                 report.main_thm_ok = (
                     cert.t_set.bit_count() <= alpha_value + (gamma_value - 1) // 2
@@ -205,6 +209,7 @@ def verify_stream(
         failed = report.failed_checks()
         if report.contradiction:
             summary.contradictions += 1
+            log(f"line {lineno}: contradiction {json.dumps(report.contradiction)}")
         if failed:
             summary.failures += 1
             summary.failing_graph6.append(report.graph6)
@@ -289,132 +294,166 @@ def search_run(
 
 
 # -- selftest -----------------------------------------------------------------------
+# A check maps one graph to its problems, none when the invariant holds.
+
+def _compare(label: str, got: int, oracle: int) -> list[str]:
+    return [] if got == oracle else [f"{label} = {got}, oracle says {oracle}"]
+
+
+def check_graph6_roundtrip(g: Graph) -> list[str]:
+    back = parse_graph6(write_graph6(g))
+    return [] if back == g else [f"decodes to {write_graph6(back)}"]
+
+
+def check_gamma(g: Graph) -> list[str]:
+    return _compare("gamma", solvers.gamma(g)[0], naive.gamma_naive(g)[0])
+
+
+def check_alpha(g: Graph) -> list[str]:
+    return _compare("alpha", solvers.alpha(g)[0], naive.alpha_naive(g)[0])
+
+
+def check_inverse_gamma(g: Graph) -> list[str]:
+    return _compare("inverse gamma", solvers.inverse_gamma(g)[0], naive.inverse_gamma_naive(g))
+
+
+def check_strong_inverse_gamma(g: Graph) -> list[str]:
+    return _compare("strong", solvers.strong_inverse_gamma(g), naive.strong_inverse_gamma_naive(g))
+
+
+def check_induced_bipartite(g: Graph) -> list[str]:
+    return _compare("b", solvers.max_induced_bipartite(g)[0], naive.b_naive(g))
+
+
+def check_ore_complement(g: Graph) -> list[str]:
+    """V - D dominates for every minimum dominating set D (Ore)."""
+    return [
+        f"V - D does not dominate for D = {to_sorted(d)}"
+        for d in solvers.enumerate_min_dominating_sets(g)
+        if not g.is_dominating(g.full & ~d)
+    ]
+
+
+def check_optimal_set(g: Graph) -> list[str]:
+    """The optimal gamma-set passes the Lemma 4.1 audit and the trichotomy."""
+    cert = solvers.optimal_dominating_set(g)
+    violations = constructions.lemma41_check(g, cert)
+    if violations:
+        return [f"D = {to_sorted(cert.d_set)}: (vertex, private count) {violations}"]
+    constructions.biglemma_trichotomy(g, cert)  # raises LemmaViolated if neither branch holds
+    return []
+
+
+def check_main_construction(g: Graph) -> list[str]:
+    """For every gamma-set, the main construction re-checks within its bound."""
+    k = solvers.gamma(g)[0]
+    bound = solvers.alpha(g)[0] + (k - 1) // 2
+    problems = []
+    for d in solvers.enumerate_min_dominating_sets(g):
+        cert = constructions.theorem_main_construct(g, d)
+        found = check_inverse_certificate(g, cert, k)
+        if cert.t_set.bit_count() > bound:
+            found.append(f"|T| = {cert.t_set.bit_count()} exceeds {bound}")
+        problems += [f"D = {to_sorted(d)}: {problem}" for problem in found]
+    return problems
+
+
+def check_isr_pairs(g: Graph) -> list[str]:
+    """For every gamma-set D, maximal independent F inside it and ordering of
+    D - F (all orderings up to three vertices), two_partial_isrs returns a
+    valid pair and a largest partial ISR hits at least half the cells."""
+    problems = []
+    for d in solvers.enumerate_min_dominating_sets(g):
+        dverts = list(bits(d))
+        for fbits in range(1, 1 << len(dverts)):
+            f = mask_of(dverts[i] for i in range(len(dverts)) if fbits >> i & 1)
+            if not g.is_independent(f):
+                continue
+            if constructions.expand_to_maximal_independent(g, f, d) != f:
+                continue
+            rest = sorted(bits(d & ~f))
+            orderings = list(permutations(rest)) if len(rest) <= 3 else [tuple(rest)]
+            for ordering in orderings:
+                pair = constructions.two_partial_isrs(g, d, f, ordering)
+                universe = g.full & ~d & ~g.open_neighborhood(f)
+                cells = constructions.standard_partition(g, ordering, universe).cells
+                found = constructions.validate_isr_pair(g, cells, pair)
+                big = constructions.max_partial_isr(g, cells)
+                if 2 * big.size < len(cells):
+                    found.append(f"largest partial ISR hits {big.size} of {len(cells)} cells")
+                where = f"D = {to_sorted(d)}, F = {to_sorted(f)}, order {list(ordering)}"
+                problems += [f"{where}: {problem}" for problem in found]
+    return problems
+
+
+def check_padding(g: Graph) -> list[str]:
+    """Adding t = 1, 2 disjoint edges adds t to gamma, alpha and inverse gamma."""
+
+    def invariants(h: Graph) -> tuple[int, int, int]:
+        return solvers.gamma(h)[0], solvers.alpha(h)[0], solvers.inverse_gamma(h)[0]
+
+    base = invariants(g)
+    problems = []
+    for t in (1, 2):
+        got = invariants(constructions.pad_with_k2(g, t))
+        if got != tuple(value + t for value in base):
+            problems.append(f"t = {t}: (gamma, alpha, inverse gamma) {base} -> {got}")
+    return problems
+
+
+# (name, isolate_free_only, check) in report order.  ``invdom selftest`` sweeps
+# the table over all graphs up to --max-n vertices, the test suite on n <= 6.
+SELFTEST_CHECKS: tuple[tuple[str, bool, Callable[[Graph], list[str]]], ...] = (
+    ("graph6 round-trip", False, check_graph6_roundtrip),
+    ("gamma vs oracle", False, check_gamma),
+    ("alpha vs oracle", False, check_alpha),
+    ("inverse gamma vs oracle", True, check_inverse_gamma),
+    ("strong inverse vs oracle", True, check_strong_inverse_gamma),
+    ("induced bipartite vs oracle", False, check_induced_bipartite),
+    ("Ore complement dominates", True, check_ore_complement),
+    ("optimal-set audits", True, check_optimal_set),
+    ("main construction in bound", True, check_main_construction),
+    ("ISR pair machinery", True, check_isr_pairs),
+    ("single-edge padding shifts", True, check_padding),
+)
+
+
+def run_check(
+    check: Callable[[Graph], list[str]], graphs: Iterable[Graph], isolate_free_only: bool
+) -> tuple[int, list[tuple[str, list[str]]]]:
+    """Sweep one check over graphs: (graphs checked, [(graph6, problems)]).
+
+    An InternalContradiction raised by the check becomes that graph's
+    problem, as a JSON reproducer, and the sweep goes on.
+    """
+    checked = 0
+    failures = []
+    for g in graphs:
+        if isolate_free_only and g.has_isolated_vertex():
+            continue
+        checked += 1
+        try:
+            problems = check(g)
+        except InternalContradiction as exc:
+            problems = [json.dumps(exc.reproducer(write_graph6(g)))]
+        if problems:
+            failures.append((write_graph6(g), problems))
+    return checked, failures
+
 
 def selftest(max_n: int = 7, out: Callable[[str], None] = print) -> bool:
-    """Run the invariant suite over the built-in corpus; True iff all pass.
+    """Run every check of SELFTEST_CHECKS on all graphs with 1..max_n
+    vertices; True iff all pass.
 
-    Covers codec round-trips, solver-vs-oracle equivalence, the Ore
-    complement property, optimal-set audits, the ISR pair machinery, and
-    single-edge padding.  Prints one line with a count per property.
+    Prints one line per check as it finishes, with the number of graphs that
+    passed, and under a FAIL line each failing graph6 with its problems.
     """
-    from itertools import permutations
-
-    results: list[tuple[str, int, int]] = []  # (name, checked, failed)
-
-    def run(name: str, pairs: Iterable[bool]) -> None:
-        checked = failed = 0
-        for ok in pairs:
-            checked += 1
-            if not ok:
-                failed += 1
-        results.append((name, checked, failed))
-
-    small = [g for n in range(1, max_n + 1) for g in generate.all_graphs(n)]
-    isolate_free = [g for g in small if not g.has_isolated_vertex()]
-
-    run("graph6 round-trip", (parse_graph6(write_graph6(g)) == g for g in small))
-    run(
-        "gamma vs oracle",
-        (solvers.gamma(g)[0] == naive.gamma_naive(g)[0] for g in small),
-    )
-    run(
-        "alpha vs oracle",
-        (solvers.alpha(g)[0] == naive.alpha_naive(g)[0] for g in small),
-    )
-    run(
-        "inverse gamma vs oracle",
-        (
-            solvers.inverse_gamma(g)[0] == naive.inverse_gamma_naive(g)
-            for g in isolate_free
-        ),
-    )
-    run(
-        "strong inverse vs oracle",
-        (
-            solvers.strong_inverse_gamma(g) == naive.strong_inverse_gamma_naive(g)
-            for g in isolate_free
-        ),
-    )
-    run(
-        "induced bipartite vs oracle",
-        (solvers.max_induced_bipartite(g)[0] == naive.b_naive(g) for g in small),
-    )
-
-    def ore_cases() -> Iterator[bool]:
-        for g in isolate_free:
-            for d in solvers.enumerate_min_dominating_sets(g):
-                yield g.is_dominating(g.full & ~d)
-
-    run("Ore complement dominates", ore_cases())
-
-    def optimal_cases() -> Iterator[bool]:
-        for g in isolate_free:
-            cert = solvers.optimal_dominating_set(g)
-            if constructions.lemma41_check(g, cert):
-                yield False
-                continue
-            outcome = constructions.biglemma_trichotomy(g, cert)
-            yield outcome.found_s is not None or outcome.conditions is not None
-
-    run("optimal-set audits", optimal_cases())
-
-    def main_cases() -> Iterator[bool]:
-        from .certificates import check_inverse_certificate
-
-        for g in isolate_free:
-            k, _ = solvers.gamma(g)
-            a, _ = solvers.alpha(g)
-            for d in solvers.enumerate_min_dominating_sets(g):
-                cert = constructions.theorem_main_construct(g, d)
-                ok = not check_inverse_certificate(g, cert, k)
-                yield ok and cert.t_set.bit_count() <= a + (k - 1) // 2
-
-    run("main construction in bound", main_cases())
-
-    def pair_cases() -> Iterator[bool]:
-        for g in isolate_free:
-            for d in solvers.enumerate_min_dominating_sets(g):
-                dverts = list(bits(d))
-                for fbits in range(1, 1 << len(dverts)):
-                    f = mask_of(
-                        dverts[i] for i in range(len(dverts)) if fbits >> i & 1
-                    )
-                    if not g.is_independent(f):
-                        continue
-                    if constructions.expand_to_maximal_independent(g, f, d) != f:
-                        continue
-                    rest = sorted(bits(d & ~f))
-                    orderings = list(permutations(rest)) if len(rest) <= 3 else [tuple(rest)]
-                    for ordering in orderings:
-                        pair = constructions.two_partial_isrs(g, d, f, ordering)
-                        universe = g.full & ~d & ~g.open_neighborhood(f)
-                        cells = constructions.standard_partition(g, ordering, universe).cells
-                        big = constructions.max_partial_isr(g, cells)
-                        ok = not constructions.validate_isr_pair(g, cells, pair)
-                        yield ok and 2 * big.size >= len(cells)
-
-    run("ISR pair machinery", pair_cases())
-
-    def padding_cases() -> Iterator[bool]:
-        bases = [g for g in isolate_free if g.n <= 6][:40]
-        for g in bases:
-            k = solvers.gamma(g)[0]
-            a = solvers.alpha(g)[0]
-            inv = solvers.inverse_gamma(g)[0]
-            for t in (1, 2):
-                padded = constructions.pad_with_k2(g, t)
-                yield (
-                    solvers.gamma(padded)[0] == k + t
-                    and solvers.alpha(padded)[0] == a + t
-                    and solvers.inverse_gamma(padded)[0] == inv + t
-                )
-
-    run("single-edge padding shifts", padding_cases())
-
+    graphs = [g for n in range(1, max_n + 1) for g in generate.all_graphs(n)]
     all_ok = True
-    for name, checked, failed in results:
-        status = "PASS" if failed == 0 else "FAIL"
-        out(f"{status}  {name}: {checked - failed}/{checked}")
-        if failed:
-            all_ok = False
+    for name, isolate_free_only, check in SELFTEST_CHECKS:
+        checked, failures = run_check(check, graphs, isolate_free_only)
+        out(f"{'FAIL' if failures else 'PASS'}  {name}: {checked - len(failures)}/{checked}")
+        for graph6, problems in failures:
+            out(f"    {graph6}: {'; '.join(problems)}")
+        all_ok = all_ok and not failures
     return all_ok

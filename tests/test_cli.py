@@ -1,15 +1,31 @@
-"""Exit codes of the ``invdom`` subcommands, and the selftest sweep."""
+"""Exit codes and output of the ``invdom`` subcommands.
+
+0 ok, 1 a check failed, 2 input or usage error, 3 violated precondition,
+4 internal contradiction.  The selftest checks themselves are swept on
+n <= 6 by test_harness.py::test_selftest_check_holds_up_to_six_vertices;
+here selftest runs only as far as its exit code and its report need.
+"""
+
+import json
 
 import pytest
 
-from invdom import cli, harness
+from invdom import cli, constructions, harness, solvers
+from invdom.errors import InternalContradiction, LemmaViolated
 from invdom.generate import complete_graph, cycle_graph, path_graph
 from invdom.graph6 import write_graph6
-from invdom.harness import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, GraphReport
+from invdom.harness import (
+    EXIT_CHECK_FAILED,
+    EXIT_CONTRADICTION,
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
+    EXIT_PRECONDITION,
+    GraphReport,
+)
 
 
-def test_selftest_passes_up_to_six_vertices(capsys):
-    assert cli.main(["selftest", "--max-n", "6"]) == EXIT_OK
+def test_selftest_passes_and_exits_0(capsys):
+    assert cli.main(["selftest", "--max-n", "3"]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
 
 
@@ -17,6 +33,31 @@ def test_failing_selftest_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(harness, "selftest", lambda max_n: False)
     assert cli.main(["selftest"]) == EXIT_CHECK_FAILED
     assert "selftest: FAIL" in capsys.readouterr().out
+
+
+def test_a_failing_check_names_its_graph_and_the_sweep_goes_on(monkeypatch, capsys):
+    planted = []
+    real = constructions.biglemma_trichotomy
+
+    def trichotomy(g, cert):
+        if g.n == 4 and all(nbrs.bit_count() == 2 for nbrs in g.adj):  # C4
+            planted.append({"error": "planted", "context": {"d": repr(cert.d_set)},
+                            "graph6": write_graph6(g)})
+            raise LemmaViolated("planted", {"d": cert.d_set})
+        return real(g, cert)
+
+    monkeypatch.setattr(constructions, "biglemma_trichotomy", trichotomy)
+    assert cli.main(["selftest", "--max-n", "4"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith(("PASS", "FAIL"))] == [
+        ("FAIL  " if name == "optimal-set audits" else "PASS  ") + name
+        for name, _, _ in harness.SELFTEST_CHECKS
+    ]
+    fail = next(i for i, line in enumerate(lines) if line.startswith("FAIL"))
+    graph6, problem = lines[fail + 1].split(": ", 1)
+    assert [json.loads(problem)] == planted
+    assert graph6.strip() == planted[0]["graph6"]
+    assert lines[-1] == "selftest: FAIL"
 
 
 def test_search_with_a_counterexample_exits_1(monkeypatch):
@@ -31,6 +72,15 @@ def test_search_rejects_fewer_than_two_vertices(n, capsys):
     captured = capsys.readouterr()
     assert "--n must be at least 2" in captured.err
     assert captured.out == ""
+
+
+def test_search_output_depends_only_on_the_seed(capsys):
+    argv = ["search", "--n", "7", "--p", "0.4", "--count", "12", "--seed", "3"]
+    assert cli.main(argv) == EXIT_OK
+    first = capsys.readouterr().out
+    assert cli.main(argv) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert json.loads(first.splitlines()[-1])["graphs"] == 12
 
 
 def verify(tmp_path, lines, *extra):
@@ -58,6 +108,22 @@ def test_verify_exits_2_when_no_line_parses(tmp_path):
     assert verify(tmp_path, ["not a graph", "???garbage"]) == EXIT_INPUT_ERROR
 
 
+def test_verify_exits_2_on_a_missing_corpus_and_keeps_the_old_output(tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    out.write_text("old report\n")
+    assert cli.main(["verify", str(tmp_path / "missing.g6"), "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert out.read_text() == "old report\n"
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_an_unknown_check_name_exits_2(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, GOOD[0], "--checks", "conjecture,nope"])
+    assert exit_info.value.code == EXIT_INPUT_ERROR
+    assert "unknown checks: nope" in capsys.readouterr().err
+
+
 def test_verify_exits_1_on_a_failed_check(tmp_path, monkeypatch):
     def failing(g, graph6_str=None, checks=harness.ALL_CHECKS):
         return GraphReport(graph6=graph6_str, n=g.n, m=g.m, gamma=1, alpha=1,
@@ -66,3 +132,36 @@ def test_verify_exits_1_on_a_failed_check(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "analyze_graph", failing)
     assert verify(tmp_path, GOOD) == EXIT_CHECK_FAILED
     assert (tmp_path / "bad.g6").read_text().splitlines() == GOOD
+
+
+def raise_contradiction(g, d_set):
+    raise InternalContradiction("planted contradiction", {"d_set": d_set})
+
+
+def test_verify_exits_4_and_logs_the_contradiction(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(constructions, "theorem_main_construct", raise_contradiction)
+    assert verify(tmp_path, GOOD[:1]) == EXIT_CONTRADICTION
+    err = capsys.readouterr().err.splitlines()
+    prefix = "line 1: contradiction "
+    logged = [json.loads(line[len(prefix):]) for line in err if line.startswith(prefix)]
+    d_set = solvers.gamma(cycle_graph(5))[1]
+    assert logged == [{
+        "error": "planted contradiction", "context": {"d_set": repr(d_set)}, "graph6": GOOD[0],
+    }]
+    report = json.loads((tmp_path / "out.jsonl").read_text())
+    assert report["main_thm_ok"] is False and "contradiction" not in report
+
+
+def test_construct_exits_3_on_a_violated_precondition(capsys):
+    argv = ["construct", write_graph6(cycle_graph(4)), "--which", "gamma5"]
+    assert cli.main(argv) == EXIT_PRECONDITION
+    assert "gamma = 2, need exactly 5" in capsys.readouterr().err
+
+
+def test_construct_exits_4_and_dumps_the_contradiction(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "theorem_main_construct", raise_contradiction)
+    graph6 = write_graph6(cycle_graph(5))
+    assert cli.main(["construct", graph6, "--which", "main"]) == EXIT_CONTRADICTION
+    dump = json.loads(capsys.readouterr().err)
+    assert dump["graph6"] == graph6
+    assert dump["error"] == "planted contradiction" and list(dump["context"]) == ["d_set"]

@@ -14,6 +14,7 @@ from invdom.errors import (
 )
 from invdom.graph import Graph
 from invdom.graph6 import parse_edge_list, parse_graph6, write_graph6
+from invdom.harness import check_graph6_roundtrip
 
 
 def test_fixture_strings(k1, k2, k3, c4):
@@ -53,9 +54,9 @@ def test_reference_encoder_agreement():
 
 
 def test_roundtrip_small_corpus(corpus7):
-    for n, graphs in corpus7.items():
+    for graphs in corpus7.values():
         for g in graphs:
-            assert parse_graph6(write_graph6(g)) == g
+            assert check_graph6_roundtrip(g) == []
 
 
 def test_error_truncated():

@@ -1,6 +1,9 @@
-"""Which fields each check sets, and verify output order under parallelism."""
+"""Which fields each check sets, verify output order under parallelism, and
+the selftest checks swept over every graph with n <= 6."""
 
 import json
+
+import pytest
 
 from invdom import harness, solvers
 from invdom.generate import all_graphs, cycle_graph
@@ -73,3 +76,15 @@ def test_isolates_are_counted_as_skipped():
     _, summary = run_verify(lines, jobs=1)
     assert summary.graphs == 2
     assert summary.skipped_isolates == 1
+
+
+@pytest.mark.parametrize(
+    "isolate_free_only, check",
+    [(only, check) for _, only, check in harness.SELFTEST_CHECKS],
+    ids=[name for name, _, _ in harness.SELFTEST_CHECKS],
+)
+def test_selftest_check_holds_up_to_six_vertices(isolate_free_only, check, corpus7):
+    graphs = [g for n in range(1, 7) for g in corpus7[n]]
+    checked, failures = harness.run_check(check, graphs, isolate_free_only)
+    assert checked >= 100
+    assert failures == []

@@ -1,4 +1,7 @@
-"""Hypothesis property tests for the solver and construction invariants."""
+"""Hypothesis property tests for the solver and construction invariants.
+
+The round-trip and Ore tests run the selftest checks of the same name on
+random labelled graphs up to n = 7."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +12,8 @@ from invdom.constructions import (
     haxell_condition,
     standard_partition,
 )
-from invdom.graph import Graph, bits, mask_of
-from invdom.graph6 import parse_graph6, write_graph6
+from invdom.graph import Graph, bits
+from invdom.harness import check_graph6_roundtrip, check_ore_complement
 
 
 @st.composite
@@ -41,7 +44,7 @@ common = settings(max_examples=80, deadline=None)
 @common
 @given(graphs())
 def test_roundtrip(g):
-    assert parse_graph6(write_graph6(g)) == g
+    assert check_graph6_roundtrip(g) == []
 
 
 @common
@@ -87,10 +90,8 @@ def test_private_neighbors_pairwise_disjoint(gs):
 @common
 @given(graphs(min_n=1))
 def test_ore_complements_dominate(g):
-    if g.has_isolated_vertex():
-        return
-    for d in solvers.enumerate_min_dominating_sets(g):
-        assert g.is_dominating(g.full & ~d)
+    if not g.has_isolated_vertex():
+        assert check_ore_complement(g) == []
 
 
 @common
@@ -149,16 +150,3 @@ def test_haxell_condition_implies_isr(g, k):
             taken |= cell
     if haxell_condition(g, cells) is None:
         assert find_isr(g, cells) is not None
-
-
-@settings(max_examples=30, deadline=None)
-@given(graphs(min_n=2, max_n=6), st.integers(1, 2))
-def test_padding_shifts_invariants(g, t):
-    if g.has_isolated_vertex():
-        return
-    from invdom.constructions import pad_with_k2
-
-    padded = pad_with_k2(g, t)
-    assert solvers.gamma(padded)[0] == solvers.gamma(g)[0] + t
-    assert solvers.alpha(padded)[0] == solvers.alpha(g)[0] + t
-    assert solvers.inverse_gamma(padded)[0] == solvers.inverse_gamma(g)[0] + t

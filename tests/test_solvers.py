@@ -1,6 +1,7 @@
 """Solver behavior on the worked examples plus witness and determinism
 contracts.  The oracle sweeps of gamma, alpha, inverse gamma, strong inverse
-gamma and b run in ``invdom selftest``, which test_cli.py runs on n <= 6."""
+gamma and b are selftest checks, which
+test_harness.py::test_selftest_check_holds_up_to_six_vertices runs on n <= 6."""
 
 import pytest
 
