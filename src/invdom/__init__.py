@@ -12,7 +12,6 @@ from .solvers import (
     alpha_within,
     enumerate_min_dominating_sets,
     gamma,
-    gamma_induced,
     inverse_gamma,
     inverse_pass,
     max_induced_bipartite,
@@ -31,7 +30,6 @@ from .constructions import (
     find_isr,
     find_special_independent,
     gamma5_construct,
-    haxell_condition,
     inddom_construct,
     lemma41_check,
     max_partial_isr,

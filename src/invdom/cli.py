@@ -97,11 +97,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = RunConfig(checks=args.checks, jobs=args.jobs, strict=args.strict)
     with contextlib.ExitStack() as stack:
         # Open the corpus before --out, so a bad corpus leaves an old report intact.
+        # Undecodable bytes survive as surrogates, which parse_graph6 rejects
+        # as a bad line.
         try:
-            corpus = (
-                sys.stdin if args.corpus == "-"
-                else stack.enter_context(open(args.corpus, "r", encoding="utf-8"))
-            )
+            if args.corpus == "-":
+                corpus = sys.stdin
+                corpus.reconfigure(encoding="utf-8", errors="surrogateescape")
+            else:
+                corpus = stack.enter_context(
+                    open(args.corpus, "r", encoding="utf-8", errors="surrogateescape")
+                )
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
@@ -192,6 +197,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    if args.max_n < 2:
+        print("error: --max-n must be at least 2: smaller graphs have isolated vertices", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     ok = harness.selftest(max_n=args.max_n)
     print("selftest:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -133,23 +133,6 @@ def standard_partition(g: Graph, x_ordered: Sequence[int], y: int) -> StandardPa
     return StandardPartition(tuple(x_ordered), tuple(cells), y)
 
 
-def haxell_condition(g: Graph, cells: Sequence[int]) -> tuple[int, ...] | None:
-    """Check gamma(G[V_S]) >= 2|S| - 1 for every index subset S.
-
-    Returns None when the condition holds (an independent transversal is
-    then guaranteed to exist), otherwise the first violating index set in
-    increasing-bitmask order, as a tuple of 0-based cell indices.
-    """
-    n = len(cells)
-    for s_mask in range(1, 1 << n):
-        union = 0
-        for i in bits(s_mask):
-            union |= cells[i]
-        if solvers.gamma_induced(g, union) < 2 * s_mask.bit_count() - 1:
-            return tuple(bits(s_mask))
-    return None
-
-
 def _transversals(g: Graph, cells: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All independent transversals of the cells, in lexicographic order.
 

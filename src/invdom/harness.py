@@ -446,14 +446,16 @@ def selftest(max_n: int = 7, out: Callable[[str], None] = print) -> bool:
     vertices; True iff all pass.
 
     Prints one line per check as it finishes, with the number of graphs that
-    passed, and under a FAIL line each failing graph6 with its problems.
+    passed, and under a FAIL line each failing graph6 with its problems.  A
+    check that checked no graph fails.
     """
     graphs = [g for n in range(1, max_n + 1) for g in generate.all_graphs(n)]
     all_ok = True
     for name, isolate_free_only, check in SELFTEST_CHECKS:
         checked, failures = run_check(check, graphs, isolate_free_only)
-        out(f"{'FAIL' if failures else 'PASS'}  {name}: {checked - len(failures)}/{checked}")
+        ok = checked > 0 and not failures
+        out(f"{'PASS' if ok else 'FAIL'}  {name}: {checked - len(failures)}/{checked}")
         for graph6, problems in failures:
             out(f"    {graph6}: {'; '.join(problems)}")
-        all_ok = all_ok and not failures
+        all_ok = all_ok and ok
     return all_ok

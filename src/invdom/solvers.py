@@ -1,13 +1,19 @@
 """Exact solvers for the domination-theory invariants.
 
 All searches are branch-and-bound over bitmask vertex sets, tuned for
-graphs of a few dozen vertices.  Every enumeration is deterministic:
-minimum dominating sets come back in increasing bitmask order, witnesses
-are the first optimum found by a fixed branching rule, and ties in
-``optimal_dominating_set`` break toward the smallest bitmask.
+graphs of a few dozen vertices.  One set-cover search serves gamma,
+``min_dominating_within`` and the minimum dominating sets: it branches on
+the undominated vertex with the fewest candidates, most-dominating
+candidate first, and excludes earlier siblings from later branches, so it
+reaches each set once.  Every result is deterministic: minimum dominating
+sets come back in increasing bitmask order, witnesses are the first
+optimum the search reaches, and ties in ``optimal_dominating_set`` break
+toward the smallest bitmask.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .certificates import DominationCertificate, InverseCertificate
 from .errors import HasIsolates
@@ -81,23 +87,26 @@ def _greedy_cover(covers: tuple[int, ...], allowed: int, target: int) -> int | N
     return chosen
 
 
-def _min_cover(covers: tuple[int, ...], allowed: int, target: int) -> tuple[int, int] | None:
-    """Smallest S <= allowed with union of covers[S] >= target, or None.
+def _cover_search(
+    covers: tuple[int, ...],
+    allowed: int,
+    target: int,
+    limit: int,
+    found: Callable[[int, int], int],
+) -> None:
+    """Call ``found(S, |S|)`` on covers S <= allowed of target with |S| < limit.
 
-    ``covers`` must be symmetric in the closed-neighborhood sense
-    (u in covers[v] iff v in covers[u]), which holds for all uses here.
+    ``found`` returns the new limit.  Each cover is reached at most once, and
+    every inclusion-minimal one below the limit of the moment is reached.
+    ``covers`` must be symmetric (u in covers[v] iff v in covers[u]), as
+    closed neighborhoods are.
     """
-    greedy = _greedy_cover(covers, allowed, target)
-    if greedy is None:
-        return None
-    limit = greedy.bit_count()  # sizes < limit still interesting
-    best_mask = greedy
 
     def search(chosen: int, count: int, undom: int, avail: int) -> None:
-        nonlocal limit, best_mask
+        nonlocal limit
         if not undom:
-            if count < limit:
-                limit, best_mask = count, chosen
+            if count < limit:  # a sibling's subtree may have lowered the limit
+                limit = found(chosen, count)
             return
         slack = limit - count - 1  # picks we may still spend
         if slack <= 0:
@@ -123,13 +132,32 @@ def _min_cover(covers: tuple[int, ...], allowed: int, target: int) -> tuple[int,
             bits(covers[u] & avail),
             key=lambda v: (-(covers[v] & undom).bit_count(), v),
         )
-        remaining = avail
+        remaining = avail  # later branches exclude earlier siblings
         for v in cands:
             search(chosen | (1 << v), count + 1, undom & ~covers[v], remaining & ~(1 << v))
             remaining &= ~(1 << v)
 
     search(0, 0, target, allowed)
-    return limit, best_mask
+
+
+def _min_cover(covers: tuple[int, ...], allowed: int, target: int) -> tuple[int, int] | None:
+    """Smallest S <= allowed with union of covers[S] >= target, or None.
+
+    The witness is the first cover of least size that the search reaches,
+    or the greedy cover if the search finds none smaller.
+    """
+    greedy = _greedy_cover(covers, allowed, target)
+    if greedy is None:
+        return None
+    best = (greedy.bit_count(), greedy)
+
+    def improve(chosen: int, count: int) -> int:
+        nonlocal best
+        best = (count, chosen)
+        return count
+
+    _cover_search(covers, allowed, target, best[0], improve)
+    return best
 
 
 def _domination_covers(g: Graph) -> tuple[int, ...]:
@@ -138,64 +166,27 @@ def _domination_covers(g: Graph) -> tuple[int, ...]:
 
 def gamma(g: Graph) -> tuple[int, int]:
     """Domination number with a minimum dominating set witness."""
-    if g.n == 0:
-        return 0, 0
     result = _min_cover(_domination_covers(g), g.full, g.full)
     assert result is not None  # V(G) always dominates
     return result
 
 
-def gamma_induced(g: Graph, sub: int) -> int:
-    """Domination number of the induced subgraph G[sub]."""
-    g.check_subset(sub)
-    if not sub:
-        return 0
-    covers = tuple((g.adj[v] & sub) | (1 << v) if sub >> v & 1 else 0 for v in range(g.n))
-    result = _min_cover(covers, sub, sub)
-    assert result is not None
-    return result[0]
-
-
 def min_dominating_within(g: Graph, allowed: int) -> tuple[int, int] | None:
     """Smallest dominating set of g contained in ``allowed``, if any."""
     g.check_subset(allowed)
-    if g.n == 0:
-        return 0, 0
     return _min_cover(_domination_covers(g), allowed, g.full)
 
 
 def enumerate_min_dominating_sets(g: Graph) -> list[int]:
     """All dominating sets of size gamma(g), in increasing bitmask order."""
-    if g.n == 0:
-        return [0]
     k, _ = gamma(g)
-    covers = _domination_covers(g)
-    n = g.n
-    full = g.full
     out: list[int] = []
 
-    def rec(next_v: int, count: int, chosen: int, undom: int) -> None:
-        if count == k:
-            if not undom:
-                out.append(chosen)
-            return
-        future = full & ~((1 << next_v) - 1)
-        # a sub-minimum dominating set cannot exist, so undom is nonempty here
-        maxcov = 0
-        union = 0
-        for v in bits(future):
-            c = (covers[v] & undom).bit_count()
-            if c > maxcov:
-                maxcov = c
-            union |= covers[v]
-        if undom & ~union:
-            return
-        if maxcov == 0 or (undom.bit_count() + maxcov - 1) // maxcov > k - count:
-            return
-        for v in bits(future):
-            rec(v + 1, count + 1, chosen | (1 << v), undom & ~covers[v])
+    def collect(chosen: int, _count: int) -> int:
+        out.append(chosen)
+        return k + 1  # no dominating set is smaller than k
 
-    rec(0, 0, 0, full)
+    _cover_search(_domination_covers(g), g.full, g.full, k + 1, collect)
     out.sort()
     return out
 
@@ -216,8 +207,6 @@ def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
     Defined only for isolate-free graphs.
     """
     _require_isolate_free(g)
-    if g.n == 0:
-        return 0, InverseCertificate(0, 0, "exact", 0), 0
     best: tuple[int, int, int] | None = None  # (size, t_mask, d_mask)
     worst = 0
     for d in enumerate_min_dominating_sets(g):

@@ -6,7 +6,9 @@ n <= 6 by test_harness.py::test_selftest_check_holds_up_to_six_vertices;
 here selftest runs only as far as its exit code and its report need.
 """
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -58,6 +60,14 @@ def test_a_failing_check_names_its_graph_and_the_sweep_goes_on(monkeypatch, caps
     assert [json.loads(problem)] == planted
     assert graph6.strip() == planted[0]["graph6"]
     assert lines[-1] == "selftest: FAIL"
+
+
+@pytest.mark.parametrize("max_n", ["0", "1"])
+def test_selftest_rejects_fewer_than_two_vertices(max_n, capsys):
+    assert cli.main(["selftest", "--max-n", max_n]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert "--max-n must be at least 2" in captured.err
+    assert captured.out == ""
 
 
 def test_search_with_a_counterexample_exits_1(monkeypatch):
@@ -114,6 +124,23 @@ def test_verify_exits_2_on_a_missing_corpus_and_keeps_the_old_output(tmp_path, c
     assert cli.main(["verify", str(tmp_path / "missing.g6"), "--out", str(out)]) == EXIT_INPUT_ERROR
     assert out.read_text() == "old report\n"
     assert capsys.readouterr().err.startswith("error: ")
+
+
+NOT_UTF8 = b"Dhc\n\xff\xfe\n"
+
+
+@pytest.mark.parametrize("strict, code", [([], EXIT_OK), (["--strict"], EXIT_INPUT_ERROR)])
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_a_line_that_is_not_utf8_is_a_bad_line(from_stdin, strict, code, tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(NOT_UTF8)
+    if from_stdin:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    out = tmp_path / "out.jsonl"
+    argv = ["verify", "-" if from_stdin else str(corpus), "--out", str(out), *strict]
+    assert cli.main(argv) == code
+    assert [json.loads(line)["graph6"] for line in out.read_text().splitlines()] == ["Dhc"]
+    assert "line 2: non-ascii" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

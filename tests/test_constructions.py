@@ -19,7 +19,6 @@ from invdom.constructions import (
     find_isr,
     find_special_independent,
     gamma5_construct,
-    haxell_condition,
     inddom_construct,
     lemma41_check,
     max_partial_isr,
@@ -48,6 +47,7 @@ from invdom.generate import (
     with_pendant_pairs,
 )
 from invdom.graph import Graph, bits, mask_of, to_sorted
+from oracles import haxell_condition
 
 
 # -- standard partitions ------------------------------------------------------

@@ -88,3 +88,11 @@ def test_selftest_check_holds_up_to_six_vertices(isolate_free_only, check, corpu
     checked, failures = harness.run_check(check, graphs, isolate_free_only)
     assert checked >= 100
     assert failures == []
+
+
+def test_a_check_that_checked_no_graph_fails():
+    lines: list[str] = []
+    assert harness.selftest(max_n=1, out=lines.append) is False
+    for name, isolate_free_only, _ in harness.SELFTEST_CHECKS:
+        expected = f"FAIL  {name}: 0/0" if isolate_free_only else f"PASS  {name}: 1/1"
+        assert expected in lines

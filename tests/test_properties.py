@@ -9,11 +9,11 @@ from invdom import solvers
 from invdom.constructions import (
     expand_to_maximal_independent,
     find_isr,
-    haxell_condition,
     standard_partition,
 )
 from invdom.graph import Graph, bits
 from invdom.harness import check_graph6_roundtrip, check_ore_complement
+from oracles import haxell_condition
 
 
 @st.composite

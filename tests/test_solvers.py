@@ -3,15 +3,20 @@ contracts.  The oracle sweeps of gamma, alpha, inverse gamma, strong inverse
 gamma and b are selftest checks, which
 test_harness.py::test_selftest_check_holds_up_to_six_vertices runs on n <= 6."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from invdom import naive, solvers
+from invdom.constructions import pad_with_k2
 from invdom.errors import HasIsolates
 from invdom.generate import (
     complete_graph,
     cycle_graph,
     empty_graph,
     path_graph,
+    random_graph,
     star_graph,
 )
 from invdom.graph import Graph, mask_of
@@ -55,6 +60,22 @@ def test_enumeration_matches_the_oracle(corpus7):
     for n in range(1, 7):
         for g in corpus7[n]:
             assert solvers.enumerate_min_dominating_sets(g) == naive.min_dominating_sets_naive(g)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_enumeration_matches_brute_force_on_random_graphs(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, 10 + seed % 5, rng.choice((0.2, 0.3, 0.45)))
+    k = solvers.gamma(g)[0]
+    brute = sorted(
+        d for d in map(mask_of, combinations(range(g.n), k)) if g.is_dominating(d)
+    )
+    assert solvers.enumerate_min_dominating_sets(g) == brute
+
+
+@pytest.mark.parametrize("t", range(7))
+def test_padded_c5_has_5_times_2_to_the_t_gamma_sets(t, c5):
+    assert len(solvers.enumerate_min_dominating_sets(pad_with_k2(c5, t))) == 5 * 2 ** t
 
 
 def test_min_dominating_within(c4, star4, k2):
@@ -141,16 +162,11 @@ def test_optimal_key_is_minimal(corpus7):
             assert key <= other
 
 
-def test_gamma_induced(c5, k4):
-    assert solvers.gamma_induced(c5, c5.full) == 2
-    assert solvers.gamma_induced(c5, mask_of((0, 1, 2))) == 1  # induced path
-    assert solvers.gamma_induced(c5, mask_of((0, 2))) == 2  # two isolated
-    assert solvers.gamma_induced(k4, 0) == 0
-
-
 def test_empty_graph_edge_cases():
     g = Graph(0)
     assert solvers.gamma(g) == (0, 0)
     assert solvers.alpha(g) == (0, 0)
     assert solvers.enumerate_min_dominating_sets(g) == [0]
+    assert solvers.min_dominating_within(g, 0) == (0, 0)
+    assert solvers.inverse_pass(g)[0::2] == (0, 0)
     assert solvers.max_induced_bipartite(g) == (0, 0)
