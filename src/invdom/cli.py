@@ -23,12 +23,7 @@ from .constructions import (
     inddom_construct,
     theorem_main_construct,
 )
-from .errors import (
-    HasIsolates,
-    InputFormatError,
-    InternalContradiction,
-    PreconditionViolated,
-)
+from .errors import InputFormatError, InternalContradiction, PreconditionViolated
 from . import solvers
 from .graph import Graph
 from .graph6 import parse_edge_list, parse_graph6, write_graph6
@@ -44,13 +39,14 @@ from .harness import (
 
 
 def _load_single_graph(arg: str | None, edges_path: str | None) -> Graph:
+    # As in verify, undecodable bytes survive as surrogates for the parsers to reject.
     if edges_path is not None:
-        with open(edges_path, "r", encoding="utf-8") as handle:
+        with open(edges_path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return parse_edge_list(handle.read())
     if arg is None:
         raise InputFormatError("no graph given: pass a graph6 string, file, or --edges")
     if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as handle:
+        with open(arg, "r", encoding="utf-8", errors="surrogateescape") as handle:
             for line in handle:
                 if line.strip():
                     return parse_graph6(line)
@@ -93,6 +89,10 @@ def _parse_checks(raw: str) -> frozenset[str]:
     return chosen
 
 
+def _log(msg: str) -> None:
+    print(msg, file=sys.stderr)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = RunConfig(checks=args.checks, jobs=args.jobs, strict=args.strict)
     with contextlib.ExitStack() as stack:
@@ -117,10 +117,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         def sink(line: str) -> None:
             out_handle.write(line + "\n")
 
-        def log(msg: str) -> None:
-            print(msg, file=sys.stderr)
-
-        summary = harness.verify_stream(corpus, config, sink, log)
+        summary = harness.verify_stream(corpus, config, sink, _log)
 
     if summary.failing_graph6:
         with open(args.counterexamples, "w", encoding="utf-8") as handle:
@@ -160,7 +157,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                         "no independent set S with S-D dominating D-S exists"
                     )
                 cert = inddom_construct(g, d_set, s)
-    except (PreconditionViolated, HasIsolates) as exc:
+    except PreconditionViolated as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except InternalContradiction as exc:
@@ -189,10 +186,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
         out_handle.write(line + "\n")
 
     try:
-        summary = harness.search_run(args.n, args.p, args.count, args.seed, sink)
+        summary = harness.search_run(args.n, args.p, args.count, args.seed, sink, _log)
     finally:
         if args.out:
             out_handle.close()
+    if summary["contradictions"]:
+        return EXIT_CONTRADICTION
     return EXIT_CHECK_FAILED if summary["counterexamples"] else EXIT_OK
 
 

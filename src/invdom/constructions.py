@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from . import solvers
-from .certificates import DominationCertificate, InverseCertificate
+from .certificates import DominationCertificate, InverseCertificate, check_inverse_certificate
 from .errors import (
     HasIsolates,
     InternalContradiction,
@@ -249,8 +249,6 @@ def expand_to_maximal_independent(g: Graph, seed: int, universe: int) -> int:
 # -- certificate constructions ---------------------------------------------------
 
 def _checked(g: Graph, cert: InverseCertificate, where: str) -> InverseCertificate:
-    from .certificates import check_inverse_certificate
-
     problems = check_inverse_certificate(g, cert)
     if problems:
         raise InternalContradiction(
@@ -271,6 +269,11 @@ def _lowest_outside_neighbor(g: Graph, v: int, d_set: int, where: str) -> int:
 
 
 def _require_minimum_dominating(g: Graph, d_set: int, where: str) -> int:
+    """Every construction's gate: g nonempty and isolate-free, d_set a gamma-set."""
+    if g.n == 0:
+        raise PreconditionViolated(f"{where}: empty graph")
+    if g.has_isolated_vertex():
+        raise HasIsolates(f"{where} needs an isolate-free graph")
     g.check_subset(d_set)
     if not g.is_dominating(d_set):
         raise PreconditionViolated(f"{where}: d_set does not dominate")
@@ -289,8 +292,6 @@ def inddom_construct(g: Graph, d_set: int, s: int) -> InverseCertificate:
     maximal independent set of G-D, then patches the still-undominated part
     of D with one outside neighbor each.
     """
-    if g.has_isolated_vertex():
-        raise PreconditionViolated("inddom_construct needs an isolate-free graph")
     _require_minimum_dominating(g, d_set, "inddom_construct")
     g.check_subset(s)
     if not g.is_independent(s):
@@ -316,10 +317,6 @@ def theorem_main_construct(g: Graph, d_set: int) -> InverseCertificate:
     maximal independent set of G-D, then two patching rounds with outside
     neighbors (for F-N(S), then for the unhit part of D-F).
     """
-    if g.has_isolated_vertex():
-        raise HasIsolates("theorem_main_construct needs an isolate-free graph")
-    if g.n == 0:
-        raise PreconditionViolated("empty graph")
     k = _require_minimum_dominating(g, d_set, "theorem_main_construct")
 
     f_set = expand_to_maximal_independent(g, 0, d_set)
@@ -364,10 +361,6 @@ def bipartite_inverse_construct(g: Graph, d_set: int) -> InverseCertificate:
     to a maximal bipartite-inducing set B in G-D and patch F-N(B) with
     outside neighbors.
     """
-    if g.has_isolated_vertex():
-        raise HasIsolates("bipartite_inverse_construct needs an isolate-free graph")
-    if g.n == 0:
-        raise PreconditionViolated("empty graph")
     _require_minimum_dominating(g, d_set, "bipartite_inverse_construct")
 
     f_set = expand_to_maximal_independent(g, 0, d_set)

@@ -37,10 +37,6 @@ class VertexNotInD(InvdomError):
     """Private-neighbor query for a vertex outside the dominating set."""
 
 
-class HasIsolates(InvdomError):
-    """Inverse domination is undefined for graphs with isolated vertices."""
-
-
 class NotDominated(InvdomError):
     """Standard partition requested for a universe the representatives miss."""
 
@@ -51,6 +47,10 @@ class SeedNotIndependent(InvdomError):
 
 class PreconditionViolated(InvdomError):
     """A construction was invoked on input outside its stated hypotheses."""
+
+
+class HasIsolates(PreconditionViolated):
+    """Inverse domination is undefined for graphs with isolated vertices."""
 
 
 class InternalContradiction(InvdomError):

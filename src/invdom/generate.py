@@ -121,10 +121,6 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
 
 # -- structured families -----------------------------------------------------------
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def complete_graph(n: int) -> Graph:
     return Graph(n, combinations(range(n), 2))
 

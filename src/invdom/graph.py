@@ -82,12 +82,6 @@ class Graph:
         if s & ~self.full:
             raise ValueError(f"mask {s:#x} has vertices outside 0..{self.n - 1}")
 
-    def neighbors(self, v: int) -> int:
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     @property
     def m(self) -> int:
         """Number of edges."""

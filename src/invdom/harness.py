@@ -7,7 +7,9 @@ three-halves bound is evaluated in exact integer arithmetic.  gamma^-1 and
 strong gamma^-1 come from one pass over the minimum dominating sets, run
 once per isolate-free graph when any check needs either.  A verify run uses
 ``RunConfig.jobs`` worker processes (the CLI's ``--jobs``, default 1) and
-emits reports in input order either way.
+emits reports in input order either way.  ``search_run`` reads gamma,
+alpha, gamma^-1 and the main certificate from ``analyze_graph`` rather than
+computing them itself.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
 from . import constructions, generate, naive, solvers
-from .certificates import check_inverse_certificate
+from .certificates import InverseCertificate, check_inverse_certificate
 from .errors import Graph6Error, InternalContradiction
 from .graph import Graph, bits, mask_of, to_sorted
 from .graph6 import parse_graph6, write_graph6
@@ -65,8 +67,10 @@ class GraphReport:
     three_halves_ok: bool | str | None = None
     main_thm_ok: bool | None = None
     elapsed_micros: int = 0
-    # InternalContradiction.reproducer() of a failed construction; kept out
-    # of the JSONL report, logged by verify_stream.
+    # Kept out of the JSONL report: the main construction's certificate, read
+    # by search_run, and the InternalContradiction.reproducer() of a failed
+    # construction, logged by verify_stream and search_run.
+    main_cert: InverseCertificate | None = None
     contradiction: dict | None = None
 
     def failed_checks(self) -> list[str]:
@@ -134,6 +138,7 @@ def analyze_graph(
                 report.main_thm_ok = False
                 report.contradiction = exc.reproducer(graph6_str)
             else:
+                report.main_cert = cert
                 report.main_thm_ok = (
                     cert.t_set.bit_count() <= alpha_value + (gamma_value - 1) // 2
                 )
@@ -226,12 +231,15 @@ def search_run(
     count: int,
     seed: int,
     sink: Callable[[str], None],
+    log: Callable[[str], None] = lambda _msg: None,
 ) -> dict:
     """Seeded hunt for instances tightening the conjecture and main bound.
 
     Emits a JSONL event whenever a generated graph achieves a new maximum of
-    inv_gamma/alpha or of |T|/bound for the main construction.  Output is
-    integer-only and deterministic for a fixed seed.
+    inv_gamma/alpha or of |T|/bound for the main construction, both read
+    from ``analyze_graph``.  Output is integer-only and deterministic for a
+    fixed seed.  A failed construction logs its reproducer; the returned
+    summary adds the count of these to the one emitted.
     """
     import random
 
@@ -239,6 +247,7 @@ def search_run(
     best_inv: tuple[int, int] | None = None  # ratio as a fraction
     best_main: tuple[int, int] | None = None
     counterexamples = 0
+    contradictions = 0
 
     def stream() -> Iterator[Graph]:
         yield generate.star_graph(n - 1)
@@ -257,13 +266,9 @@ def search_run(
         if produced >= count:
             break
         produced += 1
-        gamma_value, gamma_witness = solvers.gamma(g)
-        alpha_value, _ = solvers.alpha(g)
-        inv = solvers.inverse_gamma(g)[0]
-        cert = constructions.theorem_main_construct(g, gamma_witness)
-        bound = alpha_value + (gamma_value - 1) // 2
-        g6 = write_graph6(g)
-        if inv > alpha_value:
+        report = analyze_graph(g, checks=frozenset({"conjecture", "main_thm"}))
+        g6, inv, alpha_value = report.graph6, report.inv_gamma, report.alpha
+        if report.conjecture_ok is False:
             counterexamples += 1
             sink(json.dumps({
                 "event": "counterexample", "graph6": g6, "n": g.n,
@@ -273,10 +278,14 @@ def search_run(
             best_inv = (inv, alpha_value)
             sink(json.dumps({
                 "event": "new_max", "metric": "inv_over_alpha", "graph6": g6,
-                "n": g.n, "gamma": gamma_value, "alpha": alpha_value,
+                "n": g.n, "gamma": report.gamma, "alpha": alpha_value,
                 "inv_gamma": inv,
             }, separators=(",", ":")))
-        t_size = cert.t_set.bit_count()
+        if report.contradiction:
+            contradictions += 1
+            log(f"graph {produced}: contradiction {json.dumps(report.contradiction)}")
+            continue
+        t_size, bound = report.main_cert.t_set.bit_count(), report.main_cert.bound_value
         if best_main is None or t_size * best_main[1] > best_main[0] * bound:
             best_main = (t_size, bound)
             sink(json.dumps({
@@ -290,7 +299,7 @@ def search_run(
         "counterexamples": counterexamples,
     }
     sink(json.dumps(summary, separators=(",", ":")))
-    return summary
+    return {**summary, "contradictions": contradictions}
 
 
 # -- selftest -----------------------------------------------------------------------

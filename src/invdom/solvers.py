@@ -5,10 +5,12 @@ graphs of a few dozen vertices.  One set-cover search serves gamma,
 ``min_dominating_within`` and the minimum dominating sets: it branches on
 the undominated vertex with the fewest candidates, most-dominating
 candidate first, and excludes earlier siblings from later branches, so it
-reaches each set once.  Every result is deterministic: minimum dominating
-sets come back in increasing bitmask order, witnesses are the first
-optimum the search reaches, and ties in ``optimal_dominating_set`` break
-toward the smallest bitmask.
+reaches each set once.  No solver runs another for a seed: the minimum
+dominating sets are enumerated with no gamma computed first, and b(G) is
+searched from 0, not from alpha.  Every result is deterministic: minimum
+dominating sets come back in increasing bitmask order, witnesses are the
+first optimum the search reaches, and ties in ``optimal_dominating_set``
+break toward the smallest bitmask.
 """
 
 from __future__ import annotations
@@ -179,14 +181,18 @@ def min_dominating_within(g: Graph, allowed: int) -> tuple[int, int] | None:
 
 def enumerate_min_dominating_sets(g: Graph) -> list[int]:
     """All dominating sets of size gamma(g), in increasing bitmask order."""
-    k, _ = gamma(g)
     out: list[int] = []
 
-    def collect(chosen: int, _count: int) -> int:
+    def collect(chosen: int, count: int) -> int:
+        if out and count < out[0].bit_count():
+            out.clear()
         out.append(chosen)
-        return k + 1  # no dominating set is smaller than k
+        return count + 1
 
-    _cover_search(_domination_covers(g), g.full, g.full, k + 1, collect)
+    # A smaller cover drops the larger ones collected.  The limit never drops
+    # below gamma + 1, and the search reaches every inclusion-minimal cover
+    # below its limit, so every gamma-set is found.
+    _cover_search(_domination_covers(g), g.full, g.full, g.n + 1, collect)
     out.sort()
     return out
 
@@ -238,7 +244,7 @@ def max_induced_bipartite(g: Graph) -> tuple[int, int]:
     n = g.n
     if g.is_bipartite_subset(g.full):
         return n, g.full
-    best, best_mask = alpha(g)  # independent sets are bipartite
+    best, best_mask = 0, 0
 
     def rec(v: int, chosen: int, count: int) -> None:
         nonlocal best, best_mask

@@ -14,7 +14,7 @@ import pytest
 
 from invdom import cli, constructions, harness, solvers
 from invdom.errors import InternalContradiction, LemmaViolated
-from invdom.generate import complete_graph, cycle_graph, path_graph
+from invdom.generate import complete_graph, cycle_graph, path_graph, star_graph
 from invdom.graph6 import write_graph6
 from invdom.harness import (
     EXIT_CHECK_FAILED,
@@ -71,7 +71,8 @@ def test_selftest_rejects_fewer_than_two_vertices(max_n, capsys):
 
 
 def test_search_with_a_counterexample_exits_1(monkeypatch):
-    monkeypatch.setattr(harness, "search_run", lambda *args: {"counterexamples": 1})
+    summary = {"counterexamples": 1, "contradictions": 0}
+    monkeypatch.setattr(harness, "search_run", lambda *args: summary)
     assert cli.main(["search", "--n", "5", "--p", "0.5", "--count", "1", "--seed", "1"]) == EXIT_CHECK_FAILED
 
 
@@ -91,6 +92,19 @@ def test_search_output_depends_only_on_the_seed(capsys):
     assert cli.main(argv) == EXIT_OK
     assert capsys.readouterr().out == first
     assert json.loads(first.splitlines()[-1])["graphs"] == 12
+
+
+def test_search_output_is_pinned(capsys):
+    argv = ["search", "--n", "9", "--p", "0.35", "--count", "60", "--seed", "1"]
+    assert cli.main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        '{"event":"new_max","metric":"inv_over_alpha","graph6":"HsaCCA?","n":9,'
+        '"gamma":1,"alpha":8,"inv_gamma":8}',
+        '{"event":"new_max","metric":"construction_over_bound","graph6":"HsaCCA?","n":9,'
+        '"t_size":8,"bound":8}',
+        '{"event":"summary","graphs":60,"best_inv_over_alpha":[8,8],'
+        '"best_construction_over_bound":[8,8],"counterexamples":0}',
+    ]
 
 
 def verify(tmp_path, lines, *extra):
@@ -143,6 +157,19 @@ def test_a_line_that_is_not_utf8_is_a_bad_line(from_stdin, strict, code, tmp_pat
     assert "line 2: non-ascii" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "FILE"], ["analyze", "--edges", "FILE"], ["construct", "FILE", "--which", "main"]],
+    ids=["analyze", "analyze-edges", "construct"],
+)
+def test_a_graph_file_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"\xff\xfe\n")
+    assert cli.main([str(path) if arg == "FILE" else arg for arg in argv]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_an_unknown_check_name_exits_2(command, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -177,6 +204,19 @@ def test_verify_exits_4_and_logs_the_contradiction(tmp_path, monkeypatch, capsys
     }]
     report = json.loads((tmp_path / "out.jsonl").read_text())
     assert report["main_thm_ok"] is False and "contradiction" not in report
+
+
+def test_search_exits_4_and_logs_each_contradiction(monkeypatch, capsys):
+    monkeypatch.setattr(constructions, "theorem_main_construct", raise_contradiction)
+    argv = ["search", "--n", "5", "--p", "0.5", "--count", "3", "--seed", "1"]
+    assert cli.main(argv) == EXIT_CONTRADICTION
+    captured = capsys.readouterr()
+    logged = [json.loads(line.split(": contradiction ", 1)[1]) for line in captured.err.splitlines()]
+    graph6 = [write_graph6(g) for g in (star_graph(4), cycle_graph(5), path_graph(5))]
+    assert [entry["graph6"] for entry in logged] == graph6
+    assert {entry["error"] for entry in logged} == {"planted contradiction"}
+    summary = json.loads(captured.out.splitlines()[-1])
+    assert summary["graphs"] == 3 and summary["best_construction_over_bound"] is None
 
 
 def test_construct_exits_3_on_a_violated_precondition(capsys):

@@ -320,6 +320,18 @@ def test_inddom_rejects_bad_input(c4, p4):
         inddom_construct(Graph(3, [(0, 1)]), mask_of((0, 2)), mask_of((0, 2)))
 
 
+@pytest.mark.parametrize(
+    "construct",
+    [lambda g, d: inddom_construct(g, d, 0), theorem_main_construct, bipartite_inverse_construct],
+    ids=["inddom", "main", "bipartite"],
+)
+def test_constructions_share_one_precondition_gate(construct):
+    with pytest.raises(PreconditionViolated, match="empty graph"):
+        construct(Graph(0), 0)
+    with pytest.raises(HasIsolates):
+        construct(Graph(3, [(0, 1)]), mask_of((0, 2)))
+
+
 # -- main theorem construction --------------------------------------------------------
 
 def test_main_construct_k2(k2):

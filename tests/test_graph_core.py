@@ -73,8 +73,6 @@ def test_utility_predicates(k2):
     assert not Graph(3, [(0, 1)]).is_clique()
     assert disjoint_union(Graph(1), k2).has_isolated_vertex()
     assert not k2.has_isolated_vertex()
-    assert k2.degree(0) == 1
-    assert k2.neighbors(0) == 1 << 1
 
 
 def test_disjoint_union_two_k2(k2):

@@ -14,18 +14,18 @@ from invdom.errors import HasIsolates
 from invdom.generate import (
     complete_graph,
     cycle_graph,
-    empty_graph,
     path_graph,
     random_graph,
     star_graph,
 )
 from invdom.graph import Graph, mask_of
+from invdom.graph6 import parse_graph6
 
 
 def test_alpha_examples(c5):
     assert solvers.alpha(complete_graph(5))[0] == 1
     assert solvers.alpha(c5)[0] == 2  # frozen from the 32-subset sweep
-    assert solvers.alpha(empty_graph(6))[0] == 6
+    assert solvers.alpha(Graph(6))[0] == 6
 
 
 def test_alpha_witness(c5):
@@ -57,9 +57,10 @@ def test_enumeration_is_increasing_and_restartable(c4):
 
 
 def test_enumeration_matches_the_oracle(corpus7):
-    for n in range(1, 7):
-        for g in corpus7[n]:
-            assert solvers.enumerate_min_dominating_sets(g) == naive.min_dominating_sets_naive(g)
+    # FCpdo (n = 7, gamma = 2) reaches a larger cover before its gamma-sets
+    graphs = [g for n in range(1, 7) for g in corpus7[n]] + [parse_graph6("FCpdo")]
+    for g in graphs:
+        assert solvers.enumerate_min_dominating_sets(g) == naive.min_dominating_sets_naive(g)
 
 
 @pytest.mark.parametrize("seed", range(12))
