@@ -23,7 +23,7 @@ from .constructions import (
     inddom_construct,
     theorem_main_construct,
 )
-from .errors import InputFormatError, InternalContradiction, PreconditionViolated
+from .errors import InputFormatError, InternalContradiction, PreconditionViolated, TooLarge
 from . import solvers
 from .graph import Graph
 from .graph6 import parse_edge_list, parse_graph6, write_graph6
@@ -55,11 +55,7 @@ def _load_single_graph(arg: str | None, edges_path: str | None) -> Graph:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        g = _load_single_graph(args.graph, args.edges)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    g = _load_single_graph(args.graph, args.edges)
     report = harness.analyze_graph(g, checks=args.checks)
     if report.inv_gamma is None and g.n > 0 and g.has_isolated_vertex():
         print("warning: graph has isolated vertices; inverse domination undefined", file=sys.stderr)
@@ -99,17 +95,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # Open the corpus before --out, so a bad corpus leaves an old report intact.
         # Undecodable bytes survive as surrogates, which parse_graph6 rejects
         # as a bad line.
-        try:
-            if args.corpus == "-":
-                corpus = sys.stdin
-                corpus.reconfigure(encoding="utf-8", errors="surrogateescape")
-            else:
-                corpus = stack.enter_context(
-                    open(args.corpus, "r", encoding="utf-8", errors="surrogateescape")
-                )
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+        if args.corpus == "-":
+            corpus = sys.stdin
+            corpus.reconfigure(encoding="utf-8", errors="surrogateescape")
+        else:
+            corpus = stack.enter_context(
+                open(args.corpus, "r", encoding="utf-8", errors="surrogateescape")
+            )
         out_handle = (
             stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
         )
@@ -136,11 +128,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        g = _load_single_graph(args.graph, None)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    g = _load_single_graph(args.graph, None)
     try:
         if args.which == "gamma5":
             cert = gamma5_construct(g)
@@ -250,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (InputFormatError, TooLarge, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -124,7 +124,5 @@ def parse_edge_list(text: str) -> Graph:
         raise InputFormatError(f"edge endpoint exceeds declared vertex count {n}")
     try:
         return Graph(n, pairs)
-    except TooLarge:
-        raise
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None

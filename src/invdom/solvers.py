@@ -1,16 +1,16 @@
 """Exact solvers for the domination-theory invariants.
 
 All searches are branch-and-bound over bitmask vertex sets, tuned for
-graphs of a few dozen vertices.  One set-cover search serves gamma,
-``min_dominating_within`` and the minimum dominating sets: it branches on
-the undominated vertex with the fewest candidates, most-dominating
-candidate first, and excludes earlier siblings from later branches, so it
-reaches each set once.  No solver runs another for a seed: the minimum
-dominating sets are enumerated with no gamma computed first, and b(G) is
-searched from 0, not from alpha.  Every result is deterministic: minimum
-dominating sets come back in increasing bitmask order, witnesses are the
-first optimum the search reaches, and ties in ``optimal_dominating_set``
-break toward the smallest bitmask.
+graphs of a few dozen vertices, and two of them serve every solver.  One
+set-cover search serves gamma, ``min_dominating_within`` and the minimum
+dominating sets: it branches on the undominated vertex with the fewest
+candidates, most-dominating candidate first, and excludes earlier siblings
+from later branches, so it reaches each set once.  One search for the
+largest subset that splits into one or two independent sides serves alpha,
+``alpha_within`` and b(G).  No solver runs another for a seed.  Every
+result is deterministic: minimum dominating sets come back in increasing
+bitmask order, witnesses are the first optimum the search reaches, and
+ties in ``optimal_dominating_set`` break toward the smallest bitmask.
 """
 
 from __future__ import annotations
@@ -22,7 +22,53 @@ from .errors import HasIsolates
 from .graph import Graph, bits
 
 
-# -- independence ------------------------------------------------------------
+# -- independent sides: alpha and b(G) -------------------------------------
+
+def _max_sides(g: Graph, allowed: int, sides: int) -> tuple[int, int]:
+    """Largest subset of ``allowed`` splitting into ``sides`` (1 or 2)
+    independent sets A and B: (size, witness A | B).
+
+    A node takes every free candidate (no candidate neighbour), onto A where
+    A can take it, then puts the pivot (highest candidate degree, lowest id)
+    on A, on B, or leaves it out.  B opens only once A is non-empty, since
+    the sides are interchangeable until then.
+    """
+    g.check_subset(allowed)
+    adj = g.adj
+    best, best_mask = 0, 0
+
+    def grow(a: int, b: int, count: int, cand_a: int, cand_b: int) -> None:
+        nonlocal best, best_mask
+        cand = cand_a | cand_b
+        if count + cand.bit_count() <= best:
+            return
+        # taking a free vertex changes no candidate degree: one pass finds both
+        free = 0
+        pivot, pivot_deg = -1, 0
+        for v in bits(cand):
+            d = (adj[v] & cand).bit_count()
+            if not d:
+                free |= 1 << v
+            elif d > pivot_deg:
+                pivot, pivot_deg = v, d
+        a |= free & cand_a
+        b |= free & ~cand_a
+        count += free.bit_count()
+        cand_a &= ~free
+        cand_b &= ~free
+        if pivot < 0:
+            best, best_mask = count, a | b
+            return
+        pb = 1 << pivot
+        if cand_a & pb:
+            grow(a | pb, b, count + 1, cand_a & ~(adj[pivot] | pb), cand_b & ~pb)
+        if a and cand_b & pb:
+            grow(a, b | pb, count + 1, cand_a & ~pb, cand_b & ~(adj[pivot] | pb))
+        grow(a, b, count, cand_a & ~pb, cand_b & ~pb)
+
+    grow(0, 0, 0, allowed, allowed if sides == 2 else 0)
+    return best, best_mask
+
 
 def alpha_within(g: Graph, allowed: int) -> tuple[int, int]:
     """Largest independent subset of ``allowed``: (size, witness mask).
@@ -30,44 +76,17 @@ def alpha_within(g: Graph, allowed: int) -> tuple[int, int]:
     Independence inside ``allowed`` equals independence in the induced
     subgraph, so this doubles as alpha of G[allowed].
     """
-    g.check_subset(allowed)
-    adj = g.adj
-    best = 0
-    best_mask = 0
-
-    def grow(chosen: int, count: int, cand: int) -> None:
-        nonlocal best, best_mask
-        # candidates with no candidate neighbor are free: take them all
-        iso = 0
-        for v in bits(cand):
-            if not adj[v] & cand:
-                iso |= 1 << v
-        if iso:
-            chosen |= iso
-            count += iso.bit_count()
-            cand &= ~iso
-        if not cand:
-            if count > best:
-                best, best_mask = count, chosen
-            return
-        if count + cand.bit_count() <= best:
-            return
-        pivot, pivot_deg = -1, -1
-        for v in bits(cand):
-            d = (adj[v] & cand).bit_count()
-            if d > pivot_deg:
-                pivot, pivot_deg = v, d
-        pb = 1 << pivot
-        grow(chosen | pb, count + 1, cand & ~(adj[pivot] | pb))
-        grow(chosen, count, cand ^ pb)
-
-    grow(0, 0, allowed)
-    return best, best_mask
+    return _max_sides(g, allowed, 1)
 
 
 def alpha(g: Graph) -> tuple[int, int]:
     """Independence number with a maximum independent set witness."""
     return alpha_within(g, g.full)
+
+
+def max_induced_bipartite(g: Graph) -> tuple[int, int]:
+    """Largest vertex set inducing an odd-cycle-free subgraph: (b(G), witness)."""
+    return _max_sides(g, g.full, 2)
 
 
 # -- domination --------------------------------------------------------------
@@ -235,30 +254,6 @@ def inverse_gamma(g: Graph) -> tuple[int, InverseCertificate]:
 def strong_inverse_gamma(g: Graph) -> int:
     """Largest, over minimum dominating sets D, of the best disjoint size."""
     return inverse_pass(g)[2]
-
-
-# -- induced bipartite order ---------------------------------------------------
-
-def max_induced_bipartite(g: Graph) -> tuple[int, int]:
-    """Largest vertex set inducing an odd-cycle-free subgraph: (b(G), witness)."""
-    n = g.n
-    if g.is_bipartite_subset(g.full):
-        return n, g.full
-    best, best_mask = 0, 0
-
-    def rec(v: int, chosen: int, count: int) -> None:
-        nonlocal best, best_mask
-        if count > best:
-            best, best_mask = count, chosen
-        if v == n or count + (n - v) <= best:
-            return
-        vb = 1 << v
-        if g.is_bipartite_subset(chosen | vb):
-            rec(v + 1, chosen | vb, count + 1)
-        rec(v + 1, chosen, count)
-
-    rec(0, 0, 0)
-    return best, best_mask
 
 
 # -- optimal dominating sets ----------------------------------------------------

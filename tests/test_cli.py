@@ -170,6 +170,29 @@ def test_a_graph_file_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--edges", "MISSING"],
+        ["analyze", "DIR"],
+        ["construct", "DIR", "--which", "main"],
+        ["analyze", "--edges", "BIG"],
+        ["search", "--n", "70", "--p", "0.5", "--count", "1", "--seed", "1"],
+        ["verify", "GOOD", "--out", "NOWHERE"],
+    ],
+    ids=["missing-edges", "analyze-dir", "construct-dir", "edges-too-large", "search-too-large",
+         "verify-out-unwritable"],
+)
+def test_an_input_error_exits_2_without_a_traceback(argv, tmp_path, capsys):
+    (tmp_path / "big.edges").write_text("0 70\n")
+    (tmp_path / "good.g6").write_text(GOOD[0] + "\n")
+    paths = {"MISSING": tmp_path / "missing.edges", "DIR": tmp_path, "BIG": tmp_path / "big.edges",
+             "GOOD": tmp_path / "good.g6", "NOWHERE": tmp_path / "no" / "such" / "x"}
+    assert cli.main([str(paths.get(arg, arg)) for arg in argv]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_an_unknown_check_name_exits_2(command, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -11,8 +11,6 @@ from invdom.certificates import (
     check_inverse_certificate,
 )
 from invdom.constructions import (
-    IsrPair,
-    PartialIsr,
     biglemma_trichotomy,
     bipartite_inverse_construct,
     expand_to_maximal_independent,

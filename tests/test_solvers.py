@@ -1,7 +1,8 @@
 """Solver behavior on the worked examples plus witness and determinism
 contracts.  The oracle sweeps of gamma, alpha, inverse gamma, strong inverse
 gamma and b are selftest checks, which
-test_harness.py::test_selftest_check_holds_up_to_six_vertices runs on n <= 6."""
+test_harness.py::test_selftest_check_holds_up_to_six_vertices runs on n <= 6;
+alpha and b also meet their oracles here on graphs of 10-13 vertices."""
 
 import random
 from itertools import combinations
@@ -11,13 +12,7 @@ import pytest
 from invdom import naive, solvers
 from invdom.constructions import pad_with_k2
 from invdom.errors import HasIsolates
-from invdom.generate import (
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    random_graph,
-    star_graph,
-)
+from invdom.generate import complete_graph, cycle_graph, random_graph
 from invdom.graph import Graph, mask_of
 from invdom.graph6 import parse_graph6
 
@@ -132,6 +127,33 @@ def test_max_induced_bipartite(c4, c5, k4):
     assert solvers.max_induced_bipartite(k4)[0] == 2
     size, witness = solvers.max_induced_bipartite(c5)
     assert size == 4 and c5.is_bipartite_subset(witness)
+
+
+def _sides_cases():
+    # BO is one edge plus an isolated vertex; C5 + t*K2 has b = n - 1, alpha = 2 + t
+    yield pytest.param(parse_graph6("BO"), (2, 3), id="BO")
+    for t in range(5):
+        g = pad_with_k2(cycle_graph(5), t)
+        yield pytest.param(g, (2 + t, g.n - 1), id=f"C5+{t}K2")
+    for seed in range(12):
+        rng = random.Random(seed)
+        g = random_graph(rng, 10 + seed % 4, rng.choice((0.2, 0.3, 0.45)))
+        yield pytest.param(g, None, id=f"gnp-{seed}")
+
+
+@pytest.mark.parametrize("g, closed_form", _sides_cases())
+def test_alpha_and_b_match_the_oracles(g, closed_form):
+    a, b = naive.alpha_naive(g)[0], naive.b_naive(g)
+    assert closed_form in (None, (a, b))
+    assert solvers.alpha(g)[0] == a
+    size, witness = solvers.max_induced_bipartite(g)
+    assert size == b and witness.bit_count() == b and g.is_bipartite_subset(witness)
+    rng = random.Random(g.n)
+    for allowed in [rng.getrandbits(g.n) for _ in range(4)]:
+        size, witness = solvers.alpha_within(g, allowed)
+        assert witness & ~allowed == 0 and witness.bit_count() == size and g.is_independent(witness)
+        subsets = (s for s in range(1 << g.n) if not s & ~allowed and g.is_independent(s))
+        assert size == max(s.bit_count() for s in subsets)
 
 
 def test_optimal_dominating_set_c4(c4):
