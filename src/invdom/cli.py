@@ -90,6 +90,9 @@ def _log(msg: str) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     config = RunConfig(checks=args.checks, jobs=args.jobs, strict=args.strict)
     with contextlib.ExitStack() as stack:
         # Open the corpus before --out, so a bad corpus leaves an old report intact.
@@ -167,6 +170,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.n < 2:
         print("error: --n must be at least 2: smaller graphs have isolated vertices", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if not 0 <= args.p <= 1:
+        print("error: --p must be a probability in [0, 1]", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out_handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
 

@@ -14,7 +14,7 @@ class Graph6Error(InputFormatError):
 
 
 class MalformedLength(Graph6Error):
-    """Size byte out of the single-byte range (n > 62 or byte not printable)."""
+    """Size field that is cut short, not canonical, or in the unsupported eight-byte form."""
 
 
 class TruncatedBody(Graph6Error):
@@ -30,7 +30,7 @@ class TrailingGarbage(Graph6Error):
 
 
 class TooLarge(InvdomError):
-    """Graph exceeds a hard size cap (64 vertices, or 62 for graph6 output)."""
+    """Graph exceeds the hard size cap of 64 vertices."""
 
 
 class VertexNotInD(InvdomError):

@@ -1,9 +1,12 @@
 """Bit-exact graph6 codec and an edge-list reader for hand-written fixtures.
 
-graph6 layout (single-byte size form, n <= 62): size byte n+63, then the
-upper-triangle adjacency bits in column-major order (0,1),(0,2),(1,2),
-(0,3),(1,3),(2,3),... packed into 6-bit groups, most significant bit
-first, zero padded, each group emitted as ASCII value group+63.
+graph6 layout: the size n, then the upper-triangle adjacency bits in
+column-major order (0,1),(0,2),(1,2),(0,3),(1,3),(2,3),... packed into 6-bit
+groups, most significant bit first, zero padded, each group emitted as ASCII
+value group+63.  The size is one byte n+63 for n <= 62, and for 63 <= n <= 64
+the long form: '~' followed by n as three 6-bit groups, most significant
+first.  Graphs stop at 64 vertices, so a long size above 64 is ``TooLarge``,
+and the eight-byte form '~~' is rejected as ``MalformedLength``.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from .errors import (
     TrailingGarbage,
     TruncatedBody,
 )
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 
 HEADER = b">>graph6<<"
-_MAX_G6 = 62
+_SHORT_MAX = 62  # largest n of the single-byte size form
 
 
 def _pair_count(n: int) -> int:
@@ -42,13 +45,20 @@ def parse_graph6(data: bytes | str) -> Graph:
     for b in data:
         if not 63 <= b <= 126:
             raise NonAsciiByte(f"byte {b} outside graph6 alphabet 63..126")
-    if data[0] == 126:
-        raise MalformedLength("multi-byte size forms are not supported")
-    n = data[0] - 63
-    if n > _MAX_G6:
-        raise MalformedLength(f"size byte encodes n={n} > {_MAX_G6}")
+    if data[:1] != b"~":
+        n, body = data[0] - 63, data[1:]
+    elif data[1:2] == b"~":
+        raise MalformedLength("the eight-byte size form '~~' is not supported")
+    elif len(data) < 4:
+        raise MalformedLength("the long size form needs three bytes after '~'")
+    else:
+        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
+        body = data[4:]
+        if n <= _SHORT_MAX:
+            raise MalformedLength(f"long size form encodes n={n}, which needs the short form")
+        if n > MAX_VERTICES:
+            raise TooLarge(f"graph6 size {n} exceeds {MAX_VERTICES} vertices")
 
-    body = data[1:]
     need = (_pair_count(n) + 5) // 6
     if len(body) < need:
         raise TruncatedBody(f"need {need} body bytes for n={n}, got {len(body)}")
@@ -71,10 +81,11 @@ def parse_graph6(data: bytes | str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    """Canonical graph6 string for the labeled graph g (n <= 62)."""
-    if g.n > _MAX_G6:
-        raise TooLarge(f"graph6 single-byte size form caps n at {_MAX_G6}, got {g.n}")
-    out = [chr(g.n + 63)]
+    """Canonical graph6 string for the labeled graph g."""
+    if g.n <= _SHORT_MAX:
+        out = [chr(g.n + 63)]
+    else:
+        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
     group, filled = 0, 0
     for v in range(1, g.n):
         for u in range(v):

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import constructions, generate, naive, solvers
 from .certificates import InverseCertificate, check_inverse_certificate
-from .errors import Graph6Error, InternalContradiction
+from .errors import Graph6Error, InternalContradiction, TooLarge
 from .graph import Graph, bits, mask_of, to_sorted
 from .graph6 import parse_graph6, write_graph6
 
@@ -169,7 +169,7 @@ def _verify_line(args: tuple[int, str, frozenset[str]]) -> tuple[int, str | None
     lineno, line, checks = args
     try:
         g = parse_graph6(line)
-    except Graph6Error as exc:
+    except (Graph6Error, TooLarge) as exc:
         return lineno, f"line {lineno}: {exc}", None
     return lineno, None, analyze_graph(g, line.strip(), checks)
 

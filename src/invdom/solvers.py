@@ -2,15 +2,23 @@
 
 All searches are branch-and-bound over bitmask vertex sets, tuned for
 graphs of a few dozen vertices, and two of them serve every solver.  One
-set-cover search serves gamma, ``min_dominating_within`` and the minimum
-dominating sets: it branches on the undominated vertex with the fewest
-candidates, most-dominating candidate first, and excludes earlier siblings
-from later branches, so it reaches each set once.  One search for the
-largest subset that splits into one or two independent sides serves alpha,
-``alpha_within`` and b(G).  No solver runs another for a seed.  Every
-result is deterministic: minimum dominating sets come back in increasing
-bitmask order, witnesses are the first optimum the search reaches, and
-ties in ``optimal_dominating_set`` break toward the smallest bitmask.
+set-cover search serves gamma, ``min_dominating_within``, the minimum
+dominating sets and the inverse pass: it branches on the undominated vertex
+with the fewest candidates, most-dominating candidate first, and excludes
+earlier siblings from later branches, so it reaches each set once.  One
+search for the largest subset that splits into one or two independent sides
+serves alpha, ``alpha_within`` and b(G).  No solver runs another for a seed.
+
+The inverse pass searches V - D for each minimum dominating set D only as
+far as D can still move gamma^-1 or strong gamma^-1.  Once D's best cover
+so far cannot raise the largest size seen, the limit drops to the least
+size seen; a limit of at most gamma = |D| skips the search, since no
+dominating set is smaller.
+
+Every result is deterministic: minimum dominating sets come back in
+increasing bitmask order, witnesses are the first optimum the search
+reaches, and ties in ``optimal_dominating_set`` break toward the smallest
+bitmask.
 """
 
 from __future__ import annotations
@@ -230,17 +238,38 @@ def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
     from D; gamma^-1 is the least of these sizes, certified by the first D
     in bitmask order that reaches it, and strong gamma^-1 the largest.
     Defined only for isolate-free graphs.
+
+    Each D's search stops once it can move neither value.  It starts from
+    the greedy cover of V - D.  After a cover of size c the limit is c while
+    c exceeds the largest size so far, since D may still raise strong
+    gamma^-1; otherwise it is min(c, least size so far), so the search only
+    looks for a cover that would lower gamma^-1.  No dominating set is
+    smaller than gamma = |D|, so a starting limit of at most |D| skips the
+    search.  A D that moves either value still gets its exact size, and the
+    limit stays above that size until the search reaches its first least
+    cover, so the certificate is the one an unlimited search would give.
     """
     _require_isolate_free(g)
-    best: tuple[int, int, int] | None = None  # (size, t_mask, d_mask)
+    covers = _domination_covers(g)
+    best = (g.n + 1, 0, 0)  # (size, t_mask, d_mask); every real size is <= n
     worst = 0
+    size = t_mask = 0  # least cover of V - D found so far for the current D
+
+    def threshold(chosen: int, count: int) -> int:
+        nonlocal size, t_mask
+        size, t_mask = count, chosen
+        return count if count > worst else min(count, best[0])
+
     for d in enumerate_min_dominating_sets(g):
-        found = min_dominating_within(g, g.full & ~d)
-        assert found is not None  # Ore: V-D dominates for isolate-free g
-        if best is None or found[0] < best[0]:
-            best = (found[0], found[1], d)
-        worst = max(worst, found[0])
-    assert best is not None
+        allowed = g.full & ~d
+        greedy = _greedy_cover(covers, allowed, g.full)
+        assert greedy is not None  # Ore: V-D dominates for isolate-free g
+        limit = threshold(greedy, greedy.bit_count())
+        if limit > d.bit_count():
+            _cover_search(covers, allowed, g.full, limit, threshold)
+        if size < best[0]:
+            best = (size, t_mask, d)
+        worst = max(worst, size)
     size, t_mask, d_mask = best
     return size, InverseCertificate(d_mask, t_mask, "exact", size), worst
 

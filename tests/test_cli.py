@@ -15,7 +15,8 @@ import pytest
 from invdom import cli, constructions, harness, solvers
 from invdom.errors import InternalContradiction, LemmaViolated
 from invdom.generate import complete_graph, cycle_graph, path_graph, star_graph
-from invdom.graph6 import write_graph6
+from invdom.graph import Graph
+from invdom.graph6 import parse_graph6, write_graph6
 from invdom.harness import (
     EXIT_CHECK_FAILED,
     EXIT_CONTRADICTION,
@@ -116,10 +117,12 @@ def verify(tmp_path, lines, *extra):
 
 
 GOOD = [write_graph6(g) for g in (cycle_graph(5), path_graph(4), complete_graph(3))]
+# a graph6 long size form for 65 vertices, one more than a Graph can hold
+TOO_LARGE = "~?@@" + "?" * 347
 
 
 def test_verify_exits_0_and_skips_bad_lines(tmp_path):
-    assert verify(tmp_path, GOOD + ["not a graph"]) == EXIT_OK
+    assert verify(tmp_path, GOOD + ["not a graph", TOO_LARGE]) == EXIT_OK
     assert len((tmp_path / "out.jsonl").read_text().splitlines()) == len(GOOD)
     assert not (tmp_path / "bad.g6").exists()
 
@@ -179,9 +182,14 @@ def test_a_graph_file_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
         ["analyze", "--edges", "BIG"],
         ["search", "--n", "70", "--p", "0.5", "--count", "1", "--seed", "1"],
         ["verify", "GOOD", "--out", "NOWHERE"],
+        ["search", "--n", "6", "--p", "-0.5", "--count", "1", "--seed", "1"],
+        ["search", "--n", "6", "--p", "1.5", "--count", "1", "--seed", "1"],
+        ["verify", "GOOD", "--jobs", "0"],
+        ["analyze", TOO_LARGE],
     ],
     ids=["missing-edges", "analyze-dir", "construct-dir", "edges-too-large", "search-too-large",
-         "verify-out-unwritable"],
+         "verify-out-unwritable", "search-p-negative", "search-p-above-1", "verify-no-jobs",
+         "graph6-too-large"],
 )
 def test_an_input_error_exits_2_without_a_traceback(argv, tmp_path, capsys):
     (tmp_path / "big.edges").write_text("0 70\n")
@@ -191,6 +199,15 @@ def test_an_input_error_exits_2_without_a_traceback(argv, tmp_path, capsys):
     assert cli.main([str(paths.get(arg, arg)) for arg in argv]) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_analyze_takes_64_vertices_in_the_long_graph6_form(tmp_path, capsys):
+    path = tmp_path / "big.edges"
+    path.write_text("0 63\n")
+    assert cli.main(["analyze", "--edges", str(path)]) == EXIT_OK
+    label, g6 = capsys.readouterr().out.splitlines()[0].split()
+    assert label == "graph6" and g6.startswith("~")
+    assert parse_graph6(g6) == Graph(64, [(0, 63)])
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

@@ -12,6 +12,7 @@ from invdom.errors import (
     TrailingGarbage,
     TruncatedBody,
 )
+from invdom.generate import complete_graph
 from invdom.graph import Graph
 from invdom.graph6 import parse_edge_list, parse_graph6, write_graph6
 from invdom.harness import check_graph6_roundtrip
@@ -73,9 +74,11 @@ def test_error_trailing_garbage():
 
 def test_error_malformed_length():
     with pytest.raises(MalformedLength):
-        parse_graph6("~???")  # multi-byte size form
+        parse_graph6("~???")  # long size form for n=0, which has a short form
     with pytest.raises(MalformedLength):
-        parse_graph6(chr(63 + 63))  # n=63 beyond single-byte range
+        parse_graph6("~")  # long size form without its three size bytes
+    with pytest.raises(MalformedLength):
+        parse_graph6("~~??????")  # eight-byte size form
 
 
 def test_error_non_ascii():
@@ -85,9 +88,19 @@ def test_error_non_ascii():
         parse_graph6("Aé")
 
 
-def test_write_rejects_large():
+@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("make", [Graph, complete_graph], ids=["empty", "complete"])
+def test_long_size_form_round_trips(n, make):
+    g = make(n)
+    text = write_graph6(g)
+    ref = nx.empty_graph(n) if make is Graph else nx.complete_graph(n)
+    assert text == nx.to_graph6_bytes(ref, header=False).strip().decode()
+    assert text.startswith("~") and parse_graph6(text) == g
+
+
+def test_long_size_form_rejects_more_than_64_vertices():
     with pytest.raises(TooLarge):
-        write_graph6(Graph(63))
+        parse_graph6(nx.to_graph6_bytes(nx.empty_graph(65), header=False))
 
 
 def test_edge_list_basic(p4):

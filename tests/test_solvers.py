@@ -12,7 +12,7 @@ import pytest
 from invdom import naive, solvers
 from invdom.constructions import pad_with_k2
 from invdom.errors import HasIsolates
-from invdom.generate import complete_graph, cycle_graph, random_graph
+from invdom.generate import complete_graph, cycle_graph, gamma5_corpus, random_graph
 from invdom.graph import Graph, mask_of
 from invdom.graph6 import parse_graph6
 
@@ -120,6 +120,31 @@ def test_inverse_chain_inequalities(corpus7):
         inv = solvers.inverse_gamma(g)[0]
         strong = solvers.strong_inverse_gamma(g)
         assert inv <= strong <= g.n - solvers.gamma(g)[0]
+
+
+def _inverse_pass_reference(g: Graph) -> tuple[int, tuple[int, int], int]:
+    """Unthresholded pass: a full search on every gamma-set, in bitmask order."""
+    sizes = []
+    for d in solvers.enumerate_min_dominating_sets(g):
+        size, t_mask = solvers.min_dominating_within(g, g.full & ~d)
+        sizes.append((size, d, t_mask))
+    size, d, t_mask = min(sizes, key=lambda entry: entry[0])  # the first least
+    return size, (d, t_mask), max(entry[0] for entry in sizes)
+
+
+def test_inverse_pass_matches_the_per_set_reference(c5, corpus7):
+    # corpus7 fills the all_graphs cache that gamma5_corpus draws its bases from
+    rng = random.Random(9)
+    graphs = []
+    while len(graphs) < 12:
+        g = random_graph(rng, rng.randint(12, 20), rng.choice((0.15, 0.25, 0.4)))
+        if not g.has_isolated_vertex():
+            graphs.append(g)
+    graphs += [pad_with_k2(c5, t) for t in range(7)]
+    graphs += gamma5_corpus(1)[::12]  # 20 graphs across its families
+    for g in graphs:
+        size, cert, strong = solvers.inverse_pass(g)
+        assert (size, (cert.d_set, cert.t_set), strong) == _inverse_pass_reference(g)
 
 
 def test_max_induced_bipartite(c4, c5, k4):
