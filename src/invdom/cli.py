@@ -25,7 +25,7 @@ from .constructions import (
 )
 from .errors import InputFormatError, InternalContradiction, PreconditionViolated, TooLarge
 from . import solvers
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 from .graph6 import parse_edge_list, parse_graph6, write_graph6
 from .harness import (
     ALL_CHECKS,
@@ -171,9 +171,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.n < 2:
         print("error: --n must be at least 2: smaller graphs have isolated vertices", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.n > MAX_VERTICES:
+        print(f"error: --n must be at most {MAX_VERTICES}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     if not 0 <= args.p <= 1:
         print("error: --p must be a probability in [0, 1]", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.count < 1:
+        print("error: --count must be at least 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    # Every check above runs before --out is opened, so bad input leaves an old log intact.
     out_handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
 
     def sink(line: str) -> None:

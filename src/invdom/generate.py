@@ -1,10 +1,16 @@
 """Graph corpora: exhaustive isomorphism-free generation, structured
 families, and seeded random graphs.
 
-The exhaustive generator grows graphs one vertex at a time and
-deduplicates with a canonical form computed by color refinement plus
-individualization, so no external tooling is needed for the small-order
-sweeps (n <= 8: 1, 2, 4, 11, 34, 156, 1044, 12346 graphs).
+The exhaustive generator grows graphs one vertex at a time and keeps a
+child when it is the first to reach its isomorphism class, recognised by
+a canonical form computed by color refinement plus individualization, so
+no external tooling is needed for the small-order sweeps (n <= 8: 1, 2,
+4, 11, 34, 156, 1044, 12346 graphs).  The automorphisms the canonical
+form finds prune twice: subtrees of its own search that are images of
+explored ones, and children that an automorphism of the parent maps to
+an earlier child.  Both skip only work whose outcome is already decided,
+so the canonical keys, the representatives and their order are those of
+the unpruned search.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import random
 from itertools import combinations
 
 from . import solvers
-from .graph import Graph, disjoint_union
+from .graph import Graph, bits, disjoint_union
 
 
 # -- canonical forms -----------------------------------------------------------
@@ -21,27 +27,30 @@ from .graph import Graph, disjoint_union
 def _refine(adj: tuple[int, ...], n: int, colors: list[int]) -> list[int]:
     """Equitable color refinement: split classes by neighbor counts.
 
-    Keys are packed base-(n+1) integers: a vertex's current color followed
-    by its neighbor count into every class, so sorting keys sorts classes.
+    ``colors`` are dense (0..k-1).  Keys are packed base-(n+1) integers: a
+    vertex's current color followed by its neighbor count into every
+    class, so sorting keys sorts classes and only ever splits them.  The
+    coloring is stable once no class splits.
     """
     base = n + 1
+    k = max(colors) + 1
     while True:
-        class_masks: dict[int, int] = {}
+        class_masks = [0] * k
         for v, c in enumerate(colors):
-            class_masks[c] = class_masks.get(c, 0) | (1 << v)
-        ordered = [class_masks[c] for c in sorted(class_masks)]
+            class_masks[c] |= 1 << v
         keys = []
         for v in range(n):
             row = adj[v]
-            k = colors[v]
-            for cm in ordered:
-                k = k * base + (row & cm).bit_count()
-            keys.append(k)
-        relabel = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new_colors = [relabel[k] for k in keys]
-        if new_colors == colors:
+            key = colors[v]
+            for cm in class_masks:
+                key = key * base + (row & cm).bit_count()
+            keys.append(key)
+        distinct = sorted(set(keys))
+        if len(distinct) == k:
             return colors
-        colors = new_colors
+        relabel = {key: i for i, key in enumerate(distinct)}
+        colors = [relabel[key] for key in keys]
+        k = len(distinct)
 
 
 def _encode(adj: tuple[int, ...], order: list[int]) -> int:
@@ -54,36 +63,72 @@ def _encode(adj: tuple[int, ...], order: list[int]) -> int:
     return out
 
 
-def canonical_form(g: Graph) -> tuple[int, int]:
-    """(n, bits) pair identical across isomorphic graphs."""
+def _closure(mask: int, perms: list[tuple[int, ...]]) -> int:
+    """Union of the orbits of ``mask``'s vertices under the group ``perms`` generate."""
+    frontier = mask
+    while frontier:
+        images = 0
+        for v in bits(frontier):
+            for p in perms:
+                images |= 1 << p[v]
+        frontier = images & ~mask
+        mask |= frontier
+    return mask
+
+
+def canonical_form(g: Graph) -> tuple[tuple[int, int], list[tuple[int, ...]]]:
+    """(n, bits) key identical across isomorphic graphs, and automorphisms of g.
+
+    The key is the smallest ``_encode`` over the leaves of the
+    individualization-refinement tree.  Two leaves with the same encoding
+    differ by an automorphism, the permutation taking the first leaf's
+    order to the other's; each one found is recorded as a tuple ``p`` with
+    ``p[v]`` the image of ``v``.  A node individualizes one vertex of its
+    target cell per orbit under the automorphisms found so far that fix
+    the node's individualized vertices: a skipped subtree is the image of
+    an explored one, with the same encodings, so the minimum is that of
+    the whole tree.  Since every leaf is compared with the first leaf of
+    its encoding, the automorphisms returned generate all of Aut(g)
+    (McKay, "Practical graph isomorphism", 1981).
+    """
     n = g.n
     if n <= 1:
-        return n, 0
+        return (n, 0), []
     adj = g.adj
-    best: int | None = None
+    leaves: dict[int, list[int]] = {}
+    autos: list[tuple[int, ...]] = []
+    fixed_by: list[int] = []  # fixed_by[i]: mask of the vertices autos[i] fixes
 
-    def rec(colors: list[int]) -> None:
-        nonlocal best
-        target = -1
-        for c in sorted(set(colors)):
-            if colors.count(c) > 1:
-                target = c
-                break
+    def rec(colors: list[int], path: int) -> None:
+        counts = [0] * n
+        for c in colors:
+            counts[c] += 1
+        target = next((c for c in range(n) if counts[c] > 1), -1)
         if target < 0:
-            order = sorted(range(n), key=lambda v: colors[v])
-            enc = _encode(adj, order)
-            if best is None or enc < best:
-                best = enc
+            order = [0] * n
+            for v, c in enumerate(colors):
+                order[c] = v
+            first = leaves.setdefault(_encode(adj, order), order)
+            if first is not order:
+                p = [0] * n
+                for u, v in zip(first, order):
+                    p[u] = v
+                autos.append(tuple(p))
+                fixed_by.append(sum(1 << v for v in range(n) if p[v] == v))
             return
+        explored = covered = 0
         for v in range(n):
-            if colors[v] == target:
-                split = [2 * colors[u] + (0 if u == v else 1) for u in range(n)]
-                relabel = {k: i for i, k in enumerate(sorted(set(split)))}
-                rec(_refine(adj, n, [relabel[k] for k in split]))
+            if colors[v] != target or covered >> v & 1:
+                continue
+            # v keeps the target color; the rest of its cell and every later class move up one
+            split = [c + (c > target or (c == target and u != v)) for u, c in enumerate(colors)]
+            rec(_refine(adj, n, split), path | 1 << v)
+            explored |= 1 << v
+            stabilizer = [p for p, fix in zip(autos, fixed_by) if not path & ~fix]
+            covered = _closure(explored, stabilizer)
 
-    rec(_refine(adj, n, [0] * n))
-    assert best is not None
-    return n, best
+    rec(_refine(adj, n, [0] * n), 0)
+    return (n, min(leaves)), autos
 
 
 # -- exhaustive corpus -----------------------------------------------------------
@@ -91,8 +136,28 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 _ALL_GRAPHS: dict[int, tuple[Graph, ...]] = {}
 
 
+def _mask_images(p: tuple[int, ...], width: int) -> list[int]:
+    """images[m] = the vertex set m mapped by p, for every m below 1 << width."""
+    images = [0] * (1 << width)
+    for m in range(1, 1 << width):
+        low = m & -m
+        images[m] = images[m ^ low] | 1 << p[low.bit_length() - 1]
+    return images
+
+
 def all_graphs(n: int) -> tuple[Graph, ...]:
-    """All non-isomorphic simple graphs on exactly n vertices."""
+    """All non-isomorphic simple graphs on exactly n vertices.
+
+    Each graph on n - 1 vertices (a parent) is extended by one vertex
+    joined to a set ``attach`` of parent vertices (a child), parents in
+    the order of ``all_graphs(n - 1)`` and masks in increasing order, and
+    a child is kept if it is the first to reach its isomorphism class.
+    A mask is tried only if it is the smallest in its orbit under the
+    parent's automorphisms: if p(attach) < attach, the child of p(attach)
+    is isomorphic and comes earlier, so the later one could never be kept.
+    The graphs kept, their labels and their order are therefore the same
+    as with every mask tried.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n in _ALL_GRAPHS:
@@ -104,13 +169,26 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
         found: list[Graph] = []
         new = n - 1
         for parent in all_graphs(n - 1):
+            images = [_mask_images(p, new) for p in canonical_form(parent)[1]]
+            tried = bytearray(1 << new)  # masks already met in some orbit
             for attach in range(1 << new):
+                if tried[attach]:
+                    continue
+                # attach is the first mask of its orbit met, so the smallest: mark the orbit
+                stack = [attach]
+                tried[attach] = 1
+                while stack:
+                    m = stack.pop()
+                    for table in images:
+                        if not tried[table[m]]:
+                            tried[table[m]] = 1
+                            stack.append(table[m])
                 rows = [
                     parent.adj[v] | ((attach >> v & 1) << new) for v in range(new)
                 ]
                 rows.append(attach)
                 child = Graph.from_rows(rows)
-                key = canonical_form(child)
+                key = canonical_form(child)[0]
                 if key not in seen:
                     seen[key] = None
                     found.append(child)

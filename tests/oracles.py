@@ -2,10 +2,10 @@
 
 ``haxell_condition`` is Haxell's sufficient condition for an independent
 transversal, checked here as a property of ``find_isr``.  Everything here
-tries every subset, so keep the cells small.
+tries every subset or every relabelling, so keep the cells and graphs small.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence
 
 from invdom.graph import Graph, bits, mask_of
@@ -35,3 +35,24 @@ def haxell_condition(g: Graph, cells: Sequence[int]) -> tuple[int, ...] | None:
         if gamma_induced(g, union) < 2 * s_mask.bit_count() - 1:
             return tuple(bits(s_mask))
     return None
+
+
+def _relabelled_bits(g: Graph, order: Sequence[int]) -> int:
+    """Upper triangle of g with vertex order[i] placed at position i, packed row by row."""
+    out = 0
+    for i, j in combinations(range(g.n), 2):
+        out = out << 1 | (g.adj[order[i]] >> order[j] & 1)
+    return out
+
+
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """(n, smallest packed upper triangle over all n! vertex orders)."""
+    return g.n, min(_relabelled_bits(g, order) for order in permutations(range(g.n)))
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every permutation p (p[v] = image of v) that maps edges to edges."""
+    return [
+        p for p in permutations(range(g.n))
+        if all(g.adj[p[u]] >> p[v] & 1 == g.adj[u] >> v & 1 for u, v in combinations(range(g.n), 2))
+    ]

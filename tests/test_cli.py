@@ -8,7 +8,10 @@ here selftest runs only as far as its exit code and its report need.
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +144,29 @@ def test_verify_exits_2_on_a_missing_corpus_and_keeps_the_old_output(tmp_path, c
     assert cli.main(["verify", str(tmp_path / "missing.g6"), "--out", str(out)]) == EXIT_INPUT_ERROR
     assert out.read_text() == "old report\n"
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "n, count, message",
+    [("70", "2", "--n must be at most 64"), ("7", "-3", "--count must be at least 1"),
+     ("7", "0", "--count must be at least 1")],
+)
+def test_search_rejects_bad_input_and_keeps_the_old_log(n, count, message, tmp_path, capsys):
+    out = tmp_path / "old.jsonl"
+    out.write_text("old log\n")
+    argv = ["search", "--n", n, "--p", "0.5", "--count", count, "--seed", "1", "--out", str(out)]
+    assert cli.main(argv) == EXIT_INPUT_ERROR
+    assert out.read_text() == "old log\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_python_m_invdom_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "invdom", "selftest", "--max-n", "3"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[-1] == "selftest: PASS"
 
 
 NOT_UTF8 = b"Dhc\n\xff\xfe\n"

@@ -1,0 +1,83 @@
+"""The exhaustive generator and its canonical form.
+
+``all_graphs`` is pinned graph6 line by graph6 line, so a change to how
+it prunes cannot silently change which representative a class gets or
+the order of the corpus.  ``canonical_form`` is checked against the
+brute-force oracles in ``oracles.py`` on every graph with n <= 6 and on
+seeded relabellings of each; isomorphism and |Aut(G)| do not change under
+relabelling, so the oracles run once per class.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from invdom.generate import all_graphs, canonical_form
+from invdom.graph import Graph
+from invdom.graph6 import write_graph6
+
+import oracles
+
+# SHA-256 of the graph6 lines of all_graphs(1), ..., all_graphs(7), in order, joined by "\n"
+ALL_GRAPHS_SHA256 = "ebc1aa37ba4bc59466c49b5b787c5448b591396e8f7605a973504dee79f94610"
+# number of isomorphism classes of graphs on n vertices, n = 0..7
+CLASSES = (1, 1, 2, 4, 11, 34, 156, 1044)
+
+
+def test_all_graphs_output_is_pinned():
+    assert tuple(len(all_graphs(n)) for n in range(8)) == CLASSES
+    lines = [write_graph6(g) for n in range(1, 8) for g in all_graphs(n)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ALL_GRAPHS_SHA256
+
+
+def _classes(n: int, copies: int = 3) -> list[list[Graph]]:
+    """Per graph of all_graphs(n): the graph and ``copies`` seeded random relabellings."""
+    rng = random.Random(n)
+    out = []
+    for g in all_graphs(n):
+        labellings = [g]
+        for _ in range(copies):
+            p = list(range(n))
+            rng.shuffle(p)
+            labellings.append(Graph(n, [(p[u], p[v]) for u, v in g.edges()]))
+        out.append(labellings)
+    return out
+
+
+def _group_order(n: int, generators: list[tuple[int, ...]]) -> int:
+    """Order of the permutation group the generators generate, by closure."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        a = frontier.pop()
+        for p in generators:
+            b = tuple(p[v] for v in a)
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return len(group)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_canonical_form_keys_agree_with_isomorphism(n):
+    classes = _classes(n)
+    forms = [oracles.canonical_form(labellings[0]) for labellings in classes]
+    # all_graphs(n) holds one graph of every class: as many as there are, no two isomorphic
+    assert len(set(forms)) == len(classes) == CLASSES[n]
+    # copies of one class are isomorphic by construction; same key iff same class
+    pairs = {(canonical_form(g)[0], form) for labellings, form in zip(classes, forms) for g in labellings}
+    assert len(pairs) == len({key for key, _ in pairs}) == len(classes)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_canonical_form_automorphisms_generate_the_whole_group(n):
+    for labellings in _classes(n):
+        order = len(oracles.automorphisms(labellings[0]))
+        for g in labellings:
+            _, autos = canonical_form(g)
+            for p in autos:
+                assert sorted(p) == list(range(n))
+                assert all(g.adj[p[u]] >> p[v] & 1 == g.adj[u] >> v & 1 for u in range(n) for v in range(n))
+            assert _group_order(n, autos) == order, write_graph6(g)
