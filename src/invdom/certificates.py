@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .graph import Graph, to_sorted
 
-BOUND_KINDS = ("exact", "alpha", "three_halves", "bipartite_b", "main_theorem")
+BOUND_KINDS = ("exact", "alpha", "bipartite_b", "main_theorem")
 
 
 @dataclass(frozen=True)

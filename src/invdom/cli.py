@@ -90,8 +90,10 @@ def _log(msg: str) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
+    # Pool starts every worker up front, so a count above the CPUs only costs processes.
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        print(f"error: --jobs must be between 1 and {cpus}, the CPU count", file=sys.stderr)
         return EXIT_INPUT_ERROR
     config = RunConfig(checks=args.checks, jobs=args.jobs, strict=args.strict)
     with contextlib.ExitStack() as stack:
@@ -222,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check every bound over a graph6 corpus")
     p.add_argument("corpus", help="graph6 file, one graph per line, or - for stdin")
     p.add_argument("--strict", action="store_true", help="abort on parse errors")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default %(default)s)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel worker processes, at most the CPU count (default %(default)s)")
     p.add_argument("--out", help="write JSONL reports here instead of stdout")
     p.add_argument("--checks", type=_parse_checks, default=ALL_CHECKS,
                    help="comma list from: " + ",".join(sorted(ALL_CHECKS)))

@@ -5,6 +5,15 @@ Each construction mirrors its existence proof step by step and re-checks
 every claim the proof asserts; a failed check raises InternalContradiction
 rather than emitting a bad certificate.  "Pick an arbitrary neighbor"
 always means the lowest vertex id, so certificates are reproducible.
+
+The constructions reach the exact solvers in two places only: the gate
+``_require_minimum_dominating`` solves gamma, because every proof starts
+from a minimum dominating set, and ``_certify`` solves the one bound a
+certificate is stated against (alpha, alpha + floor((gamma-1)/2), or b),
+because a certificate names a number the construction itself never
+derives.  ``biglemma_trichotomy`` (alpha of G[D]) and ``gamma5_construct``
+(its optimal gamma-set) also call solvers, for inputs to the proof rather
+than bounds.
 """
 
 from __future__ import annotations
@@ -248,7 +257,23 @@ def expand_to_maximal_independent(g: Graph, seed: int, universe: int) -> int:
 
 # -- certificate constructions ---------------------------------------------------
 
-def _checked(g: Graph, cert: InverseCertificate, where: str) -> InverseCertificate:
+def _certify(g: Graph, d_set: int, t: int, kind: str, where: str) -> InverseCertificate:
+    """The certificate (d_set, t) against the bound ``kind`` names, re-checked.
+
+    The only place a construction solves a bound, and each call solves one:
+    alpha for "alpha", alpha + floor((|D|-1)/2) for "main_theorem" (|D| is
+    gamma once the gate has passed), b for "bipartite_b".  Callers read the
+    bound from the returned ``bound_value`` instead of solving it again.  A
+    certificate that fails ``check_inverse_certificate`` raises
+    InternalContradiction rather than leaving the construction.
+    """
+    if kind == "bipartite_b":
+        bound = solvers.max_induced_bipartite(g)[0]
+    else:
+        bound = solvers.alpha(g)[0]
+        if kind == "main_theorem":
+            bound += (d_set.bit_count() - 1) // 2
+    cert = InverseCertificate(d_set, t, kind, bound)
     problems = check_inverse_certificate(g, cert)
     if problems:
         raise InternalContradiction(
@@ -257,18 +282,21 @@ def _checked(g: Graph, cert: InverseCertificate, where: str) -> InverseCertifica
     return cert
 
 
-def _lowest_outside_neighbor(g: Graph, v: int, d_set: int, where: str) -> int:
-    outside = g.adj[v] & ~d_set
-    if not outside:
-        raise InternalContradiction(
-            f"{where}: vertex {v} of the dominating set has no outside neighbor "
-            "(d_set cannot be a minimum dominating set of an isolate-free graph)",
-            {"vertex": v, "d_set": d_set},
-        )
-    return outside & -outside  # lowest id as a one-bit mask
+def _patch(g: Graph, t: int, vertices: int, d_set: int, where: str) -> int:
+    """t plus the lowest neighbor outside d_set of each vertex in ``vertices``."""
+    for v in bits(vertices):
+        outside = g.adj[v] & ~d_set
+        if not outside:
+            raise InternalContradiction(
+                f"{where}: vertex {v} of the dominating set has no outside neighbor "
+                "(d_set cannot be a minimum dominating set of an isolate-free graph)",
+                {"vertex": v, "d_set": d_set},
+            )
+        t |= outside & -outside
+    return t
 
 
-def _require_minimum_dominating(g: Graph, d_set: int, where: str) -> int:
+def _require_minimum_dominating(g: Graph, d_set: int, where: str) -> None:
     """Every construction's gate: g nonempty and isolate-free, d_set a gamma-set."""
     if g.n == 0:
         raise PreconditionViolated(f"{where}: empty graph")
@@ -282,7 +310,6 @@ def _require_minimum_dominating(g: Graph, d_set: int, where: str) -> int:
         raise PreconditionViolated(
             f"{where}: |d_set| = {d_set.bit_count()} but gamma = {k}"
         )
-    return k
 
 
 def inddom_construct(g: Graph, d_set: int, s: int) -> InverseCertificate:
@@ -302,11 +329,8 @@ def inddom_construct(g: Graph, d_set: int, s: int) -> InverseCertificate:
 
     s1 = expand_to_maximal_independent(g, s_out, g.full & ~d_set)
     undominated = d_set & ~g.open_neighborhood(s1)
-    t = s1
-    for v in bits(undominated):
-        t |= _lowest_outside_neighbor(g, v, d_set, "inddom_construct")
-    a = solvers.alpha(g)[0]
-    return _checked(g, InverseCertificate(d_set, t, "alpha", a), "inddom_construct")
+    t = _patch(g, s1, undominated, d_set, "inddom_construct")
+    return _certify(g, d_set, t, "alpha", "inddom_construct")
 
 
 def theorem_main_construct(g: Graph, d_set: int) -> InverseCertificate:
@@ -317,7 +341,7 @@ def theorem_main_construct(g: Graph, d_set: int) -> InverseCertificate:
     maximal independent set of G-D, then two patching rounds with outside
     neighbors (for F-N(S), then for the unhit part of D-F).
     """
-    k = _require_minimum_dominating(g, d_set, "theorem_main_construct")
+    _require_minimum_dominating(g, d_set, "theorem_main_construct")
 
     f_set = expand_to_maximal_independent(g, 0, d_set)
     rest = sorted(bits(d_set & ~f_set))
@@ -334,24 +358,15 @@ def theorem_main_construct(g: Graph, d_set: int) -> InverseCertificate:
     s = expand_to_maximal_independent(g, isr.members, g.full & ~d_set)
 
     f_prime = f_set & ~g.open_neighborhood(s)
-    s1 = s
-    for v in bits(f_prime):
-        s1 |= _lowest_outside_neighbor(g, v, d_set, "theorem_main_construct")
+    s1 = _patch(g, s, f_prime, d_set, "theorem_main_construct")
     unhit = d_set & ~f_set & ~g.open_neighborhood(s1)
     if 2 * unhit.bit_count() > n_cells:
         raise InternalContradiction(
             "more than half of D-F left undominated after expansion",
             {"unhit": unhit, "isr": isr.members},
         )
-    t = s1
-    for v in bits(unhit):
-        t |= _lowest_outside_neighbor(g, v, d_set, "theorem_main_construct")
-
-    a = solvers.alpha(g)[0]
-    bound = a + (k - 1) // 2
-    return _checked(
-        g, InverseCertificate(d_set, t, "main_theorem", bound), "theorem_main_construct"
-    )
+    t = _patch(g, s1, unhit, d_set, "theorem_main_construct")
+    return _certify(g, d_set, t, "main_theorem", "theorem_main_construct")
 
 
 def bipartite_inverse_construct(g: Graph, d_set: int) -> InverseCertificate:
@@ -380,14 +395,8 @@ def bipartite_inverse_construct(g: Graph, d_set: int) -> InverseCertificate:
             "B plus the unreached part of F stopped being bipartite",
             {"b": b_mask, "f0": f0},
         )
-    t = b_mask
-    for v in bits(f0):
-        t |= _lowest_outside_neighbor(g, v, d_set, "bipartite_inverse_construct")
-
-    b_value = solvers.max_induced_bipartite(g)[0]
-    return _checked(
-        g, InverseCertificate(d_set, t, "bipartite_b", b_value), "bipartite_inverse_construct"
-    )
+    t = _patch(g, b_mask, f0, d_set, "bipartite_inverse_construct")
+    return _certify(g, d_set, t, "bipartite_b", "bipartite_inverse_construct")
 
 
 # -- the trichotomy and its special independent sets -----------------------------
@@ -478,10 +487,8 @@ def biglemma_trichotomy(g: Graph, cert: DominationCertificate) -> TrichotomyOutc
 
 # -- the gamma = 5 pipeline -------------------------------------------------------
 
-def superisrs(
-    g: Graph, cert: DominationCertificate
-) -> tuple[tuple[int, ...], PartialIsr, PartialIsr]:
-    """Ordering (d1..d5) of an optimal D plus ISRs for cells 1-3 and 4-5.
+def superisrs(g: Graph, cert: DominationCertificate) -> tuple[int, ...]:
+    """Ordering (d1..d5) of an optimal D whose cells 1-3 and 4-5 have ISRs.
 
     Applies when |D| = 5, the induced independence of D is at most 2, and
     G[D] has no isolated vertices.  The search follows the proof's choice
@@ -526,19 +533,12 @@ def superisrs(
                     d3 = (d3_opts & -d3_opts).bit_length() - 1
                     d4, d5 = sorted(bits(d & ~mask_of((d1, d2, d3))))
                     ordering = (d1, d2, d3, d4, d5)
-                    part = standard_partition(g, ordering, outside)
-                    r1_isr = PartialIsr(
-                        mask_of((r1, r2, r3)), {r1: 0, r2: 1, r3: 2}
-                    )
-                    if validate_partial_isr(g, part.cells, r1_isr):
+                    cells = standard_partition(g, ordering, outside).cells
+                    head = PartialIsr(mask_of((r1, r2, r3)), {r1: 0, r2: 1, r3: 2})
+                    if validate_partial_isr(g, cells, head):
                         continue
-                    tail = find_isr(g, part.cells[3:])
-                    if tail is None:
-                        continue
-                    r2_isr = PartialIsr(
-                        tail.members, {v: i + 3 for v, i in tail.index_map.items()}
-                    )
-                    return ordering, r1_isr, r2_isr
+                    if find_isr(g, cells[3:]) is not None:
+                        return ordering
     raise InternalContradiction(
         "no ordering admits the two ISRs; the certificate is likely not optimal",
         {"cert": cert},
@@ -553,7 +553,8 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
     and the alpha-bounded construction finishes.  Otherwise run the
     two-ISR machinery: a partial ISR of size 4 is an immediate win; failing
     that, pick the ISR pair minimizing cross edges and analyse the set the
-    pair misses.  Every claim is re-checked; a dead end raises.
+    pair misses.  Every claim is re-checked; a dead end raises.  Each route
+    solves alpha once, in ``_certify``.
     """
     if g.has_isolated_vertex():
         raise HasIsolates("gamma5_construct needs an isolate-free graph")
@@ -561,7 +562,6 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
     if cert.size != 5:
         raise PreconditionViolated(f"gamma = {cert.size}, need exactly 5")
     d = cert.d_set
-    alpha_value = solvers.alpha(g)[0]
 
     if cert.alpha_of_d >= 3 or cert.isolate_count >= 1:
         s = find_special_independent(g, d)
@@ -572,9 +572,8 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
             )
         return inddom_construct(g, d, s)
 
-    ordering, r1_seed, r2_seed = superisrs(g, cert)
-    part = standard_partition(g, ordering, g.full & ~d)
-    cells = part.cells
+    ordering = superisrs(g, cert)
+    cells = standard_partition(g, ordering, g.full & ~d).cells
 
     # cheap shortcut: a partial ISR hitting 4 cells yields a special set
     big = max_partial_isr(g, cells)
@@ -611,9 +610,7 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
 
     undominated = g.full & ~g.closed_neighborhood(m1 | m2)
     if not undominated:
-        return _checked(
-            g, InverseCertificate(d, m1 | m2, "alpha", alpha_value), "gamma5_construct"
-        )
+        return _certify(g, d, m1 | m2, "alpha", "gamma5_construct")
 
     if undominated & d:
         raise InternalContradiction(
@@ -642,16 +639,13 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
                 "witness vertex is not adjacent to the whole undominated set",
                 {"w": wid, "undominated": undominated},
             )
-        if alpha_value < 6:
+        certified = _certify(g, d, m1 | m2 | w, "alpha", "gamma5_construct")
+        if certified.bound_value < 6:
             raise InternalContradiction(
                 "independence number below 6 in the hard branch",
-                {"alpha": alpha_value},
+                {"alpha": certified.bound_value},
             )
-        return _checked(
-            g,
-            InverseCertificate(d, m1 | m2 | w, "alpha", alpha_value),
-            "gamma5_construct",
-        )
+        return certified
 
     raise InternalContradiction(
         "all branches exhausted: R* dominates every other cell, which "

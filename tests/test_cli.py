@@ -211,13 +211,18 @@ def test_a_graph_file_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
         ["search", "--n", "6", "--p", "-0.5", "--count", "1", "--seed", "1"],
         ["search", "--n", "6", "--p", "1.5", "--count", "1", "--seed", "1"],
         ["verify", "GOOD", "--jobs", "0"],
+        ["verify", "GOOD", "--jobs", str((os.cpu_count() or 1) + 1)],
         ["analyze", TOO_LARGE],
     ],
     ids=["missing-edges", "analyze-dir", "construct-dir", "edges-too-large", "search-too-large",
          "verify-out-unwritable", "search-p-negative", "search-p-above-1", "verify-no-jobs",
-         "graph6-too-large"],
+         "verify-jobs-above-cpus", "graph6-too-large"],
 )
-def test_an_input_error_exits_2_without_a_traceback(argv, tmp_path, capsys):
+def test_an_input_error_exits_2_without_a_traceback(argv, tmp_path, capsys, monkeypatch):
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("an input error must not start worker processes")
+
+    monkeypatch.setattr(harness, "Pool", no_pool)
     (tmp_path / "big.edges").write_text("0 70\n")
     (tmp_path / "good.g6").write_text(GOOD[0] + "\n")
     paths = {"MISSING": tmp_path / "missing.edges", "DIR": tmp_path, "BIG": tmp_path / "big.edges",

@@ -1,13 +1,15 @@
 """Construction machinery: partitions, ISR search, certificate builders,
 the trichotomy, and the gamma-5 pipeline, including negative fixtures."""
 
+from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import pytest
 
-from invdom import solvers
+from invdom import constructions, solvers
 from invdom.certificates import (
     DominationCertificate,
+    InverseCertificate,
     check_inverse_certificate,
 )
 from invdom.constructions import (
@@ -45,7 +47,9 @@ from invdom.generate import (
     with_pendant_pairs,
 )
 from invdom.graph import Graph, bits, mask_of, to_sorted
+from invdom.graph6 import write_graph6
 from oracles import haxell_condition
+from test_golden import gamma5_graphs
 
 
 # -- standard partitions ------------------------------------------------------
@@ -366,6 +370,75 @@ def test_bipartite_construct_c4(c4):
     assert check_inverse_certificate(c4, cert, 2) == []
 
 
+# -- the certify step and the checker ----------------------------------------------------
+
+C9 = cycle_graph(9)
+C9_CERT = InverseCertificate(mask_of((0, 3, 6)), mask_of((1, 4, 7)), "main_theorem", 5)
+
+
+@pytest.mark.parametrize(
+    "mutate, gamma_value, problem",
+    [
+        (lambda c: replace(c, t_set=mask_of((1, 4))), 3, "t_set does not dominate"),
+        (lambda c: replace(c, t_set=c.t_set | 1 << 0), 3, "d_set and t_set intersect"),
+        (lambda c: replace(c, bound_value=2), 3, "|t_set| = 3 exceeds bound 2"),
+        (lambda c: c, 4, "|d_set| = 3 != gamma = 4"),
+        (lambda c: replace(c, bound_kind="three_halves"), 3,
+         "unknown bound_kind 'three_halves'"),
+        (lambda c: replace(c, t_set=c.t_set | 1 << 9), 3,
+         "certificate has vertices outside the graph"),
+    ],
+    ids=["t-loses-a-dominator", "t-gains-a-d-vertex", "bound-below-t", "wrong-gamma",
+         "unknown-kind", "vertex-outside"],
+)
+def test_the_checker_reports_each_mutation(mutate, gamma_value, problem):
+    assert check_inverse_certificate(C9, mutate(C9_CERT), gamma_value) == [problem]
+
+
+def test_certify_solves_the_bound_its_kind_names():
+    d, t = C9_CERT.d_set, C9_CERT.t_set
+    alpha_value = solvers.alpha(C9)[0]
+    bounds = {"alpha": alpha_value, "main_theorem": alpha_value + (3 - 1) // 2,
+              "bipartite_b": solvers.max_induced_bipartite(C9)[0]}
+    for kind, bound in bounds.items():
+        cert = constructions._certify(C9, d, t, kind, "test")
+        assert cert == InverseCertificate(d, t, kind, bound)
+
+
+def test_certify_raises_with_a_reproducer():
+    with pytest.raises(InternalContradiction, match="test produced an invalid certificate") as exc:
+        constructions._certify(C9, C9_CERT.d_set, mask_of((1, 4)), "main_theorem", "test")
+    record = exc.value.reproducer(write_graph6(C9))
+    assert record["graph6"] == write_graph6(C9)
+    assert record["context"]["problems"] == repr(["t_set does not dominate"])
+
+
+def _witness(g: Graph) -> int:
+    return solvers.gamma(g)[1]
+
+
+@pytest.mark.parametrize(
+    "build, solver",
+    [
+        (lambda: theorem_main_construct(C9, _witness(C9)), "alpha"),
+        (lambda: inddom_construct(C9, C9_CERT.d_set, C9_CERT.d_set), "alpha"),
+        (lambda: bipartite_inverse_construct(C9, _witness(C9)), "max_induced_bipartite"),
+    ] + [(lambda g=g: gamma5_construct(g), "alpha") for g in gamma5_graphs()],
+    ids=["main", "inddom", "bipartite", "gamma5-5K2", "gamma5-5K13", "gamma5-C5-pendants",
+         "gamma5-K5-pendants"],
+)
+def test_each_construction_solves_its_bound_once(monkeypatch, build, solver):
+    calls = {"alpha": 0, "max_induced_bipartite": 0}
+    for name in calls:
+        def counted(g, _name=name, _original=getattr(solvers, name)):
+            calls[_name] += 1
+            return _original(g)
+
+        monkeypatch.setattr(solvers, name, counted)
+    build()
+    assert calls == {name: int(name == solver) for name in calls}
+
+
 # -- special independent sets ----------------------------------------------------------
 
 def test_find_special_independent_examples(c4, k4):
@@ -508,11 +581,10 @@ def test_superisrs_on_pendant_gadgets(base_maker):
     g = with_pendant_pairs(base_maker(), 2)
     cert = solvers.optimal_dominating_set(g)
     assert cert.size == 5 and cert.alpha_of_d <= 2 and cert.isolate_count == 0
-    ordering, r1, r2 = superisrs(g, cert)
+    ordering = superisrs(g, cert)
     cells = standard_partition(g, ordering, g.full & ~cert.d_set).cells
-    assert validate_partial_isr(g, cells, r1) == []
-    assert validate_partial_isr(g, cells, r2) == []
-    assert r1.indices == {0, 1, 2} and r2.indices == {3, 4}
+    assert find_isr(g, cells[:3]) is not None
+    assert find_isr(g, cells[3:]) is not None
     assert sorted(ordering) == to_sorted(cert.d_set)
 
 

@@ -2,8 +2,10 @@
 
 Covers the gamma witness, the inverse-pass certificate, the main
 construction's certificate and the ``verify`` JSONL (less its timing field)
-on every graph with n <= 6 and on twelve seeded G(16, p) graphs.  A change
-that alters any certificate or report on this corpus fails here; a change
+on every graph with n <= 6 and on twelve seeded G(16, p) graphs.  A second
+digest pins the other three constructions on that corpus and on the gamma = 5
+graphs: 5K2, five K1,3 and the pendant-pair gadgets on C5 and K5.  A change
+that alters any certificate or report on these corpora fails here; a change
 that means to alter them must re-pin the digest and say why.
 """
 
@@ -13,10 +15,19 @@ import random
 
 from invdom import constructions, harness, solvers
 from invdom.errors import InvdomError
-from invdom.generate import all_graphs, random_graph
+from invdom.generate import (
+    all_graphs,
+    complete_graph,
+    cycle_graph,
+    random_graph,
+    star_graph,
+    with_pendant_pairs,
+)
+from invdom.graph import Graph, disjoint_union
 from invdom.graph6 import write_graph6
 
 GOLDEN_SHA256 = "9bfa2671d69a326cd44745af13f3145abce32b0fea16be077ed76fbbf6e3a08e"
+CONSTRUCTIONS_SHA256 = "4875ac4eaf2d275650ac6698314a489486d49c47cbe7a872e3a8cab46eca9d5d"
 
 
 def golden_corpus():
@@ -25,6 +36,22 @@ def golden_corpus():
         rng = random.Random(seed)
         graphs.extend(random_graph(rng, 16, p) for p in (0.15, 0.3, 0.5))
     return graphs
+
+
+def five_copies(g: Graph) -> Graph:
+    out = g
+    for _ in range(4):
+        out = disjoint_union(out, g)
+    return out
+
+
+def gamma5_graphs() -> list[Graph]:
+    return [
+        five_copies(Graph(2, [(0, 1)])),
+        five_copies(star_graph(3)),
+        with_pendant_pairs(cycle_graph(5), 2),
+        with_pendant_pairs(complete_graph(5), 2),
+    ]
 
 
 def _outcome(fn, *args):
@@ -60,5 +87,36 @@ def golden_digest() -> str:
     return hashlib.sha256("\n".join(golden_lines(golden_corpus())).encode()).hexdigest()
 
 
+def _other_constructions(g) -> dict:
+    """bipartite on the gamma witness, inddom on the optimal gamma-set with its
+    special set, gamma5; each a certificate or the name of the error raised."""
+
+    def inddom():
+        optimal = solvers.optimal_dominating_set(g).d_set
+        s = constructions.find_special_independent(g, optimal)
+        return None if s is None else constructions.inddom_construct(g, optimal, s).to_dict()
+
+    witness = solvers.gamma(g)[1]
+    return {
+        "bipartite": _outcome(
+            lambda: constructions.bipartite_inverse_construct(g, witness).to_dict()
+        ),
+        "inddom": _outcome(inddom),
+        "gamma5": _outcome(lambda: constructions.gamma5_construct(g).to_dict()),
+    }
+
+
+def constructions_digest() -> str:
+    lines = [
+        json.dumps(_other_constructions(g), sort_keys=True)
+        for g in golden_corpus() + gamma5_graphs()
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_certificates_and_reports_match_the_pinned_digest():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def test_the_other_constructions_match_their_pinned_digest():
+    assert constructions_digest() == CONSTRUCTIONS_SHA256
