@@ -20,9 +20,6 @@ from .solvers import (
     strong_inverse_gamma,
 )
 from .constructions import (
-    IsrPair,
-    PartialIsr,
-    StandardPartition,
     TrichotomyOutcome,
     biglemma_trichotomy,
     bipartite_inverse_construct,

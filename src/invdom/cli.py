@@ -93,8 +93,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Pool starts every worker up front, so a count above the CPUs only costs processes.
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
-        print(f"error: --jobs must be between 1 and {cpus}, the CPU count", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InputFormatError(f"--jobs must be between 1 and {cpus}, the CPU count")
     config = RunConfig(checks=args.checks, jobs=args.jobs, strict=args.strict)
     with contextlib.ExitStack() as stack:
         # Open the corpus before --out, so a bad corpus leaves an old report intact.
@@ -116,7 +115,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
         summary = harness.verify_stream(corpus, config, sink, _log)
 
-    if summary.failing_graph6:
+    if summary.failing_graph6 and args.counterexamples:
         with open(args.counterexamples, "w", encoding="utf-8") as handle:
             for g6 in summary.failing_graph6:
                 handle.write(g6 + "\n")
@@ -171,17 +170,13 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.n < 2:
-        print("error: --n must be at least 2: smaller graphs have isolated vertices", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InputFormatError("--n must be at least 2: smaller graphs have isolated vertices")
     if args.n > MAX_VERTICES:
-        print(f"error: --n must be at most {MAX_VERTICES}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InputFormatError(f"--n must be at most {MAX_VERTICES}")
     if not 0 <= args.p <= 1:
-        print("error: --p must be a probability in [0, 1]", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InputFormatError("--p must be a probability in [0, 1]")
     if args.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InputFormatError("--count must be at least 1")
     # Every check above runs before --out is opened, so bad input leaves an old log intact.
     out_handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
 
@@ -200,8 +195,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     if args.max_n < 2:
-        print("error: --max-n must be at least 2: smaller graphs have isolated vertices", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InputFormatError("--max-n must be at least 2: smaller graphs have isolated vertices")
     ok = harness.selftest(max_n=args.max_n)
     print("selftest:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -229,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write JSONL reports here instead of stdout")
     p.add_argument("--checks", type=_parse_checks, default=ALL_CHECKS,
                    help="comma list from: " + ",".join(sorted(ALL_CHECKS)))
-    p.add_argument("--counterexamples", default="counterexamples.g6",
-                   help="failing graphs land here (default %(default)s)")
+    p.add_argument("--counterexamples",
+                   help="write the graph6 of each failing graph here (default: not written)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("construct", help="run one construction, re-verify, print the certificate")

@@ -6,6 +6,10 @@ every claim the proof asserts; a failed check raises InternalContradiction
 rather than emitting a bad certificate.  "Pick an arbitrary neighbor"
 always means the lowest vertex id, so certificates are reproducible.
 
+Every vertex set is a plain int mask, partial ISRs included.  The cells of
+a standard partition are disjoint, so the cell a member represents follows
+from the member itself, and a partial ISR needs no index bookkeeping.
+
 The constructions reach the exact solvers in two places only: the gate
 ``_require_minimum_dominating`` solves gamma, because every proof starts
 from a minimum dominating set, and ``_certify`` solves the one bound a
@@ -18,7 +22,7 @@ than bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import solvers
@@ -32,43 +36,10 @@ from .errors import (
     SeedNotIndependent,
     TooLarge,
 )
-from .graph import Graph, bits, disjoint_union, mask_of
+from .graph import Graph, bits, disjoint_union, mask_of, to_sorted
 
 
 # -- domain types -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StandardPartition:
-    """Greedy cells V_i = N_universe(reps[i]) minus all earlier cells."""
-
-    reps: tuple[int, ...]
-    cells: tuple[int, ...]
-    universe: int
-
-
-@dataclass
-class PartialIsr:
-    """Independent set with one representative in each of the mapped cells."""
-
-    members: int = 0
-    index_map: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        return self.members.bit_count()
-
-    @property
-    def indices(self) -> frozenset[int]:
-        return frozenset(self.index_map.values())
-
-
-@dataclass
-class IsrPair:
-    """Two partial ISRs whose cell-index sets partition the whole family."""
-
-    r1: PartialIsr
-    r2: PartialIsr
-
 
 @dataclass(frozen=True)
 class TrichotomyConditions:
@@ -88,39 +59,39 @@ class TrichotomyOutcome:
 
 # -- validators (used by tests and by the constructions themselves) ------------
 
-def validate_partial_isr(g: Graph, cells: Sequence[int], isr: PartialIsr) -> list[str]:
+def validate_partial_isr(g: Graph, cells: Sequence[int], isr: int) -> list[str]:
+    """Problems with ``isr`` as a partial ISR of the disjoint ``cells``."""
     problems = []
-    if not g.is_independent(isr.members):
+    if not g.is_independent(isr):
         problems.append("members are not independent")
-    if mask_of(isr.index_map) != isr.members:
-        problems.append("index_map keys disagree with members")
-    seen: set[int] = set()
-    for v, i in isr.index_map.items():
-        if i in seen:
-            problems.append(f"cell {i} represented twice")
-        seen.add(i)
-        if not (0 <= i < len(cells)) or not cells[i] >> v & 1:
-            problems.append(f"vertex {v} not in cell {i}")
+    covered = 0
+    for i, cell in enumerate(cells):
+        hits = (isr & cell).bit_count()
+        if hits > 1:
+            problems.append(f"cell {i} has {hits} members")
+        covered |= cell
+    if isr & ~covered:
+        problems.append(f"vertices {to_sorted(isr & ~covered)} lie in no cell")
     return problems
 
 
-def validate_isr_pair(g: Graph, cells: Sequence[int], pair: IsrPair) -> list[str]:
-    problems = validate_partial_isr(g, cells, pair.r1)
-    problems += validate_partial_isr(g, cells, pair.r2)
-    if pair.r1.members & pair.r2.members:
-        problems.append("the two ISRs share vertices")
-    i1, i2 = pair.r1.indices, pair.r2.indices
-    if i1 & i2:
-        problems.append("the two ISRs share cell indices")
-    if i1 | i2 != set(range(len(cells))):
-        problems.append("cell indices of the pair do not cover the family")
+def validate_isr_pair(g: Graph, cells: Sequence[int], pair: tuple[int, int]) -> list[str]:
+    """Problems with ``pair`` as two partial ISRs that split the cells between them."""
+    r1, r2 = pair
+    problems = validate_partial_isr(g, cells, r1) + validate_partial_isr(g, cells, r2)
+    for i, cell in enumerate(cells):
+        if r1 & cell and r2 & cell:
+            problems.append(f"cell {i} represented by both sides")
+        elif not (r1 | r2) & cell:
+            problems.append(f"cell {i} represented by neither side")
     return problems
 
 
 # -- standard partitions and ISR search ----------------------------------------
 
-def standard_partition(g: Graph, x_ordered: Sequence[int], y: int) -> StandardPartition:
-    """Partition of y by the greedy rule, in the given order of x.
+def standard_partition(g: Graph, x_ordered: Sequence[int], y: int) -> tuple[int, ...]:
+    """Cells V_i = N_y(x_ordered[i]) minus all earlier cells: the greedy
+    partition of y in the given order of x.
 
     Requires x and y disjoint and every y-vertex to have an x-neighbor.
     """
@@ -139,63 +110,54 @@ def standard_partition(g: Graph, x_ordered: Sequence[int], y: int) -> StandardPa
         cell = g.adj[d] & y & ~taken
         cells.append(cell)
         taken |= cell
-    return StandardPartition(tuple(x_ordered), tuple(cells), y)
+    return tuple(cells)
 
 
-def _transversals(g: Graph, cells: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All independent transversals of the cells, in lexicographic order.
-
-    Cells must be pairwise disjoint; the i-th entry of each transversal is
-    its representative of cells[i].
+def _transversals(g: Graph, cells: Sequence[int]) -> Iterator[int]:
+    """All independent transversals of the disjoint cells, as masks, in
+    lexicographic order of their representatives of cells[0], cells[1], ...
     """
 
-    def rec(i: int, chosen: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, chosen: int) -> Iterator[int]:
         if i == len(cells):
-            yield tuple(acc)
+            yield chosen
             return
         for v in bits(cells[i]):
             if not g.adj[v] & chosen:
-                acc.append(v)
-                yield from rec(i + 1, chosen | (1 << v), acc)
-                acc.pop()
+                yield from rec(i + 1, chosen | (1 << v))
 
-    return rec(0, 0, [])
+    return rec(0, 0)
 
 
-def find_isr(g: Graph, cells: Sequence[int]) -> PartialIsr | None:
+def find_isr(g: Graph, cells: Sequence[int]) -> int | None:
     """The lexicographically first full independent transversal, or None."""
-    first = next(_transversals(g, cells), None)
-    if first is None:
-        return None
-    return PartialIsr(mask_of(first), {v: i for i, v in enumerate(first)})
+    return next(_transversals(g, cells), None)
 
 
-def max_partial_isr(g: Graph, cells: Sequence[int]) -> PartialIsr:
+def max_partial_isr(g: Graph, cells: Sequence[int]) -> int:
     """Partial ISR hitting the maximum possible number of cells (exact)."""
     n_cells = len(cells)
-    best: list[tuple[int, int]] = []
-    cur: list[tuple[int, int]] = []
+    best = 0
 
     def rec(i: int, chosen: int) -> None:
         nonlocal best
-        if len(cur) > len(best):
-            best = list(cur)
-        if i == n_cells or len(cur) + (n_cells - i) <= len(best):
+        size = chosen.bit_count()
+        if size > best.bit_count():
+            best = chosen
+        if i == n_cells or size + (n_cells - i) <= best.bit_count():
             return
         for v in bits(cells[i]):
             if not g.adj[v] & chosen:
-                cur.append((v, i))
                 rec(i + 1, chosen | (1 << v))
-                cur.pop()
         rec(i + 1, chosen)  # skip this cell
 
     rec(0, 0)
-    return PartialIsr(mask_of(v for v, _ in best), dict(best))
+    return best
 
 
 def two_partial_isrs(
     g: Graph, d_set: int, f_set: int, ordering: Sequence[int]
-) -> IsrPair:
+) -> tuple[int, int]:
     """Split the standard partition of G-D-N(F) into two independent ISRs.
 
     D must be a minimum dominating set and F a maximal independent subset of
@@ -210,31 +172,22 @@ def two_partial_isrs(
     if mask_of(ordering) != d_set & ~f_set:
         raise ValueError("ordering must enumerate d_set - f_set")
     universe = g.full & ~d_set & ~g.open_neighborhood(f_set)
-    part = standard_partition(g, ordering, universe)
-    cells = part.cells
+    cells = standard_partition(g, ordering, universe)
     n = len(cells)
 
     for i1_mask in range(1 << n):
-        side1 = [cells[i] for i in range(n) if i1_mask >> i & 1]
-        side2 = [cells[i] for i in range(n) if not i1_mask >> i & 1]
-        r1 = find_isr(g, side1)
+        r1 = find_isr(g, [cells[i] for i in range(n) if i1_mask >> i & 1])
         if r1 is None:
             continue
-        r2 = find_isr(g, side2)
+        r2 = find_isr(g, [cells[i] for i in range(n) if not i1_mask >> i & 1])
         if r2 is None:
             continue
-        idx1 = [i for i in range(n) if i1_mask >> i & 1]
-        idx2 = [i for i in range(n) if not i1_mask >> i & 1]
-        pair = IsrPair(
-            PartialIsr(r1.members, {v: idx1[j] for v, j in r1.index_map.items()}),
-            PartialIsr(r2.members, {v: idx2[j] for v, j in r2.index_map.items()}),
-        )
-        problems = validate_isr_pair(g, cells, pair)
+        problems = validate_isr_pair(g, cells, (r1, r2))
         if problems:
             raise InternalContradiction(
                 "ISR pair failed validation", {"problems": problems}
             )
-        return pair
+        return r1, r2
     raise InternalContradiction(
         "no ISR bipartition exists; d_set is likely not minimum or f_set not maximal",
         {"d_set": d_set, "f_set": f_set, "cells": list(cells)},
@@ -296,12 +249,16 @@ def _patch(g: Graph, t: int, vertices: int, d_set: int, where: str) -> int:
     return t
 
 
+def _require_isolate_free(g: Graph, where: str) -> None:
+    if g.has_isolated_vertex():
+        raise HasIsolates(f"{where} needs an isolate-free graph")
+
+
 def _require_minimum_dominating(g: Graph, d_set: int, where: str) -> None:
     """Every construction's gate: g nonempty and isolate-free, d_set a gamma-set."""
     if g.n == 0:
         raise PreconditionViolated(f"{where}: empty graph")
-    if g.has_isolated_vertex():
-        raise HasIsolates(f"{where} needs an isolate-free graph")
+    _require_isolate_free(g, where)
     g.check_subset(d_set)
     if not g.is_dominating(d_set):
         raise PreconditionViolated(f"{where}: d_set does not dominate")
@@ -347,15 +304,15 @@ def theorem_main_construct(g: Graph, d_set: int) -> InverseCertificate:
     rest = sorted(bits(d_set & ~f_set))
     n_cells = len(rest)
     universe = g.full & ~d_set & ~g.open_neighborhood(f_set)
-    part = standard_partition(g, rest, universe)
+    cells = standard_partition(g, rest, universe)
 
-    isr = max_partial_isr(g, part.cells)
-    if 2 * isr.size < n_cells:
+    isr = max_partial_isr(g, cells)
+    if 2 * isr.bit_count() < n_cells:
         raise InternalContradiction(
             "largest partial ISR smaller than half the family",
-            {"cells": list(part.cells), "isr": isr.members},
+            {"cells": list(cells), "isr": isr},
         )
-    s = expand_to_maximal_independent(g, isr.members, g.full & ~d_set)
+    s = expand_to_maximal_independent(g, isr, g.full & ~d_set)
 
     f_prime = f_set & ~g.open_neighborhood(s)
     s1 = _patch(g, s, f_prime, d_set, "theorem_main_construct")
@@ -363,7 +320,7 @@ def theorem_main_construct(g: Graph, d_set: int) -> InverseCertificate:
     if 2 * unhit.bit_count() > n_cells:
         raise InternalContradiction(
             "more than half of D-F left undominated after expansion",
-            {"unhit": unhit, "isr": isr.members},
+            {"unhit": unhit, "isr": isr},
         )
     t = _patch(g, s1, unhit, d_set, "theorem_main_construct")
     return _certify(g, d_set, t, "main_theorem", "theorem_main_construct")
@@ -380,9 +337,9 @@ def bipartite_inverse_construct(g: Graph, d_set: int) -> InverseCertificate:
 
     f_set = expand_to_maximal_independent(g, 0, d_set)
     rest = sorted(bits(d_set & ~f_set))
-    pair = two_partial_isrs(g, d_set, f_set, rest)
+    r1, r2 = two_partial_isrs(g, d_set, f_set, rest)
 
-    b_mask = pair.r1.members | pair.r2.members
+    b_mask = r1 | r2
     if not g.is_bipartite_subset(b_mask):
         raise InternalContradiction("ISR union is not bipartite", {"b": b_mask})
     for v in bits(g.full & ~d_set & ~b_mask):
@@ -462,8 +419,7 @@ def biglemma_trichotomy(g: Graph, cert: DominationCertificate) -> TrichotomyOutc
     per vertex and all leaves joined into one clique, with D = K4, has no
     special set and fails |D| >= a + 5.
     """
-    if g.has_isolated_vertex():
-        raise PreconditionViolated("trichotomy needs an isolate-free graph")
+    _require_isolate_free(g, "biglemma_trichotomy")
     d = cert.d_set
     s = find_special_independent(g, d)
     if s is not None:
@@ -495,8 +451,7 @@ def superisrs(g: Graph, cert: DominationCertificate) -> tuple[int, ...]:
     rules: d1,d2 nonadjacent when possible, r3 a vertex undominated by
     {d1,d2,r1,r2}, d3 one of its D-neighbors.
     """
-    if g.has_isolated_vertex():
-        raise PreconditionViolated("superisrs needs an isolate-free graph")
+    _require_isolate_free(g, "superisrs")
     d = cert.d_set
     if d.bit_count() != 5:
         raise PreconditionViolated(f"|D| = {d.bit_count()}, need exactly 5")
@@ -533,9 +488,8 @@ def superisrs(g: Graph, cert: DominationCertificate) -> tuple[int, ...]:
                     d3 = (d3_opts & -d3_opts).bit_length() - 1
                     d4, d5 = sorted(bits(d & ~mask_of((d1, d2, d3))))
                     ordering = (d1, d2, d3, d4, d5)
-                    cells = standard_partition(g, ordering, outside).cells
-                    head = PartialIsr(mask_of((r1, r2, r3)), {r1: 0, r2: 1, r3: 2})
-                    if validate_partial_isr(g, cells, head):
+                    cells = standard_partition(g, ordering, outside)
+                    if validate_partial_isr(g, cells[:3], mask_of((r1, r2, r3))):
                         continue
                     if find_isr(g, cells[3:]) is not None:
                         return ordering
@@ -556,8 +510,7 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
     pair misses.  Every claim is re-checked; a dead end raises.  Each route
     solves alpha once, in ``_certify``.
     """
-    if g.has_isolated_vertex():
-        raise HasIsolates("gamma5_construct needs an isolate-free graph")
+    _require_isolate_free(g, "gamma5_construct")
     cert = solvers.optimal_dominating_set(g)
     if cert.size != 5:
         raise PreconditionViolated(f"gamma = {cert.size}, need exactly 5")
@@ -573,28 +526,25 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
         return inddom_construct(g, d, s)
 
     ordering = superisrs(g, cert)
-    cells = standard_partition(g, ordering, g.full & ~d).cells
+    cells = standard_partition(g, ordering, g.full & ~d)
 
     # cheap shortcut: a partial ISR hitting 4 cells yields a special set
-    big = max_partial_isr(g, cells)
-    if big.size >= 4:
-        s = big.members
+    s = max_partial_isr(g, cells)
+    if s.bit_count() >= 4:
         missing = d & ~g.open_neighborhood(s)
         if missing.bit_count() > 1:
             raise InternalContradiction(
                 "size-4 partial ISR left more than one D-vertex undominated",
-                {"isr": big.members, "missing": missing},
+                {"isr": s, "missing": missing},
             )
         return inddom_construct(g, d, s | missing)
 
     # choose the (R1, R2) pair minimizing edges between the two sides
     best_pair: tuple[int, int] | None = None
     best_edges = -1
-    for t1 in _transversals(g, cells[:3]):
-        m1 = mask_of(t1)
-        for t2 in _transversals(g, cells[3:]):
-            m2 = mask_of(t2)
-            cross = sum((g.adj[v] & m1).bit_count() for v in t2)
+    for m1 in _transversals(g, cells[:3]):
+        for m2 in _transversals(g, cells[3:]):
+            cross = sum((g.adj[v] & m1).bit_count() for v in bits(m2))
             if best_pair is None or cross < best_edges:
                 best_pair, best_edges = (m1, m2), cross
                 if cross == 0:

@@ -6,7 +6,8 @@ class InvdomError(Exception):
 
 
 class InputFormatError(InvdomError):
-    """Malformed graph input (edge lists, corpus lines)."""
+    """Bad input: malformed graph data (edge lists, graph6, corpus lines) or
+    a command-line value out of range.  ``invdom`` exits 2 on it."""
 
 
 class Graph6Error(InputFormatError):

@@ -384,11 +384,11 @@ def check_isr_pairs(g: Graph) -> list[str]:
             for ordering in orderings:
                 pair = constructions.two_partial_isrs(g, d, f, ordering)
                 universe = g.full & ~d & ~g.open_neighborhood(f)
-                cells = constructions.standard_partition(g, ordering, universe).cells
+                cells = constructions.standard_partition(g, ordering, universe)
                 found = constructions.validate_isr_pair(g, cells, pair)
-                big = constructions.max_partial_isr(g, cells)
-                if 2 * big.size < len(cells):
-                    found.append(f"largest partial ISR hits {big.size} of {len(cells)} cells")
+                hit = constructions.max_partial_isr(g, cells).bit_count()
+                if 2 * hit < len(cells):
+                    found.append(f"largest partial ISR hits {hit} of {len(cells)} cells")
                 where = f"D = {to_sorted(d)}, F = {to_sorted(f)}, order {list(ordering)}"
                 problems += [f"{where}: {problem}" for problem in found]
     return problems

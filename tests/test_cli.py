@@ -249,14 +249,25 @@ def test_an_unknown_check_name_exits_2(command, capsys):
     assert "unknown checks: nope" in capsys.readouterr().err
 
 
-def test_verify_exits_1_on_a_failed_check(tmp_path, monkeypatch):
-    def failing(g, graph6_str=None, checks=harness.ALL_CHECKS):
-        return GraphReport(graph6=graph6_str, n=g.n, m=g.m, gamma=1, alpha=1,
-                           conjecture_ok=False)
+def failing_report(g, graph6_str=None, checks=harness.ALL_CHECKS):
+    return GraphReport(graph6=graph6_str, n=g.n, m=g.m, gamma=1, alpha=1, conjecture_ok=False)
 
-    monkeypatch.setattr(harness, "analyze_graph", failing)
+
+def test_verify_exits_1_on_a_failed_check(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "analyze_graph", failing_report)
     assert verify(tmp_path, GOOD) == EXIT_CHECK_FAILED
     assert (tmp_path / "bad.g6").read_text().splitlines() == GOOD
+
+
+def test_verify_writes_no_counterexamples_file_unless_asked(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "analyze_graph", failing_report)
+    monkeypatch.chdir(tmp_path)
+    Path("corpus.g6").write_text("".join(line + "\n" for line in GOOD))
+    assert cli.main(["verify", "corpus.g6", "--out", "out.jsonl"]) == EXIT_CHECK_FAILED
+    assert sorted(os.listdir(tmp_path)) == ["corpus.g6", "out.jsonl"]
+    err = capsys.readouterr().err
+    assert [line.split()[-1] for line in err.splitlines() if "FAILED" in line] == GOOD
+    assert "counterexamples written" not in err
 
 
 def raise_contradiction(g, d_set):

@@ -55,15 +55,12 @@ from test_golden import gamma5_graphs
 # -- standard partitions ------------------------------------------------------
 
 def test_standard_partition_p4(p4):
-    part = standard_partition(p4, (1, 2), mask_of((0, 3)))
-    assert part.cells == (1 << 0, 1 << 3)
-    part = standard_partition(p4, (2, 1), mask_of((0, 3)))
-    assert part.cells == (1 << 3, 1 << 0)
+    assert standard_partition(p4, (1, 2), mask_of((0, 3))) == (1 << 0, 1 << 3)
+    assert standard_partition(p4, (2, 1), mask_of((0, 3))) == (1 << 3, 1 << 0)
 
 
 def test_standard_partition_single_rep(c5):
-    part = standard_partition(c5, (0,), c5.adj[0])
-    assert part.cells == (c5.adj[0],)
+    assert standard_partition(c5, (0,), c5.adj[0]) == (c5.adj[0],)
 
 
 def test_standard_partition_cells_partition_universe(corpus7):
@@ -72,9 +69,8 @@ def test_standard_partition_cells_partition_universe(corpus7):
             continue
         d = solvers.gamma(g)[1]
         reps = sorted(bits(d))
-        part = standard_partition(g, reps, g.full & ~d)
         union = 0
-        for cell in part.cells:
+        for cell in standard_partition(g, reps, g.full & ~d):
             assert not cell & union
             union |= cell
         assert union == g.full & ~d
@@ -110,7 +106,7 @@ def test_haxell_soundness_small(corpus7):
     for g in corpus7[5]:
         d = solvers.gamma(g)[1]
         reps = sorted(bits(d))
-        cells = standard_partition(g, reps, g.full & ~d).cells
+        cells = standard_partition(g, reps, g.full & ~d)
         if haxell_condition(g, cells) is None:
             assert find_isr(g, cells) is not None
             checked += 1
@@ -120,16 +116,17 @@ def test_haxell_soundness_small(corpus7):
 # -- ISR search -------------------------------------------------------------------
 
 def test_find_isr_examples(c4, k2):
-    isr = find_isr(c4, [1 << 0, 1 << 2])
-    assert isr.members == mask_of((0, 2))
-    assert isr.index_map == {0: 0, 2: 1}
+    cells = [1 << 0, 1 << 2]
+    isr = find_isr(c4, cells)
+    assert isr == 0b101
+    assert [isr & cell for cell in cells] == [1 << 0, 1 << 2]  # vertex 0 in cell 0, 2 in cell 1
     assert find_isr(k2, [1 << 0, 1 << 1]) is None
     singles = Graph(3)
-    assert find_isr(singles, [1, 2, 4]).members == 0b111
+    assert find_isr(singles, [1, 2, 4]) == 0b111
 
 
 def test_find_isr_empty_family(c4):
-    assert find_isr(c4, []).members == 0
+    assert find_isr(c4, []) == 0
 
 
 def test_find_isr_completeness_small(corpus7):
@@ -150,10 +147,10 @@ def test_find_isr_completeness_small(corpus7):
 
 
 def test_max_partial_isr_examples(k2, c4):
-    assert max_partial_isr(k2, [1 << 0, 1 << 1]).size == 1
-    assert max_partial_isr(c4, [1 << 0, 1 << 2]).size == 2
+    assert max_partial_isr(k2, [1 << 0, 1 << 1]).bit_count() == 1
+    assert max_partial_isr(c4, [1 << 0, 1 << 2]).bit_count() == 2
     big = max_partial_isr(c4, [1 << 0, 1 << 1, 1 << 2])
-    assert big.size == 2
+    assert big.bit_count() == 2
     assert validate_partial_isr(c4, [1 << 0, 1 << 1, 1 << 2], big) == []
 
 
@@ -176,21 +173,20 @@ def test_max_partial_isr_exactness(corpus7):
                 g.is_independent(mask_of(combo)) for combo in product(*chosen)
             ) or not chosen:
                 best = max(best, len(chosen))
-        assert max_partial_isr(g, cells).size == best
+        assert max_partial_isr(g, cells).bit_count() == best
 
 
 # -- two partial ISRs ----------------------------------------------------------------
 
 def test_two_partial_isrs_trivial_empty(c4):
     d = mask_of((0, 2))
-    pair = two_partial_isrs(c4, d, d, ())
-    assert pair.r1.members == 0 and pair.r2.members == 0
+    assert two_partial_isrs(c4, d, d, ()) == (0, 0)
 
 
 def test_two_partial_isrs_single_cell(p4):
-    pair = two_partial_isrs(p4, mask_of((1, 2)), 1 << 1, (2,))
-    hit = pair.r1 if pair.r1.members else pair.r2
-    assert hit.size == 1
+    r1, r2 = two_partial_isrs(p4, mask_of((1, 2)), 1 << 1, (2,))
+    hit = r1 if r1 else r2
+    assert hit.bit_count() == 1
 
 
 def test_two_partial_isrs_c6_from_optimal():
@@ -200,7 +196,7 @@ def test_two_partial_isrs_c6_from_optimal():
     rest = sorted(bits(cert.d_set & ~f))
     pair = two_partial_isrs(c6, cert.d_set, f, rest)
     universe = c6.full & ~cert.d_set & ~c6.open_neighborhood(f)
-    cells = standard_partition(c6, rest, universe).cells
+    cells = standard_partition(c6, rest, universe)
     assert validate_isr_pair(c6, cells, pair) == []
 
 
@@ -237,7 +233,7 @@ def test_two_partial_isrs_matches_doubled_graph_oracle(corpus7):
             if not rest or len(rest) > 4:
                 continue
             universe = g.full & ~d & ~g.open_neighborhood(f)
-            cells = standard_partition(g, rest, universe).cells
+            cells = standard_partition(g, rest, universe)
             assert _doubled_isr_exists(g, universe, cells)
             pair = two_partial_isrs(g, d, f, rest)
             assert validate_isr_pair(g, cells, pair) == []
@@ -252,7 +248,7 @@ def test_two_partial_isrs_contradiction_on_bad_input():
     d = mask_of((0, 1, 2))  # dominating but not minimum (gamma is 2)
     f = 1 << 0
     universe = g.full & ~d & ~g.open_neighborhood(f)
-    cells = standard_partition(g, (1, 2), universe).cells
+    cells = standard_partition(g, (1, 2), universe)
     assert cells[1] == 0
     assert not _doubled_isr_exists(g, universe, cells)
     with pytest.raises(InternalContradiction):
@@ -276,10 +272,49 @@ def test_pendant_gadget_all_orderings():
     assert len(rest) == 4
     universe = g.full & ~d & ~g.open_neighborhood(f)
     for ordering in permutations(rest):
-        cells = standard_partition(g, ordering, universe).cells
+        cells = standard_partition(g, ordering, universe)
         pair = two_partial_isrs(g, d, f, ordering)
         assert validate_isr_pair(g, cells, pair) == []
-        assert 2 * max_partial_isr(g, cells).size >= len(cells)
+        assert 2 * max_partial_isr(g, cells).bit_count() >= len(cells)
+
+
+K5_GADGET = with_pendant_pairs(complete_graph(5), 2)  # leaves 2v+5, 2v+6 hang off base vertex v
+
+
+def _k5_gadget_pair():
+    """Cells of the K5 gadget over D - F = {1, 2, 3, 4}, and the pair on them."""
+    g = K5_GADGET
+    d = solvers.optimal_dominating_set(g).d_set
+    f = expand_to_maximal_independent(g, 0, d)
+    rest = sorted(bits(d & ~f))
+    cells = standard_partition(g, rest, g.full & ~d & ~g.open_neighborhood(f))
+    return cells, two_partial_isrs(g, d, f, rest)
+
+
+def test_the_k5_gadget_pair_is_valid():
+    cells, pair = _k5_gadget_pair()
+    assert cells == (mask_of((7, 8)), mask_of((9, 10)), mask_of((11, 12)), mask_of((13, 14)))
+    assert pair == (0, mask_of((7, 9, 11, 13)))
+    assert validate_isr_pair(K5_GADGET, cells, pair) == []
+
+
+@pytest.mark.parametrize(
+    "mutate, problem",
+    [
+        (lambda g, r1, r2: (g, r1, r2 | 1 << 8), "cell 0 has 2 members"),
+        (lambda g, r1, r2: (g, r1, r2 | 1 << 5), "vertices [5] lie in no cell"),
+        (lambda g, r1, r2: (Graph(g.n, [*g.edges(), (7, 9)]), r1, r2),
+         "members are not independent"),
+        (lambda g, r1, r2: (g, r1, r2 & ~(1 << 13)), "cell 3 represented by neither side"),
+        (lambda g, r1, r2: (g, r1 | 1 << 8, r2), "cell 0 represented by both sides"),
+    ],
+    ids=["second-vertex-in-a-cell", "vertex-outside-every-cell", "adjacent-member",
+         "cell-on-neither-side", "cell-on-both-sides"],
+)
+def test_the_isr_validators_report_each_mutation(mutate, problem):
+    cells, (r1, r2) = _k5_gadget_pair()
+    g, r1, r2 = mutate(K5_GADGET, r1, r2)
+    assert validate_isr_pair(g, cells, (r1, r2)) == [problem]
 
 
 # -- expansion ---------------------------------------------------------------------
@@ -567,7 +602,7 @@ def test_trichotomy_non_minimum_d_can_violate():
 
 
 def test_trichotomy_rejects_isolates():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(HasIsolates):
         biglemma_trichotomy(
             Graph(3, [(0, 1)]),
             DominationCertificate(0b101, 2, 2, 0, 2),
@@ -582,10 +617,15 @@ def test_superisrs_on_pendant_gadgets(base_maker):
     cert = solvers.optimal_dominating_set(g)
     assert cert.size == 5 and cert.alpha_of_d <= 2 and cert.isolate_count == 0
     ordering = superisrs(g, cert)
-    cells = standard_partition(g, ordering, g.full & ~cert.d_set).cells
+    cells = standard_partition(g, ordering, g.full & ~cert.d_set)
     assert find_isr(g, cells[:3]) is not None
     assert find_isr(g, cells[3:]) is not None
     assert sorted(ordering) == to_sorted(cert.d_set)
+
+
+def test_superisrs_rejects_isolates():
+    with pytest.raises(HasIsolates):
+        superisrs(Graph(3, [(0, 1)]), DominationCertificate(0b101, 2, 2, 0, 2))
 
 
 def test_superisrs_precondition_violations(c4):

@@ -120,12 +120,14 @@ def test_standard_partition_recompute(g):
         return
     d = solvers.gamma(g)[1]
     reps = sorted(bits(d))
-    part = standard_partition(g, reps, g.full & ~d)
+    universe = g.full & ~d
+    cells = standard_partition(g, reps, universe)
+    assert len(cells) == len(reps)
     taken = 0
-    for rep, cell in zip(part.reps, part.cells):
-        assert cell == g.adj[rep] & part.universe & ~taken
+    for rep, cell in zip(reps, cells):
+        assert cell == g.adj[rep] & universe & ~taken
         taken |= cell
-    assert taken == part.universe
+    assert taken == universe
 
 
 @common
