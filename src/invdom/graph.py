@@ -40,10 +40,11 @@ class Graph:
     """Simple undirected graph as a symmetric adjacency bit-matrix.
 
     Immutable after construction: ``adj[v]`` is the neighbor mask of ``v``,
-    the diagonal is empty, and ``full`` is the all-vertices mask.
+    the diagonal is empty, and ``full`` is the all-vertices mask.  The
+    connected components are computed on first use and kept.
     """
 
-    __slots__ = ("n", "adj", "full")
+    __slots__ = ("n", "adj", "full", "_components")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not 0 <= n <= MAX_VERTICES:
@@ -59,6 +60,7 @@ class Graph:
         self.n = n
         self.adj = tuple(rows)
         self.full = (1 << n) - 1
+        self._components = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
@@ -141,6 +143,29 @@ class Graph:
 
     def is_clique(self) -> bool:
         return all(self.adj[v] | (1 << v) == self.full for v in range(self.n))
+
+    def components(self) -> tuple[int, ...]:
+        """Vertex masks of the connected components, lowest vertex first.
+
+        Every closed neighborhood lies inside one component, so a search
+        over the masks of one component solves the subgraph it induces.
+        Computed once per graph; the empty graph has none.
+        """
+        if self._components is None:
+            parts = []
+            rest = self.full
+            while rest:
+                part = todo = rest & -rest
+                while todo:  # each vertex of the part passes through todo once
+                    low = todo & -todo
+                    todo ^= low
+                    new = self.adj[low.bit_length() - 1] & ~part
+                    part |= new
+                    todo |= new
+                parts.append(part)
+                rest &= ~part
+            self._components = tuple(parts)
+        return self._components
 
     def has_isolated_vertex(self) -> bool:
         return any(row == 0 for row in self.adj)

@@ -335,6 +335,36 @@ def check_induced_bipartite(g: Graph) -> list[str]:
     return _compare("b", solvers.max_induced_bipartite(g)[0], naive.b_naive(g))
 
 
+def check_component_split(g: Graph) -> list[str]:
+    """Solving by component gives the values and witnesses of one search
+    over the whole graph: gamma, alpha, b, the optimal gamma-set and, when
+    g is isolate-free, the inverse pass."""
+    covers = solvers._domination_covers(g)
+    cert = solvers.optimal_dominating_set(g)
+    pairs = [
+        ("gamma", solvers.gamma(g), solvers._gamma_part(covers, g.full)),
+        ("alpha", solvers.alpha(g), solvers._max_sides(g, g.full, 1)),
+        ("b", solvers.max_induced_bipartite(g), solvers._max_sides(g, g.full, 2)),
+        (
+            "optimal (-alpha(D), edges, D)",
+            (-cert.alpha_of_d, cert.induced_edges, cert.d_set),
+            solvers._optimal_part(g, covers, g.full),
+        ),
+    ]
+    if not g.has_isolated_vertex():
+        size, inverse, strong = solvers.inverse_pass(g)
+        pairs.append((
+            "inverse pass (size, T, D, strong)",
+            (size, inverse.t_set, inverse.d_set, strong),
+            solvers._inverse_part(covers, g.full),
+        ))
+    return [
+        f"{label}: by component {split}, whole graph {whole}"
+        for label, split, whole in pairs
+        if split != whole
+    ]
+
+
 def check_ore_complement(g: Graph) -> list[str]:
     """V - D dominates for every minimum dominating set D (Ore)."""
     return [
@@ -418,6 +448,7 @@ SELFTEST_CHECKS: tuple[tuple[str, bool, Callable[[Graph], list[str]]], ...] = (
     ("inverse gamma vs oracle", True, check_inverse_gamma),
     ("strong inverse vs oracle", True, check_strong_inverse_gamma),
     ("induced bipartite vs oracle", False, check_induced_bipartite),
+    ("split by component", False, check_component_split),
     ("Ore complement dominates", True, check_ore_complement),
     ("optimal-set audits", True, check_optimal_set),
     ("main construction in bound", True, check_main_construction),

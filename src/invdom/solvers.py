@@ -9,6 +9,20 @@ earlier siblings from later branches, so it reaches each set once.  One
 search for the largest subset that splits into one or two independent sides
 serves alpha, ``alpha_within`` and b(G).  No solver runs another for a seed.
 
+gamma, alpha, b, the inverse pass and ``optimal_dominating_set`` run their
+searches once per connected component, on the component's mask
+(``Graph.components``).  A closed neighborhood stays inside its component,
+so a search over one component's mask solves the subgraph it induces.  The
+values add over components.  Each witness is the one a search over the
+whole graph returns, which is the union of the parts' witnesses; for the
+least covers behind gamma and the inverse certificate's T,
+``_union_witness`` says which of each part's least covers that union takes.
+The gamma-sets do not add: their number is the
+product of the parts' counts (5 * 2^t on C5 + t*K2), so
+``enumerate_min_dominating_sets``, whose output is that product, is the one
+search still run on the whole graph.  ``min_dominating_within`` and
+``alpha_within`` take an arbitrary ``allowed`` mask and do not split either.
+
 The inverse pass searches V - D for each minimum dominating set D only as
 far as D can still move gamma^-1 or strong gamma^-1.  Once D's best cover
 so far cannot raise the largest size seen, the limit drops to the least
@@ -87,14 +101,24 @@ def alpha_within(g: Graph, allowed: int) -> tuple[int, int]:
     return _max_sides(g, allowed, 1)
 
 
+def _by_component(g: Graph, solve: Callable[[int], tuple[int, int]]) -> tuple[int, int]:
+    """Run ``solve`` on each component mask: (sum of sizes, union of witnesses)."""
+    size = witness = 0
+    for part in g.components():
+        part_size, part_witness = solve(part)
+        size += part_size
+        witness |= part_witness
+    return size, witness
+
+
 def alpha(g: Graph) -> tuple[int, int]:
     """Independence number with a maximum independent set witness."""
-    return alpha_within(g, g.full)
+    return _by_component(g, lambda part: _max_sides(g, part, 1))
 
 
 def max_induced_bipartite(g: Graph) -> tuple[int, int]:
     """Largest vertex set inducing an odd-cycle-free subgraph: (b(G), witness)."""
-    return _max_sides(g, g.full, 2)
+    return _by_component(g, lambda part: _max_sides(g, part, 2))
 
 
 # -- domination --------------------------------------------------------------
@@ -169,6 +193,22 @@ def _cover_search(
     search(0, 0, target, allowed)
 
 
+def _first_least_cover(
+    covers: tuple[int, ...], allowed: int, target: int, limit: int, start: int
+) -> int:
+    """The first cover of least size below ``limit`` that the search
+    reaches, or ``start`` if there is none."""
+    best = start
+
+    def improve(chosen: int, count: int) -> int:
+        nonlocal best
+        best = chosen
+        return count
+
+    _cover_search(covers, allowed, target, limit, improve)
+    return best
+
+
 def _min_cover(covers: tuple[int, ...], allowed: int, target: int) -> tuple[int, int] | None:
     """Smallest S <= allowed with union of covers[S] >= target, or None.
 
@@ -178,26 +218,51 @@ def _min_cover(covers: tuple[int, ...], allowed: int, target: int) -> tuple[int,
     greedy = _greedy_cover(covers, allowed, target)
     if greedy is None:
         return None
-    best = (greedy.bit_count(), greedy)
+    best = _first_least_cover(covers, allowed, target, greedy.bit_count(), greedy)
+    return best.bit_count(), best
 
-    def improve(chosen: int, count: int) -> int:
-        nonlocal best
-        best = (count, chosen)
-        return count
 
-    _cover_search(covers, allowed, target, best[0], improve)
-    return best
+def _union_witness(covers: tuple[int, ...], parts: list[tuple[int, int, int]]) -> int:
+    """The witness ``_min_cover`` gives on the union of disjoint parts, from
+    each part's (allowed, target, witness of ``_min_cover``).
+
+    On the union, ``_min_cover`` returns the greedy cover when none is
+    smaller, and the greedy cover is the union of the parts' greedy covers.
+    Otherwise it returns the first least cover its search reaches.  That
+    search interleaves the parts' searches and orders two covers as their
+    parts' covers where they first differ, so its first least cover is the
+    union of the parts' first least covers.  A part whose greedy cover is
+    least has that as its witness, so its first least cover takes one more
+    search.
+    """
+    if len(parts) == 1:
+        return parts[0][2]
+    greedy_least = [_greedy_cover(covers, allowed, target) == w for allowed, target, w in parts]
+    out = 0
+    for least, (allowed, target, witness) in zip(greedy_least, parts):
+        if least and not all(greedy_least):
+            witness = _first_least_cover(covers, allowed, target, witness.bit_count() + 1, witness)
+        out |= witness
+    return out
 
 
 def _domination_covers(g: Graph) -> tuple[int, ...]:
     return tuple(g.adj[v] | (1 << v) for v in range(g.n))
 
 
+def _gamma_part(covers: tuple[int, ...], part: int) -> tuple[int, int]:
+    """Domination number of G[part] with its witness."""
+    result = _min_cover(covers, part, part)
+    assert result is not None  # part always dominates itself
+    return result
+
+
 def gamma(g: Graph) -> tuple[int, int]:
     """Domination number with a minimum dominating set witness."""
-    result = _min_cover(_domination_covers(g), g.full, g.full)
-    assert result is not None  # V(G) always dominates
-    return result
+    covers = _domination_covers(g)
+    parts = [(part, part, _gamma_part(covers, part)[1]) for part in g.components()]
+    witness = _union_witness(covers, parts)
+    return witness.bit_count(), witness
 
 
 def min_dominating_within(g: Graph, allowed: int) -> tuple[int, int] | None:
@@ -206,8 +271,9 @@ def min_dominating_within(g: Graph, allowed: int) -> tuple[int, int] | None:
     return _min_cover(_domination_covers(g), allowed, g.full)
 
 
-def enumerate_min_dominating_sets(g: Graph) -> list[int]:
-    """All dominating sets of size gamma(g), in increasing bitmask order."""
+def _min_covers(covers: tuple[int, ...], part: int) -> list[int]:
+    """All dominating sets of G[part] of size gamma(G[part]), in increasing
+    bitmask order."""
     out: list[int] = []
 
     def collect(chosen: int, count: int) -> int:
@@ -219,9 +285,14 @@ def enumerate_min_dominating_sets(g: Graph) -> list[int]:
     # A smaller cover drops the larger ones collected.  The limit never drops
     # below gamma + 1, and the search reaches every inclusion-minimal cover
     # below its limit, so every gamma-set is found.
-    _cover_search(_domination_covers(g), g.full, g.full, g.n + 1, collect)
+    _cover_search(covers, part, part, part.bit_count() + 1, collect)
     out.sort()
     return out
+
+
+def enumerate_min_dominating_sets(g: Graph) -> list[int]:
+    """All dominating sets of size gamma(g), in increasing bitmask order."""
+    return _min_covers(_domination_covers(g), g.full)
 
 
 # -- inverse domination -------------------------------------------------------
@@ -231,13 +302,41 @@ def _require_isolate_free(g: Graph) -> None:
         raise HasIsolates("a graph with isolates cannot have an inverse dominating set")
 
 
+def _inverse_part(covers: tuple[int, ...], part: int) -> tuple[int, int, int, int]:
+    """The inverse pass on an isolate-free G[part]: (gamma^-1, T, D, strong
+    gamma^-1), with (D, T) the certificate."""
+    best = (part.bit_count() + 1, 0, 0)  # (size, t_mask, d_mask); every real size is <= |part|
+    worst = 0
+    size = t_mask = 0  # least cover of part - D found so far for the current D
+
+    def threshold(chosen: int, count: int) -> int:
+        nonlocal size, t_mask
+        size, t_mask = count, chosen
+        return count if count > worst else min(count, best[0])
+
+    for d in _min_covers(covers, part):
+        allowed = part & ~d
+        greedy = _greedy_cover(covers, allowed, part)
+        assert greedy is not None  # Ore: part - D dominates for isolate-free G[part]
+        limit = threshold(greedy, greedy.bit_count())
+        if limit > d.bit_count():
+            _cover_search(covers, allowed, part, limit, threshold)
+        if size < best[0]:
+            best = (size, t_mask, d)
+        worst = max(worst, size)
+    size, t_mask, d_mask = best
+    return size, t_mask, d_mask, worst
+
+
 def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
     """gamma^-1 with its certificate, and strong gamma^-1, from one pass.
 
     For each minimum dominating set D, the smallest dominating set disjoint
     from D; gamma^-1 is the least of these sizes, certified by the first D
     in bitmask order that reaches it, and strong gamma^-1 the largest.
-    Defined only for isolate-free graphs.
+    Defined only for isolate-free graphs.  Each component runs its own
+    pass: both values add over components, the certificate's D is the union
+    of the parts' sets, and its T is joined by ``_union_witness``.
 
     Each D's search stops once it can move neither value.  It starts from
     the greedy cover of V - D.  After a cover of size c the limit is c while
@@ -251,27 +350,16 @@ def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
     """
     _require_isolate_free(g)
     covers = _domination_covers(g)
-    best = (g.n + 1, 0, 0)  # (size, t_mask, d_mask); every real size is <= n
-    worst = 0
-    size = t_mask = 0  # least cover of V - D found so far for the current D
-
-    def threshold(chosen: int, count: int) -> int:
-        nonlocal size, t_mask
-        size, t_mask = count, chosen
-        return count if count > worst else min(count, best[0])
-
-    for d in enumerate_min_dominating_sets(g):
-        allowed = g.full & ~d
-        greedy = _greedy_cover(covers, allowed, g.full)
-        assert greedy is not None  # Ore: V-D dominates for isolate-free g
-        limit = threshold(greedy, greedy.bit_count())
-        if limit > d.bit_count():
-            _cover_search(covers, allowed, g.full, limit, threshold)
-        if size < best[0]:
-            best = (size, t_mask, d)
-        worst = max(worst, size)
-    size, t_mask, d_mask = best
-    return size, InverseCertificate(d_mask, t_mask, "exact", size), worst
+    size = d_mask = strong = 0
+    t_parts = []
+    for part in g.components():
+        part_size, part_t, part_d, part_strong = _inverse_part(covers, part)
+        size += part_size
+        d_mask |= part_d
+        strong += part_strong
+        t_parts.append((part & ~part_d, part, part_t))
+    t_mask = _union_witness(covers, t_parts)
+    return size, InverseCertificate(d_mask, t_mask, "exact", size), strong
 
 
 def inverse_gamma(g: Graph) -> tuple[int, InverseCertificate]:
@@ -287,22 +375,32 @@ def strong_inverse_gamma(g: Graph) -> int:
 
 # -- optimal dominating sets ----------------------------------------------------
 
+def _optimal_part(g: Graph, covers: tuple[int, ...], part: int) -> tuple[int, int, int]:
+    """Least key (-alpha(G[D]), induced edges of D, D) over the minimum
+    dominating sets D of G[part]."""
+    return min(
+        (-alpha_within(g, d)[0], g.induced_edge_count(d), d) for d in _min_covers(covers, part)
+    )
+
+
 def optimal_dominating_set(g: Graph) -> DominationCertificate:
     """Minimum dominating set maximizing induced independence, then fewest
-    induced edges, then smallest bitmask."""
-    mins = enumerate_min_dominating_sets(g)
-    best_key: tuple[int, int, int] | None = None
-    for d in mins:
-        a_d, _ = alpha_within(g, d)
-        key = (-a_d, g.induced_edge_count(d), d)
-        if best_key is None or key < best_key:
-            best_key = key
-    assert best_key is not None
-    neg_a, edges, d = best_key
+    induced edges, then smallest bitmask.
+
+    Each term of the key adds over components, so each component picks its
+    own least key and the set is the union of the parts' picks.
+    """
+    covers = _domination_covers(g)
+    alpha_of_d = edges = d = 0
+    for part in g.components():
+        neg_a, part_edges, part_d = _optimal_part(g, covers, part)
+        alpha_of_d -= neg_a
+        edges += part_edges
+        d |= part_d
     return DominationCertificate(
         d_set=d,
         size=d.bit_count(),
-        alpha_of_d=-neg_a,
+        alpha_of_d=alpha_of_d,
         induced_edges=edges,
         isolate_count=g.induced_isolates(d).bit_count(),
     )

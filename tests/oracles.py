@@ -1,5 +1,8 @@
 """Brute-force oracles that only tests use.
 
+``components`` labels vertices by union-find over the edge list, apart from
+the bitmask walk of ``Graph.components``.
+
 ``haxell_condition`` is Haxell's sufficient condition for an independent
 transversal, checked here as a property of ``find_isr``.  Everything here
 tries every subset or every relabelling, so keep the cells and graphs small.
@@ -56,3 +59,20 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
         p for p in permutations(range(g.n))
         if all(g.adj[p[u]] >> p[v] & 1 == g.adj[u] >> v & 1 for u, v in combinations(range(g.n), 2))
     ]
+
+
+def components(g: Graph) -> list[int]:
+    """Vertex masks of the connected components, by union-find over the edges."""
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges():
+        root[find(u)] = find(v)
+    parts: dict[int, int] = {}
+    for v in range(g.n):
+        parts[find(v)] = parts.get(find(v), 0) | 1 << v
+    return sorted(parts.values(), key=lambda part: part & -part)

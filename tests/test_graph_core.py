@@ -1,9 +1,14 @@
-"""Graph primitives: neighborhoods, predicates, private neighbors, unions."""
+"""Graph primitives: neighborhoods, predicates, private neighbors, unions,
+connected components."""
 
 import pytest
 
+from invdom.constructions import pad_with_k2
 from invdom.errors import TooLarge, VertexNotInD
+from invdom.generate import cycle_graph, path_graph
 from invdom.graph import Graph, bits, disjoint_union, mask_of, to_sorted
+
+import oracles
 
 
 def test_construction_rejects_bad_edges():
@@ -104,3 +109,32 @@ def test_from_rows_validation():
         Graph.from_rows([0b10, 0b00])  # asymmetric
     g = Graph.from_rows([0b10, 0b01])
     assert list(g.edges()) == [(0, 1)]
+
+
+def test_components_match_the_union_find_oracle(corpus7):
+    for n in range(1, 7):
+        for g in corpus7[n]:
+            assert list(g.components()) == oracles.components(g)
+
+
+def test_components_come_lowest_vertex_first():
+    # vertex 0 joins 4, 1 joins 3, 2 is alone: parts {0,4}, {1,3}, {2}
+    g = Graph(5, [(0, 4), (1, 3)])
+    assert g.components() == (mask_of((0, 4)), mask_of((1, 3)), 1 << 2)
+    assert Graph(0).components() == ()
+    assert cycle_graph(5).components() == (cycle_graph(5).full,)
+
+
+def test_components_are_fresh_on_every_built_graph(k2):
+    assert k2.components() == (k2.full,)  # memoised before k2 is reused below
+    assert Graph.from_rows([0b10, 0b01, 0b0]).components() == (0b11, 0b100)
+    assert disjoint_union(k2, path_graph(3)).components() == (0b11, 0b11100)
+    padded = pad_with_k2(cycle_graph(5), 2)
+    assert padded.components() == (0b11111, 0b1100000, 0b110000000)
+
+
+def test_memoised_components_leave_equality_and_hash_alone():
+    g, h = cycle_graph(6), cycle_graph(6)
+    g.components()
+    assert g == h and hash(g) == hash(h)
+    assert {g: 1}[h] == 1

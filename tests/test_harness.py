@@ -1,13 +1,16 @@
-"""Which fields each check sets, verify output order under parallelism, and
-the selftest checks swept over every graph with n <= 6."""
+"""Which fields each check sets, verify output order under parallelism, the
+selftest checks swept over every graph with n <= 6, and 63- and 64-vertex
+disconnected graphs solved by component."""
 
 import json
+import random
 
 import pytest
 
-from invdom import harness, solvers
-from invdom.generate import all_graphs, cycle_graph
-from invdom.graph import Graph
+from invdom import constructions, harness, solvers
+from invdom.certificates import check_inverse_certificate
+from invdom.generate import all_graphs, cycle_graph, random_graph
+from invdom.graph import Graph, disjoint_union
 from invdom.graph6 import write_graph6
 
 BASE_FIELDS = {"graph6", "n", "m", "gamma", "alpha", "elapsed_micros"}
@@ -48,6 +51,38 @@ def test_all_checks_on_c5():
         "inv_gamma": 2, "strong_inv_gamma": 2, "b": 4, "conjecture_ok": True,
         "three_halves_ok": True, "main_thm_ok": True,
     }
+
+
+def test_c5_plus_29_k2_at_63_vertices():
+    # 5 * 2^29 gamma-sets: only a solver that splits by component finishes
+    g = constructions.pad_with_k2(cycle_graph(5), 29)
+    report = fields(harness.analyze_graph(g))
+    assert report["n"] == 63
+    assert [report[key] for key in ("gamma", "alpha", "inv_gamma", "strong_inv_gamma", "b")] == [
+        31, 31, 31, 31, 62,
+    ]
+    assert report["main_thm_ok"] is True
+    d = solvers.gamma(g)[1]
+    for build in (constructions.theorem_main_construct, constructions.bipartite_inverse_construct):
+        cert = build(g, d)
+        assert check_inverse_certificate(g, cert, 31) == []
+
+
+def test_four_disjoint_gnp_at_64_vertices_report_the_sums_of_their_parts():
+    rng = random.Random(64)
+    parts: list[Graph] = []
+    while len(parts) < 4:
+        h = random_graph(rng, 16, 0.3)
+        if not h.has_isolated_vertex():
+            parts.append(h)
+    g = parts[0]
+    for h in parts[1:]:
+        g = disjoint_union(g, h)
+    assert g.n == 64
+    whole = fields(harness.analyze_graph(g))
+    reports = [fields(harness.analyze_graph(h)) for h in parts]
+    for key in ("n", "m", "gamma", "alpha", "inv_gamma", "strong_inv_gamma", "b"):
+        assert whole[key] == sum(report[key] for report in reports), key
 
 
 def run_verify(lines: list[str], jobs: int) -> tuple[list[dict], harness.VerifySummary]:

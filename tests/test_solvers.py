@@ -2,19 +2,36 @@
 contracts.  The oracle sweeps of gamma, alpha, inverse gamma, strong inverse
 gamma and b are selftest checks, which
 test_harness.py::test_selftest_check_holds_up_to_six_vertices runs on n <= 6;
-alpha and b also meet their oracles here on graphs of 10-13 vertices."""
+alpha and b also meet their oracles here on graphs of 10-13 vertices, and
+alpha, b and the inverse pass on seeded disjoint unions, which the solvers
+split by component."""
 
 import random
 from itertools import combinations
 
 import pytest
 
-from invdom import naive, solvers
+from invdom import harness, naive, solvers
 from invdom.constructions import pad_with_k2
 from invdom.errors import HasIsolates
 from invdom.generate import complete_graph, cycle_graph, gamma5_corpus, random_graph
-from invdom.graph import Graph, mask_of
+from invdom.graph import Graph, disjoint_union, mask_of
 from invdom.graph6 import parse_graph6
+
+
+def disjoint_unions(seed: int, count: int, isolate_free: bool = False) -> list[Graph]:
+    """Seeded unions of 2 or 3 random graphs, at most 10 vertices in all."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        parts = rng.randint(2, 3)
+        g = Graph(0)
+        for _ in range(parts):
+            h = random_graph(rng, rng.randint(2, 10 // parts), rng.choice((0.3, 0.5, 0.8)))
+            g = disjoint_union(g, h)
+        if not (isolate_free and g.has_isolated_vertex()):
+            out.append(g)
+    return out
 
 
 def test_alpha_examples(c5):
@@ -145,6 +162,23 @@ def test_inverse_pass_matches_the_per_set_reference(c5, corpus7):
     for g in graphs:
         size, cert, strong = solvers.inverse_pass(g)
         assert (size, (cert.d_set, cert.t_set), strong) == _inverse_pass_reference(g)
+    for g in disjoint_unions(4, 10, isolate_free=True):
+        assert len(g.components()) >= 2
+        size, cert, strong = solvers.inverse_pass(g)
+        assert (size, (cert.d_set, cert.t_set), strong) == _inverse_pass_reference(g)
+        assert (size, strong) == (naive.inverse_gamma_naive(g), naive.strong_inverse_gamma_naive(g))
+
+
+@pytest.mark.parametrize("line", ["HEg??GE", "HU???WI", "O???ECO?@GCAC?agG?QP@"])
+def test_split_witnesses_are_those_of_one_search_over_the_whole_graph(line):
+    # In each, one part's greedy cover is least and another's is not, so the
+    # plain union of the parts' least covers is not the whole graph's
+    # witness.  No graph with n <= 8 shows this.  The first two have 9
+    # vertices and differ in gamma's witness; the last, a random_mid graph,
+    # also differs in the T of its inverse certificate.
+    g = parse_graph6(line)
+    assert len(g.components()) == 2
+    assert harness.check_component_split(g) == []
 
 
 def test_max_induced_bipartite(c4, c5, k4):
@@ -164,6 +198,8 @@ def _sides_cases():
         rng = random.Random(seed)
         g = random_graph(rng, 10 + seed % 4, rng.choice((0.2, 0.3, 0.45)))
         yield pytest.param(g, None, id=f"gnp-{seed}")
+    for i, g in enumerate(disjoint_unions(3, 8)):
+        yield pytest.param(g, None, id=f"union-{i}")
 
 
 @pytest.mark.parametrize("g, closed_form", _sides_cases())
