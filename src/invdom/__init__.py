@@ -19,6 +19,7 @@ from .solvers import (
     optimal_dominating_set,
     strong_inverse_gamma,
 )
+from .generate import pad_with_k2
 from .constructions import (
     TrichotomyOutcome,
     biglemma_trichotomy,
@@ -28,9 +29,9 @@ from .constructions import (
     find_special_independent,
     gamma5_construct,
     inddom_construct,
+    isr_cells,
     lemma41_check,
     max_partial_isr,
-    pad_with_k2,
     standard_partition,
     superisrs,
     theorem_main_construct,

@@ -9,6 +9,7 @@ always means the lowest vertex id, so certificates are reproducible.
 Every vertex set is a plain int mask, partial ISRs included.  The cells of
 a standard partition are disjoint, so the cell a member represents follows
 from the member itself, and a partial ISR needs no index bookkeeping.
+Only ``isr_cells`` builds (V-D)-N(F) over D-F; ISR searches take cells.
 
 The constructions reach the exact solvers in two places only: the gate
 ``_require_minimum_dominating`` solves gamma, because every proof starts
@@ -34,9 +35,8 @@ from .errors import (
     NotDominated,
     PreconditionViolated,
     SeedNotIndependent,
-    TooLarge,
 )
-from .graph import Graph, bits, disjoint_union, mask_of, to_sorted
+from .graph import Graph, bits, mask_of, to_sorted
 
 
 # -- domain types -------------------------------------------------------------
@@ -95,8 +95,8 @@ def standard_partition(g: Graph, x_ordered: Sequence[int], y: int) -> tuple[int,
 
     Requires x and y disjoint and every y-vertex to have an x-neighbor.
     """
-    g.check_subset(y)
     x_mask = mask_of(x_ordered)
+    g.check_subset(x_mask | y)
     if len(x_ordered) != x_mask.bit_count():
         raise ValueError("ordering repeats a vertex")
     if x_mask & y:
@@ -111,6 +111,12 @@ def standard_partition(g: Graph, x_ordered: Sequence[int], y: int) -> tuple[int,
         cells.append(cell)
         taken |= cell
     return tuple(cells)
+
+
+def isr_cells(g: Graph, d_set: int, f_set: int, ordering: Sequence[int]) -> tuple[int, ...]:
+    """The standard partition of (V-D)-N(F) over ``ordering``, an ordering of
+    D-F: the cells the main and bipartite proofs draw partial ISRs from."""
+    return standard_partition(g, ordering, g.full & ~d_set & ~g.open_neighborhood(f_set))
 
 
 def _transversals(g: Graph, cells: Sequence[int]) -> Iterator[int]:
@@ -155,24 +161,14 @@ def max_partial_isr(g: Graph, cells: Sequence[int]) -> int:
     return best
 
 
-def two_partial_isrs(
-    g: Graph, d_set: int, f_set: int, ordering: Sequence[int]
-) -> tuple[int, int]:
-    """Split the standard partition of G-D-N(F) into two independent ISRs.
+def two_partial_isrs(g: Graph, cells: Sequence[int]) -> tuple[int, int]:
+    """Split ``cells`` between two partial ISRs that together represent each
+    cell once.
 
-    D must be a minimum dominating set and F a maximal independent subset of
-    it; the ordering enumerates D-F.  Existence is then guaranteed, so an
-    exhausted search signals violated preconditions or a bug.
+    For ``isr_cells`` of a minimum dominating set D and a maximal
+    independent F inside it the split exists, so an exhausted search
+    signals violated preconditions or a bug.
     """
-    g.check_subset(d_set)
-    if f_set & ~d_set:
-        raise ValueError("f_set not contained in d_set")
-    if not g.is_independent(f_set):
-        raise ValueError("f_set not independent")
-    if mask_of(ordering) != d_set & ~f_set:
-        raise ValueError("ordering must enumerate d_set - f_set")
-    universe = g.full & ~d_set & ~g.open_neighborhood(f_set)
-    cells = standard_partition(g, ordering, universe)
     n = len(cells)
 
     for i1_mask in range(1 << n):
@@ -190,7 +186,7 @@ def two_partial_isrs(
         return r1, r2
     raise InternalContradiction(
         "no ISR bipartition exists; d_set is likely not minimum or f_set not maximal",
-        {"d_set": d_set, "f_set": f_set, "cells": list(cells)},
+        {"cells": list(cells)},
     )
 
 
@@ -249,6 +245,12 @@ def _patch(g: Graph, t: int, vertices: int, d_set: int, where: str) -> int:
     return t
 
 
+def _maximal_f_and_cells(g: Graph, d_set: int) -> tuple[int, tuple[int, ...]]:
+    """Greedy maximal independent F inside D, and ``isr_cells`` over sorted D-F."""
+    f_set = expand_to_maximal_independent(g, 0, d_set)
+    return f_set, isr_cells(g, d_set, f_set, sorted(bits(d_set & ~f_set)))
+
+
 def _require_isolate_free(g: Graph, where: str) -> None:
     if g.has_isolated_vertex():
         raise HasIsolates(f"{where} needs an isolate-free graph")
@@ -300,14 +302,9 @@ def theorem_main_construct(g: Graph, d_set: int) -> InverseCertificate:
     """
     _require_minimum_dominating(g, d_set, "theorem_main_construct")
 
-    f_set = expand_to_maximal_independent(g, 0, d_set)
-    rest = sorted(bits(d_set & ~f_set))
-    n_cells = len(rest)
-    universe = g.full & ~d_set & ~g.open_neighborhood(f_set)
-    cells = standard_partition(g, rest, universe)
-
+    f_set, cells = _maximal_f_and_cells(g, d_set)
     isr = max_partial_isr(g, cells)
-    if 2 * isr.bit_count() < n_cells:
+    if 2 * isr.bit_count() < len(cells):
         raise InternalContradiction(
             "largest partial ISR smaller than half the family",
             {"cells": list(cells), "isr": isr},
@@ -317,7 +314,7 @@ def theorem_main_construct(g: Graph, d_set: int) -> InverseCertificate:
     f_prime = f_set & ~g.open_neighborhood(s)
     s1 = _patch(g, s, f_prime, d_set, "theorem_main_construct")
     unhit = d_set & ~f_set & ~g.open_neighborhood(s1)
-    if 2 * unhit.bit_count() > n_cells:
+    if 2 * unhit.bit_count() > len(cells):
         raise InternalContradiction(
             "more than half of D-F left undominated after expansion",
             {"unhit": unhit, "isr": isr},
@@ -335,9 +332,8 @@ def bipartite_inverse_construct(g: Graph, d_set: int) -> InverseCertificate:
     """
     _require_minimum_dominating(g, d_set, "bipartite_inverse_construct")
 
-    f_set = expand_to_maximal_independent(g, 0, d_set)
-    rest = sorted(bits(d_set & ~f_set))
-    r1, r2 = two_partial_isrs(g, d_set, f_set, rest)
+    f_set, cells = _maximal_f_and_cells(g, d_set)
+    r1, r2 = two_partial_isrs(g, cells)
 
     b_mask = r1 | r2
     if not g.is_bipartite_subset(b_mask):
@@ -449,7 +445,8 @@ def superisrs(g: Graph, cert: DominationCertificate) -> tuple[int, ...]:
     Applies when |D| = 5, the induced independence of D is at most 2, and
     G[D] has no isolated vertices.  The search follows the proof's choice
     rules: d1,d2 nonadjacent when possible, r3 a vertex undominated by
-    {d1,d2,r1,r2}, d3 one of its D-neighbors.
+    {d1,d2,r1,r2}, d3 one of its D-neighbors.  The rules alone make
+    {r1, r2, r3} an ISR of cells 1-3, so only cells 4-5 are searched.
     """
     _require_isolate_free(g, "superisrs")
     d = cert.d_set
@@ -488,10 +485,7 @@ def superisrs(g: Graph, cert: DominationCertificate) -> tuple[int, ...]:
                     d3 = (d3_opts & -d3_opts).bit_length() - 1
                     d4, d5 = sorted(bits(d & ~mask_of((d1, d2, d3))))
                     ordering = (d1, d2, d3, d4, d5)
-                    cells = standard_partition(g, ordering, outside)
-                    if validate_partial_isr(g, cells[:3], mask_of((r1, r2, r3))):
-                        continue
-                    if find_isr(g, cells[3:]) is not None:
+                    if find_isr(g, standard_partition(g, ordering, outside)[3:]) is not None:
                         return ordering
     raise InternalContradiction(
         "no ordering admits the two ISRs; the certificate is likely not optimal",
@@ -602,15 +596,3 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
         "contradicts the optimality of D",
         {"cert": cert, "r1": m1, "r2": m2, "cells": list(cells)},
     )
-
-
-def pad_with_k2(g: Graph, t: int) -> Graph:
-    """Disjoint union of g with t single-edge components."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if g.n + 2 * t > 64:
-        raise TooLarge(f"padding to {g.n + 2 * t} vertices exceeds the 64 cap")
-    out = g
-    for _ in range(t):
-        out = disjoint_union(out, Graph(2, [(0, 1)]))
-    return out

@@ -19,6 +19,7 @@ import random
 from itertools import combinations
 
 from . import solvers
+from .errors import TooLarge
 from .graph import Graph, bits, disjoint_union
 
 
@@ -63,7 +64,7 @@ def _encode(adj: tuple[int, ...], order: list[int]) -> int:
     return out
 
 
-def _closure(mask: int, perms: list[tuple[int, ...]]) -> int:
+def _closure(mask: int, perms: list[bytes]) -> int:
     """Union of the orbits of ``mask``'s vertices under the group ``perms`` generate."""
     frontier = mask
     while frontier:
@@ -76,14 +77,15 @@ def _closure(mask: int, perms: list[tuple[int, ...]]) -> int:
     return mask
 
 
-def canonical_form(g: Graph) -> tuple[tuple[int, int], list[tuple[int, ...]]]:
+def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...]]:
     """(n, bits) key identical across isomorphic graphs, and automorphisms of g.
 
     The key is the smallest ``_encode`` over the leaves of the
     individualization-refinement tree.  Two leaves with the same encoding
     differ by an automorphism, the permutation taking the first leaf's
-    order to the other's; each one found is recorded as a tuple ``p`` with
-    ``p[v]`` the image of ``v``.  A node individualizes one vertex of its
+    order to the other's; each one found is recorded as bytes ``p`` with
+    ``p[v]`` the image of ``v`` (compact, since ``all_graphs`` keeps them
+    for every graph it generates).  A node individualizes one vertex of its
     target cell per orbit under the automorphisms found so far that fix
     the node's individualized vertices: a skipped subtree is the image of
     an explored one, with the same encodings, so the minimum is that of
@@ -93,10 +95,10 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], list[tuple[int, ...]]]:
     """
     n = g.n
     if n <= 1:
-        return (n, 0), []
+        return (n, 0), ()
     adj = g.adj
     leaves: dict[int, list[int]] = {}
-    autos: list[tuple[int, ...]] = []
+    autos: list[bytes] = []
     fixed_by: list[int] = []  # fixed_by[i]: mask of the vertices autos[i] fixes
 
     def rec(colors: list[int], path: int) -> None:
@@ -113,7 +115,7 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], list[tuple[int, ...]]]:
                 p = [0] * n
                 for u, v in zip(first, order):
                     p[u] = v
-                autos.append(tuple(p))
+                autos.append(bytes(p))
                 fixed_by.append(sum(1 << v for v in range(n) if p[v] == v))
             return
         explored = covered = 0
@@ -128,15 +130,16 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], list[tuple[int, ...]]]:
             covered = _closure(explored, stabilizer)
 
     rec(_refine(adj, n, [0] * n), 0)
-    return (n, min(leaves)), autos
+    return (n, min(leaves)), tuple(autos)
 
 
 # -- exhaustive corpus -----------------------------------------------------------
 
-_ALL_GRAPHS: dict[int, tuple[Graph, ...]] = {}
+# n -> (the graphs on n vertices, the automorphisms canonical_form found for each)
+_ALL_GRAPHS: dict[int, tuple[tuple[Graph, ...], tuple[tuple[bytes, ...], ...]]] = {}
 
 
-def _mask_images(p: tuple[int, ...], width: int) -> list[int]:
+def _mask_images(p: bytes, width: int) -> list[int]:
     """images[m] = the vertex set m mapped by p, for every m below 1 << width."""
     images = [0] * (1 << width)
     for m in range(1, 1 << width):
@@ -156,20 +159,23 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     parent's automorphisms: if p(attach) < attach, the child of p(attach)
     is isomorphic and comes earlier, so the later one could never be kept.
     The graphs kept, their labels and their order are therefore the same
-    as with every mask tried.
+    as with every mask tried.  A parent's automorphisms are those
+    ``canonical_form`` found when the parent was kept as a child.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n in _ALL_GRAPHS:
-        return _ALL_GRAPHS[n]
+        return _ALL_GRAPHS[n][0]
+    seen: set[tuple[int, int]] = set()
+    graphs: list[Graph] = []
+    automorphisms: list[tuple[bytes, ...]] = []
     if n == 0:
-        out: tuple[Graph, ...] = (Graph(0),)
+        graphs.append(Graph(0))
+        automorphisms.append(())
     else:
-        seen: dict[tuple[int, int], None] = {}
-        found: list[Graph] = []
         new = n - 1
-        for parent in all_graphs(n - 1):
-            images = [_mask_images(p, new) for p in canonical_form(parent)[1]]
+        for parent, parent_autos in zip(all_graphs(new), _ALL_GRAPHS[new][1]):
+            images = [_mask_images(p, new) for p in parent_autos]
             tried = bytearray(1 << new)  # masks already met in some orbit
             for attach in range(1 << new):
                 if tried[attach]:
@@ -188,13 +194,13 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
                 ]
                 rows.append(attach)
                 child = Graph.from_rows(rows)
-                key = canonical_form(child)[0]
+                key, autos = canonical_form(child)
                 if key not in seen:
-                    seen[key] = None
-                    found.append(child)
-        out = tuple(found)
-    _ALL_GRAPHS[n] = out
-    return out
+                    seen.add(key)
+                    graphs.append(child)
+                    automorphisms.append(autos)
+    _ALL_GRAPHS[n] = tuple(graphs), tuple(automorphisms)
+    return _ALL_GRAPHS[n][0]
 
 
 # -- structured families -----------------------------------------------------------
@@ -233,6 +239,18 @@ def with_pendant_pairs(base: Graph, leaves: int = 2) -> Graph:
             edges.append((v, k))
             k += 1
     return Graph(k, edges)
+
+
+def pad_with_k2(g: Graph, t: int) -> Graph:
+    """Disjoint union of g with t single-edge components."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if g.n + 2 * t > 64:
+        raise TooLarge(f"padding to {g.n + 2 * t} vertices exceeds the 64 cap")
+    out = g
+    for _ in range(t):
+        out = disjoint_union(out, Graph(2, [(0, 1)]))
+    return out
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -281,8 +299,6 @@ def gamma5_corpus(seed: int = 20250517, minimum: int = 200) -> list[Graph]:
         admit(cycle_graph(n))
 
     # small isolate-free bases padded with single-edge components up to gamma 5
-    from .constructions import pad_with_k2
-
     bases = [g for n in range(2, 8) for g in all_graphs(n) if not g.has_isolated_vertex()]
     rng.shuffle(bases)
     for base in bases:

@@ -412,9 +412,8 @@ def check_isr_pairs(g: Graph) -> list[str]:
             rest = sorted(bits(d & ~f))
             orderings = list(permutations(rest)) if len(rest) <= 3 else [tuple(rest)]
             for ordering in orderings:
-                pair = constructions.two_partial_isrs(g, d, f, ordering)
-                universe = g.full & ~d & ~g.open_neighborhood(f)
-                cells = constructions.standard_partition(g, ordering, universe)
+                cells = constructions.isr_cells(g, d, f, ordering)
+                pair = constructions.two_partial_isrs(g, cells)
                 found = constructions.validate_isr_pair(g, cells, pair)
                 hit = constructions.max_partial_isr(g, cells).bit_count()
                 if 2 * hit < len(cells):
@@ -433,7 +432,7 @@ def check_padding(g: Graph) -> list[str]:
     base = invariants(g)
     problems = []
     for t in (1, 2):
-        got = invariants(constructions.pad_with_k2(g, t))
+        got = invariants(generate.pad_with_k2(g, t))
         if got != tuple(value + t for value in base):
             problems.append(f"t = {t}: (gamma, alpha, inverse gamma) {base} -> {got}")
     return problems

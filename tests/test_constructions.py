@@ -20,9 +20,9 @@ from invdom.constructions import (
     find_special_independent,
     gamma5_construct,
     inddom_construct,
+    isr_cells,
     lemma41_check,
     max_partial_isr,
-    pad_with_k2,
     standard_partition,
     superisrs,
     theorem_main_construct,
@@ -43,6 +43,8 @@ from invdom.generate import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    pad_with_k2,
+    path_graph,
     star_graph,
     with_pendant_pairs,
 )
@@ -84,6 +86,11 @@ def test_standard_partition_not_dominated(p4):
 def test_standard_partition_rejects_overlap(p4):
     with pytest.raises(ValueError):
         standard_partition(p4, (0,), mask_of((0, 1)))
+
+
+def test_standard_partition_rejects_an_ordering_outside_the_graph():
+    with pytest.raises(ValueError, match="outside"):
+        standard_partition(path_graph(4), (9,), 0)
 
 
 # -- haxell condition -----------------------------------------------------------
@@ -180,11 +187,11 @@ def test_max_partial_isr_exactness(corpus7):
 
 def test_two_partial_isrs_trivial_empty(c4):
     d = mask_of((0, 2))
-    assert two_partial_isrs(c4, d, d, ()) == (0, 0)
+    assert two_partial_isrs(c4, isr_cells(c4, d, d, ())) == (0, 0)
 
 
 def test_two_partial_isrs_single_cell(p4):
-    r1, r2 = two_partial_isrs(p4, mask_of((1, 2)), 1 << 1, (2,))
+    r1, r2 = two_partial_isrs(p4, isr_cells(p4, mask_of((1, 2)), 1 << 1, (2,)))
     hit = r1 if r1 else r2
     assert hit.bit_count() == 1
 
@@ -193,15 +200,15 @@ def test_two_partial_isrs_c6_from_optimal():
     c6 = cycle_graph(6)
     cert = solvers.optimal_dominating_set(c6)
     f = expand_to_maximal_independent(c6, 0, cert.d_set)
-    rest = sorted(bits(cert.d_set & ~f))
-    pair = two_partial_isrs(c6, cert.d_set, f, rest)
-    universe = c6.full & ~cert.d_set & ~c6.open_neighborhood(f)
-    cells = standard_partition(c6, rest, universe)
-    assert validate_isr_pair(c6, cells, pair) == []
+    cells = isr_cells(c6, cert.d_set, f, sorted(bits(cert.d_set & ~f)))
+    assert validate_isr_pair(c6, cells, two_partial_isrs(c6, cells)) == []
 
 
-def _doubled_isr_exists(g: Graph, universe: int, cells) -> bool:
-    """Oracle: full ISR in two disjoint copies of G[universe]."""
+def _doubled_isr_exists(g: Graph, cells) -> bool:
+    """Oracle: full ISR in two disjoint copies of G[union of the cells]."""
+    universe = 0
+    for cell in cells:
+        universe |= cell
     verts = sorted(bits(universe))
     index = {v: i for i, v in enumerate(verts)}
     m = len(verts)
@@ -232,11 +239,9 @@ def test_two_partial_isrs_matches_doubled_graph_oracle(corpus7):
             rest = sorted(bits(d & ~f))
             if not rest or len(rest) > 4:
                 continue
-            universe = g.full & ~d & ~g.open_neighborhood(f)
-            cells = standard_partition(g, rest, universe)
-            assert _doubled_isr_exists(g, universe, cells)
-            pair = two_partial_isrs(g, d, f, rest)
-            assert validate_isr_pair(g, cells, pair) == []
+            cells = isr_cells(g, d, f, rest)
+            assert _doubled_isr_exists(g, cells)
+            assert validate_isr_pair(g, cells, two_partial_isrs(g, cells)) == []
             checked += 1
     assert checked > 50
 
@@ -246,20 +251,12 @@ def test_two_partial_isrs_contradiction_on_bad_input():
     oracle agrees that no ISR exists."""
     g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     d = mask_of((0, 1, 2))  # dominating but not minimum (gamma is 2)
-    f = 1 << 0
-    universe = g.full & ~d & ~g.open_neighborhood(f)
-    cells = standard_partition(g, (1, 2), universe)
+    cells = isr_cells(g, d, 1 << 0, (1, 2))
     assert cells[1] == 0
-    assert not _doubled_isr_exists(g, universe, cells)
-    with pytest.raises(InternalContradiction):
-        two_partial_isrs(g, d, f, (1, 2))
-
-
-def test_two_partial_isrs_validates_structure(c4):
-    with pytest.raises(ValueError):
-        two_partial_isrs(c4, mask_of((0, 2)), 1 << 1, (2,))  # f not inside d
-    with pytest.raises(ValueError):
-        two_partial_isrs(c4, mask_of((0, 2)), 1 << 0, (0,))  # ordering wrong
+    assert not _doubled_isr_exists(g, cells)
+    with pytest.raises(InternalContradiction) as exc:
+        two_partial_isrs(g, cells)
+    assert exc.value.context == {"cells": list(cells)}
 
 
 def test_pendant_gadget_all_orderings():
@@ -270,11 +267,9 @@ def test_pendant_gadget_all_orderings():
     f = expand_to_maximal_independent(g, 0, d)
     rest = sorted(bits(d & ~f))
     assert len(rest) == 4
-    universe = g.full & ~d & ~g.open_neighborhood(f)
     for ordering in permutations(rest):
-        cells = standard_partition(g, ordering, universe)
-        pair = two_partial_isrs(g, d, f, ordering)
-        assert validate_isr_pair(g, cells, pair) == []
+        cells = isr_cells(g, d, f, ordering)
+        assert validate_isr_pair(g, cells, two_partial_isrs(g, cells)) == []
         assert 2 * max_partial_isr(g, cells).bit_count() >= len(cells)
 
 
@@ -286,9 +281,8 @@ def _k5_gadget_pair():
     g = K5_GADGET
     d = solvers.optimal_dominating_set(g).d_set
     f = expand_to_maximal_independent(g, 0, d)
-    rest = sorted(bits(d & ~f))
-    cells = standard_partition(g, rest, g.full & ~d & ~g.open_neighborhood(f))
-    return cells, two_partial_isrs(g, d, f, rest)
+    cells = isr_cells(g, d, f, sorted(bits(d & ~f)))
+    return cells, two_partial_isrs(g, cells)
 
 
 def test_the_k5_gadget_pair_is_valid():
@@ -669,9 +663,16 @@ def test_gamma5_five_stars():
     assert solvers.inverse_gamma(g)[0] == 15
 
 
-def test_gamma5_pendant_gadgets_run_the_hard_branch():
+def test_gamma5_pendant_gadgets_take_the_four_cell_shortcut():
+    """On the C5 and K5 pendant-pair gadgets ``superisrs`` finds its
+    ordering and a partial ISR then hits four of the five cells, so
+    ``gamma5_construct`` returns at that shortcut.  The pair search after
+    the shortcut runs on neither gadget."""
     for base in (cycle_graph(5), complete_graph(5)):
         g = with_pendant_pairs(base, 2)
+        optimal = solvers.optimal_dominating_set(g)
+        cells = standard_partition(g, superisrs(g, optimal), g.full & ~optimal.d_set)
+        assert max_partial_isr(g, cells).bit_count() >= 4
         cert = gamma5_construct(g)
         assert check_inverse_certificate(g, cert, 5) == []
         assert cert.t_set.bit_count() <= solvers.alpha(g)[0]

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from invdom import generate
 from invdom.generate import all_graphs, canonical_form
 from invdom.graph import Graph
 from invdom.graph6 import write_graph6
@@ -29,6 +30,16 @@ def test_all_graphs_output_is_pinned():
     assert tuple(len(all_graphs(n)) for n in range(8)) == CLASSES
     lines = [write_graph6(g) for n in range(1, 8) for g in all_graphs(n)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ALL_GRAPHS_SHA256
+
+
+def test_all_graphs_puts_each_graph_through_canonical_form_once(monkeypatch):
+    """A parent's automorphisms are the ones found when it was kept as a
+    child, so from a cold cache no graph goes through canonical_form twice."""
+    seen = []
+    monkeypatch.setattr(generate, "_ALL_GRAPHS", {})
+    monkeypatch.setattr(generate, "canonical_form", lambda g: seen.append(g) or canonical_form(g))
+    all_graphs(6)
+    assert len(seen) == len(set(seen)) > 0
 
 
 def _classes(n: int, copies: int = 3) -> list[list[Graph]]:

@@ -4,9 +4,11 @@ Covers the gamma witness, the inverse-pass certificate, the main
 construction's certificate and the ``verify`` JSONL (less its timing field)
 on every graph with n <= 6 and on twelve seeded G(16, p) graphs.  A second
 digest pins the other three constructions on that corpus and on the gamma = 5
-graphs: 5K2, five K1,3 and the pendant-pair gadgets on C5 and K5.  A change
-that alters any certificate or report on these corpora fails here; a change
-that means to alter them must re-pin the digest and say why.
+graphs: 5K2, five K1,3 and the pendant-pair gadgets on C5 and K5.  A third
+pins all four constructions on the 240 graphs of ``gamma5_corpus(1)``, 26 of
+which reach ``superisrs``.  A change that alters any certificate or report
+on these corpora fails here; a change that means to alter them must re-pin
+the digest and say why.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ from invdom.generate import (
     all_graphs,
     complete_graph,
     cycle_graph,
+    gamma5_corpus,
     random_graph,
     star_graph,
     with_pendant_pairs,
@@ -28,6 +31,7 @@ from invdom.graph6 import write_graph6
 
 GOLDEN_SHA256 = "9bfa2671d69a326cd44745af13f3145abce32b0fea16be077ed76fbbf6e3a08e"
 CONSTRUCTIONS_SHA256 = "4875ac4eaf2d275650ac6698314a489486d49c47cbe7a872e3a8cab46eca9d5d"
+GAMMA5_CORPUS_SHA256 = "ee3fcebbcdb3f229b3e6d1fb094d3ce82ab2cb39553461921c114a24ce73be4e"
 
 
 def golden_corpus():
@@ -114,9 +118,27 @@ def constructions_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def gamma5_corpus_digest() -> str:
+    """The main construction on the gamma witness and the other three, on
+    every graph of ``gamma5_corpus(1)``."""
+    lines = []
+    for g in gamma5_corpus(1):
+        witness = solvers.gamma(g)[1]
+        record = _other_constructions(g)
+        record["main"] = _outcome(
+            lambda: constructions.theorem_main_construct(g, witness).to_dict()
+        )
+        lines.append(json.dumps(record, sort_keys=True))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_certificates_and_reports_match_the_pinned_digest():
     assert golden_digest() == GOLDEN_SHA256
 
 
 def test_the_other_constructions_match_their_pinned_digest():
     assert constructions_digest() == CONSTRUCTIONS_SHA256
+
+
+def test_the_gamma5_corpus_matches_its_pinned_digest():
+    assert gamma5_corpus_digest() == GAMMA5_CORPUS_SHA256

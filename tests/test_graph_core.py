@@ -3,9 +3,8 @@ connected components."""
 
 import pytest
 
-from invdom.constructions import pad_with_k2
 from invdom.errors import TooLarge, VertexNotInD
-from invdom.generate import cycle_graph, path_graph
+from invdom.generate import cycle_graph, pad_with_k2, path_graph
 from invdom.graph import Graph, bits, disjoint_union, mask_of, to_sorted
 
 import oracles

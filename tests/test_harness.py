@@ -9,7 +9,7 @@ import pytest
 
 from invdom import constructions, harness, solvers
 from invdom.certificates import check_inverse_certificate
-from invdom.generate import all_graphs, cycle_graph, random_graph
+from invdom.generate import all_graphs, cycle_graph, pad_with_k2, random_graph
 from invdom.graph import Graph, disjoint_union
 from invdom.graph6 import write_graph6
 
@@ -55,7 +55,7 @@ def test_all_checks_on_c5():
 
 def test_c5_plus_29_k2_at_63_vertices():
     # 5 * 2^29 gamma-sets: only a solver that splits by component finishes
-    g = constructions.pad_with_k2(cycle_graph(5), 29)
+    g = pad_with_k2(cycle_graph(5), 29)
     report = fields(harness.analyze_graph(g))
     assert report["n"] == 63
     assert [report[key] for key in ("gamma", "alpha", "inv_gamma", "strong_inv_gamma", "b")] == [

@@ -12,9 +12,14 @@ from itertools import combinations
 import pytest
 
 from invdom import harness, naive, solvers
-from invdom.constructions import pad_with_k2
 from invdom.errors import HasIsolates
-from invdom.generate import complete_graph, cycle_graph, gamma5_corpus, random_graph
+from invdom.generate import (
+    complete_graph,
+    cycle_graph,
+    gamma5_corpus,
+    pad_with_k2,
+    random_graph,
+)
 from invdom.graph import Graph, disjoint_union, mask_of
 from invdom.graph6 import parse_graph6
 
