@@ -37,6 +37,10 @@ from .harness import (
     RunConfig,
 )
 
+# selftest runs oracles that try every vertex subset on every graph up to
+# --max-n vertices: 12,346 graphs on 8, and each order past that multiplies it
+MAX_SELFTEST_N = 8
+
 
 def _load_single_graph(arg: str | None, edges_path: str | None) -> Graph:
     # As in verify, undecodable bytes survive as surrogates for the parsers to reject.
@@ -196,6 +200,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     if args.max_n < 2:
         raise InputFormatError("--max-n must be at least 2: smaller graphs have isolated vertices")
+    if args.max_n > MAX_SELFTEST_N:
+        raise InputFormatError(
+            f"--max-n must be at most {MAX_SELFTEST_N}: the oracles try every vertex subset"
+        )
     ok = harness.selftest(max_n=args.max_n)
     print("selftest:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -241,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p.add_argument("--max-n", type=int, default=7, help="largest graph order to sweep")
+    p.add_argument(
+        "--max-n", type=int, default=7, help=f"largest graph order to sweep, 2 to {MAX_SELFTEST_N}"
+    )
     p.set_defaults(fn=_cmd_selftest)
     return parser
 

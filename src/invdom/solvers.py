@@ -9,6 +9,13 @@ earlier siblings from later branches, so it reaches each set once.  One
 search for the largest subset that splits into one or two independent sides
 serves alpha, ``alpha_within`` and b(G).  No solver runs another for a seed.
 
+Besides the count of its candidates, that second search bounds a node by
+what its candidates must lose (``_side_loss``): a greedy matching inside the
+vertices that can join only one side, and greedy vertex-disjoint triangles
+inside those that can join either.  The bound cuts only subtrees that cannot
+beat the best so far, so the search meets the same improving leaves in the
+same order, and every alpha and b witness is the one it returned without it.
+
 gamma, alpha, b, the inverse pass and ``optimal_dominating_set`` run their
 searches once per connected component, on the component's mask
 (``Graph.components``).  A closed neighborhood stays inside its component,
@@ -41,10 +48,46 @@ from typing import Callable
 
 from .certificates import DominationCertificate, InverseCertificate
 from .errors import HasIsolates
-from .graph import Graph, bits
+from .graph import Graph
 
 
 # -- independent sides: alpha and b(G) -------------------------------------
+
+def _side_loss(adj: tuple[int, ...], cand_a: int, cand_b: int) -> int:
+    """A lower bound on the vertices of ``cand_a | cand_b`` that every split
+    into an independent A <= cand_a and an independent B <= cand_b leaves out.
+
+    A vertex of only one candidate set joins only that side, so each edge of
+    a greedy matching inside those vertices, one group per side, loses an
+    end.  The vertices of both sets that are taken induce a bipartite graph,
+    so each of their greedy vertex-disjoint triangles loses a vertex.  The
+    three groups are disjoint, so the losses add.
+    """
+    loss = 0
+    both = cand_a & cand_b
+    for rest in (cand_a & ~both, cand_b & ~both):
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            mate = adj[low.bit_length() - 1] & rest
+            if mate:
+                rest ^= mate & -mate
+                loss += 1
+    rest = both
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nbrs = adj[low.bit_length() - 1] & rest
+        while nbrs:  # a triangle low, w, x with w < x both in rest
+            w = nbrs & -nbrs
+            nbrs ^= w
+            third = adj[w.bit_length() - 1] & nbrs
+            if third:
+                rest &= ~(w | (third & -third))
+                loss += 1
+                break
+    return loss
+
 
 def _max_sides(g: Graph, allowed: int, sides: int) -> tuple[int, int]:
     """Largest subset of ``allowed`` splitting into ``sides`` (1 or 2)
@@ -54,6 +97,11 @@ def _max_sides(g: Graph, allowed: int, sides: int) -> tuple[int, int]:
     A can take it, then puts the pivot (highest candidate degree, lowest id)
     on A, on B, or leaves it out.  B opens only once A is non-empty, since
     the sides are interchangeable until then.
+
+    A node is cut when its size plus its candidates, less ``_side_loss``,
+    cannot beat the best so far.  A leaf is reached only when it beats the
+    best, and a cut subtree holds no such leaf, so the cuts change neither
+    the order in which the best improves nor the witness.
     """
     g.check_subset(allowed)
     adj = g.adj
@@ -62,15 +110,20 @@ def _max_sides(g: Graph, allowed: int, sides: int) -> tuple[int, int]:
     def grow(a: int, b: int, count: int, cand_a: int, cand_b: int) -> None:
         nonlocal best, best_mask
         cand = cand_a | cand_b
-        if count + cand.bit_count() <= best:
+        bound = count + cand.bit_count()
+        if bound <= best or bound - _side_loss(adj, cand_a, cand_b) <= best:
             return
         # taking a free vertex changes no candidate degree: one pass finds both
         free = 0
         pivot, pivot_deg = -1, 0
-        for v in bits(cand):
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             d = (adj[v] & cand).bit_count()
             if not d:
-                free |= 1 << v
+                free |= low
             elif d > pivot_deg:
                 pivot, pivot_deg = v, d
         a |= free & cand_a
@@ -129,7 +182,11 @@ def _greedy_cover(covers: tuple[int, ...], allowed: int, target: int) -> int | N
     undom = target
     while undom:
         pick, gain = -1, 0
-        for v in bits(allowed & ~chosen):
+        rest = allowed & ~chosen
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             c = (covers[v] & undom).bit_count()
             if c > gain:
                 pick, gain = v, c
@@ -166,27 +223,40 @@ def _cover_search(
             return
         maxcov = 0
         union = 0
-        for v in bits(avail):
-            c = (covers[v] & undom).bit_count()
+        rest = avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cover = covers[low.bit_length() - 1]
+            c = (cover & undom).bit_count()
             if c > maxcov:
                 maxcov = c
-            union |= covers[v]
+            union |= cover
         if undom & ~union or maxcov == 0:
             return
         if (undom.bit_count() + maxcov - 1) // maxcov > slack:
             return
         # branch on the hardest uncovered vertex
         u, u_opts = -1, 1 << 30
-        for w in bits(undom):
+        rest = undom
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
             k = (covers[w] & avail).bit_count()
             if k < u_opts:
                 u, u_opts = w, k
-        cands = sorted(
-            bits(covers[u] & avail),
-            key=lambda v: (-(covers[v] & undom).bit_count(), v),
-        )
+        # most-covering candidate first, lowest id on ties
+        cands = []
+        rest = covers[u] & avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            cands.append((-(covers[v] & undom).bit_count(), v))
+        cands.sort()
         remaining = avail  # later branches exclude earlier siblings
-        for v in cands:
+        for _, v in cands:
             search(chosen | (1 << v), count + 1, undom & ~covers[v], remaining & ~(1 << v))
             remaining &= ~(1 << v)
 

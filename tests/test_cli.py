@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from invdom import cli, constructions, harness, solvers
+from invdom import cli, constructions, generate, harness, solvers
 from invdom.errors import InternalContradiction, LemmaViolated
 from invdom.generate import complete_graph, cycle_graph, path_graph, star_graph
 from invdom.graph import Graph
@@ -71,6 +71,18 @@ def test_selftest_rejects_fewer_than_two_vertices(max_n, capsys):
     assert cli.main(["selftest", "--max-n", max_n]) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
     assert "--max-n must be at least 2" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("max_n", ["9", "12"])
+def test_selftest_rejects_more_than_eight_vertices_before_generating(max_n, monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"all_graphs({n}) was called")
+
+    monkeypatch.setattr(generate, "all_graphs", refuse)
+    assert cli.main(["selftest", "--max-n", max_n]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert "--max-n must be at most 8" in captured.err
     assert captured.out == ""
 
 

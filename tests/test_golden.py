@@ -6,9 +6,10 @@ on every graph with n <= 6 and on twelve seeded G(16, p) graphs.  A second
 digest pins the other three constructions on that corpus and on the gamma = 5
 graphs: 5K2, five K1,3 and the pendant-pair gadgets on C5 and K5.  A third
 pins all four constructions on the 240 graphs of ``gamma5_corpus(1)``, 26 of
-which reach ``superisrs``.  A change that alters any certificate or report
-on these corpora fails here; a change that means to alter them must re-pin
-the digest and say why.
+which reach ``superisrs``.  A fourth pins the alpha, b and alpha_within
+values and witnesses on the first corpus.  A change that alters any
+certificate, report or witness on these corpora fails here; a change that
+means to alter them must re-pin the digest and say why.
 """
 
 import hashlib
@@ -32,6 +33,7 @@ from invdom.graph6 import write_graph6
 GOLDEN_SHA256 = "9bfa2671d69a326cd44745af13f3145abce32b0fea16be077ed76fbbf6e3a08e"
 CONSTRUCTIONS_SHA256 = "4875ac4eaf2d275650ac6698314a489486d49c47cbe7a872e3a8cab46eca9d5d"
 GAMMA5_CORPUS_SHA256 = "ee3fcebbcdb3f229b3e6d1fb094d3ce82ab2cb39553461921c114a24ce73be4e"
+WITNESS_SHA256 = "5d0bfb2938fd4ade46e8213057d8068c8bb5010dfc1f796e54d3bb48d470bfd3"
 
 
 def golden_corpus():
@@ -132,6 +134,22 @@ def gamma5_corpus_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def witness_digest() -> str:
+    """alpha, b and the largest independent set avoiding vertex 0, each with
+    its witness mask, on every graph of ``golden_corpus()``."""
+    lines = [
+        json.dumps(
+            [
+                solvers.alpha(g),
+                solvers.max_induced_bipartite(g),
+                solvers.alpha_within(g, g.full & ~1),
+            ]
+        )
+        for g in golden_corpus()
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_certificates_and_reports_match_the_pinned_digest():
     assert golden_digest() == GOLDEN_SHA256
 
@@ -142,3 +160,7 @@ def test_the_other_constructions_match_their_pinned_digest():
 
 def test_the_gamma5_corpus_matches_its_pinned_digest():
     assert gamma5_corpus_digest() == GAMMA5_CORPUS_SHA256
+
+
+def test_the_alpha_and_b_witnesses_match_their_pinned_digest():
+    assert witness_digest() == WITNESS_SHA256

@@ -222,6 +222,50 @@ def test_alpha_and_b_match_the_oracles(g, closed_form):
         assert size == max(s.bit_count() for s in subsets)
 
 
+def _largest_split(g: Graph, cand_a: int, cand_b: int) -> int:
+    """Largest |A| + |B| over disjoint independent A <= cand_a, B <= cand_b,
+    by trying every A."""
+    inside: dict[int, int] = {0: 0}  # largest independent subset of each mask
+
+    def independent_within(mask: int) -> int:
+        if mask not in inside:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            inside[mask] = max(
+                independent_within(mask ^ low), 1 + independent_within(mask & ~g.adj[v] & ~low)
+            )
+        return inside[mask]
+
+    return max(
+        a.bit_count() + independent_within(cand_b & ~a)
+        for a in range(1 << g.n)
+        if not a & ~cand_a and g.is_independent(a)
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_side_loss_is_a_sound_bound(seed):
+    """No split of the candidates into two independent sides keeps more than
+    |cand_a | cand_b| - loss vertices; one side (cand_b = 0) is alpha's case."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(3, 9), rng.choice((0.3, 0.5, 0.7)))
+        for _ in range(6):
+            cand_a = rng.getrandbits(g.n)
+            cand_b = rng.choice((0, cand_a, rng.getrandbits(g.n), cand_a | rng.getrandbits(g.n)))
+            loss = solvers._side_loss(g.adj, cand_a, cand_b)
+            assert 0 <= loss
+            assert _largest_split(g, cand_a, cand_b) <= (cand_a | cand_b).bit_count() - loss
+
+
+def test_side_loss_counts_a_matching_and_disjoint_triangles():
+    k4 = complete_graph(4)
+    assert solvers._side_loss(k4.adj, k4.full, 0) == 2  # two disjoint edges, one side
+    assert solvers._side_loss(k4.adj, k4.full, k4.full) == 1  # one triangle, two sides
+    # K4 split as {0, 1} on A only and {2, 3} on B only: one edge inside each
+    assert solvers._side_loss(k4.adj, 0b0011, 0b1100) == 2
+
+
 def test_optimal_dominating_set_c4(c4):
     cert = solvers.optimal_dominating_set(c4)
     assert cert.size == 2 and cert.alpha_of_d == 2 and cert.induced_edges == 0
