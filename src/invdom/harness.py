@@ -324,11 +324,11 @@ def check_alpha(g: Graph) -> list[str]:
 
 
 def check_inverse_gamma(g: Graph) -> list[str]:
-    return _compare("inverse gamma", solvers.inverse_gamma(g)[0], naive.inverse_gamma_naive(g))
+    return _compare("inverse gamma", solvers.inverse_pass(g)[0], naive.inverse_gamma_naive(g))
 
 
 def check_strong_inverse_gamma(g: Graph) -> list[str]:
-    return _compare("strong", solvers.strong_inverse_gamma(g), naive.strong_inverse_gamma_naive(g))
+    return _compare("strong", solvers.inverse_pass(g)[2], naive.strong_inverse_gamma_naive(g))
 
 
 def check_induced_bipartite(g: Graph) -> list[str]:
@@ -336,13 +336,19 @@ def check_induced_bipartite(g: Graph) -> list[str]:
 
 
 def check_component_split(g: Graph) -> list[str]:
-    """Solving by component gives the values and witnesses of one search
-    over the whole graph: gamma, alpha, b, the optimal gamma-set and, when
-    g is isolate-free, the inverse pass."""
+    """Solving by component gives the values of one search over the whole
+    graph: gamma, alpha, b, the optimal gamma-set and, when g is
+    isolate-free, the inverse pass.  The alpha, b and optimal-set witnesses
+    and the inverse certificate's D are the whole graph's too.  The gamma
+    witness and the certificate's T join each part's first least cover,
+    which need not be the whole graph's first, so they are checked for
+    validity: the gamma witness dominates with size gamma, and the
+    certificate passes ``check_inverse_certificate`` against gamma."""
     covers = solvers._domination_covers(g)
+    size, witness = solvers.gamma(g)
     cert = solvers.optimal_dominating_set(g)
     pairs = [
-        ("gamma", solvers.gamma(g), solvers._gamma_part(covers, g.full)),
+        ("gamma", size, solvers._gamma_part(covers, g.full)[0]),
         ("alpha", solvers.alpha(g), solvers._max_sides(g, g.full, 1)),
         ("b", solvers.max_induced_bipartite(g), solvers._max_sides(g, g.full, 2)),
         (
@@ -351,14 +357,19 @@ def check_component_split(g: Graph) -> list[str]:
             solvers._optimal_part(g, covers, g.full),
         ),
     ]
+    problems = []
+    if witness.bit_count() != size or not g.is_dominating(witness):
+        problems.append(f"gamma witness {to_sorted(witness)} is no dominating set of size {size}")
     if not g.has_isolated_vertex():
-        size, inverse, strong = solvers.inverse_pass(g)
+        inverse_size, inverse, strong = solvers.inverse_pass(g)
+        whole_size, _, whole_d, whole_strong = solvers._inverse_part(covers, g.full)
         pairs.append((
-            "inverse pass (size, T, D, strong)",
-            (size, inverse.t_set, inverse.d_set, strong),
-            solvers._inverse_part(covers, g.full),
+            "inverse pass (size, D, strong)",
+            (inverse_size, inverse.d_set, strong),
+            (whole_size, whole_d, whole_strong),
         ))
-    return [
+        problems += [f"inverse certificate: {p}" for p in check_inverse_certificate(g, inverse, size)]
+    return problems + [
         f"{label}: by component {split}, whole graph {whole}"
         for label, split, whole in pairs
         if split != whole
@@ -427,7 +438,7 @@ def check_padding(g: Graph) -> list[str]:
     """Adding t = 1, 2 disjoint edges adds t to gamma, alpha and inverse gamma."""
 
     def invariants(h: Graph) -> tuple[int, int, int]:
-        return solvers.gamma(h)[0], solvers.alpha(h)[0], solvers.inverse_gamma(h)[0]
+        return solvers.gamma(h)[0], solvers.alpha(h)[0], solvers.inverse_pass(h)[0]
 
     base = invariants(g)
     problems = []

@@ -32,41 +32,22 @@ def min_dominating_sets_naive(g: Graph) -> list[int]:
     return [s for s in range(1 << g.n) if s.bit_count() == k and g.is_dominating(s)]
 
 
-def _dominating_masks(g: Graph) -> list[int]:
-    return [s for s in range(1 << g.n) if g.is_dominating(s)]
+def _least_disjoint_sizes(g: Graph) -> list[int]:
+    """For each minimum dominating set D, the least size of a dominating set
+    disjoint from D, by direct search over all disjoint pairs (D, T)."""
+    if g.has_isolated_vertex():
+        raise HasIsolates("undefined on graphs with isolates")
+    doms = [s for s in range(1 << g.n) if g.is_dominating(s)]
+    k = min(s.bit_count() for s in doms)
+    return [min(t.bit_count() for t in doms if not t & d) for d in doms if d.bit_count() == k]
 
 
 def inverse_gamma_naive(g: Graph) -> int:
-    """Direct search over all disjoint pairs (D, T) with |D| = gamma."""
-    if g.has_isolated_vertex():
-        raise HasIsolates("undefined on graphs with isolates")
-    doms = _dominating_masks(g)
-    k = min(s.bit_count() for s in doms)
-    best = None
-    for d in doms:
-        if d.bit_count() != k:
-            continue
-        for t in doms:
-            if t & d:
-                continue
-            if best is None or t.bit_count() < best:
-                best = t.bit_count()
-    assert best is not None
-    return best
+    return min(_least_disjoint_sizes(g))
 
 
 def strong_inverse_gamma_naive(g: Graph) -> int:
-    if g.has_isolated_vertex():
-        raise HasIsolates("undefined on graphs with isolates")
-    doms = _dominating_masks(g)
-    k = min(s.bit_count() for s in doms)
-    worst = 0
-    for d in doms:
-        if d.bit_count() != k:
-            continue
-        best_t = min(t.bit_count() for t in doms if not t & d)
-        worst = max(worst, best_t)
-    return worst
+    return max(_least_disjoint_sizes(g))
 
 
 def b_naive(g: Graph) -> int:

@@ -20,12 +20,13 @@ gamma, alpha, b, the inverse pass and ``optimal_dominating_set`` run their
 searches once per connected component, on the component's mask
 (``Graph.components``).  A closed neighborhood stays inside its component,
 so a search over one component's mask solves the subgraph it induces.  The
-values add over components.  Each witness is the one a search over the
-whole graph returns, which is the union of the parts' witnesses; for the
-least covers behind gamma and the inverse certificate's T,
-``_union_witness`` says which of each part's least covers that union takes.
-The gamma-sets do not add: their number is the
-product of the parts' counts (5 * 2^t on C5 + t*K2), so
+values add over components, and ``_by_component`` joins the parts: each
+witness is the union of the parts' own witnesses.  For alpha, b, the
+inverse certificate's D and the optimal gamma-set, that union is also what
+one search over the whole graph returns.  For the least covers behind
+gamma and the certificate's T it is a least cover too, but not always the
+first one a whole-graph search reaches.  The gamma-sets do not add: their
+number is the product of the parts' counts (5 * 2^t on C5 + t*K2), so
 ``enumerate_min_dominating_sets``, whose output is that product, is the one
 search still run on the whole graph.  ``min_dominating_within`` and
 ``alpha_within`` take an arbitrary ``allowed`` mask and do not split either.
@@ -37,13 +38,14 @@ size seen; a limit of at most gamma = |D| skips the search, since no
 dominating set is smaller.
 
 Every result is deterministic: minimum dominating sets come back in
-increasing bitmask order, witnesses are the first optimum the search
-reaches, and ties in ``optimal_dominating_set`` break toward the smallest
-bitmask.
+increasing bitmask order, each component's witness is the first optimum
+its search reaches, and ties in ``optimal_dominating_set`` break toward the
+smallest bitmask.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable
 
 from .certificates import DominationCertificate, InverseCertificate
@@ -154,14 +156,17 @@ def alpha_within(g: Graph, allowed: int) -> tuple[int, int]:
     return _max_sides(g, allowed, 1)
 
 
-def _by_component(g: Graph, solve: Callable[[int], tuple[int, int]]) -> tuple[int, int]:
-    """Run ``solve`` on each component mask: (sum of sizes, union of witnesses)."""
-    size = witness = 0
-    for part in g.components():
-        part_size, part_witness = solve(part)
-        size += part_size
-        witness |= part_witness
-    return size, witness
+def _by_component(g: Graph, solve: Callable[[int], tuple[int, ...]]) -> tuple[int, ...]:
+    """Run ``solve`` on each component mask and add its results term by term.
+
+    Sizes add over components, and the parts' witness masks are disjoint, so
+    their sum is their union.  The empty graph is solved as one empty part.
+    """
+    parts = g.components() or (0,)
+    total = solve(parts[0])
+    for part in parts[1:]:
+        total = tuple(map(add, total, solve(part)))
+    return total
 
 
 def alpha(g: Graph) -> tuple[int, int]:
@@ -263,22 +268,6 @@ def _cover_search(
     search(0, 0, target, allowed)
 
 
-def _first_least_cover(
-    covers: tuple[int, ...], allowed: int, target: int, limit: int, start: int
-) -> int:
-    """The first cover of least size below ``limit`` that the search
-    reaches, or ``start`` if there is none."""
-    best = start
-
-    def improve(chosen: int, count: int) -> int:
-        nonlocal best
-        best = chosen
-        return count
-
-    _cover_search(covers, allowed, target, limit, improve)
-    return best
-
-
 def _min_cover(covers: tuple[int, ...], allowed: int, target: int) -> tuple[int, int] | None:
     """Smallest S <= allowed with union of covers[S] >= target, or None.
 
@@ -288,32 +277,15 @@ def _min_cover(covers: tuple[int, ...], allowed: int, target: int) -> tuple[int,
     greedy = _greedy_cover(covers, allowed, target)
     if greedy is None:
         return None
-    best = _first_least_cover(covers, allowed, target, greedy.bit_count(), greedy)
+    best = greedy
+
+    def improve(chosen: int, count: int) -> int:
+        nonlocal best
+        best = chosen
+        return count
+
+    _cover_search(covers, allowed, target, greedy.bit_count(), improve)
     return best.bit_count(), best
-
-
-def _union_witness(covers: tuple[int, ...], parts: list[tuple[int, int, int]]) -> int:
-    """The witness ``_min_cover`` gives on the union of disjoint parts, from
-    each part's (allowed, target, witness of ``_min_cover``).
-
-    On the union, ``_min_cover`` returns the greedy cover when none is
-    smaller, and the greedy cover is the union of the parts' greedy covers.
-    Otherwise it returns the first least cover its search reaches.  That
-    search interleaves the parts' searches and orders two covers as their
-    parts' covers where they first differ, so its first least cover is the
-    union of the parts' first least covers.  A part whose greedy cover is
-    least has that as its witness, so its first least cover takes one more
-    search.
-    """
-    if len(parts) == 1:
-        return parts[0][2]
-    greedy_least = [_greedy_cover(covers, allowed, target) == w for allowed, target, w in parts]
-    out = 0
-    for least, (allowed, target, witness) in zip(greedy_least, parts):
-        if least and not all(greedy_least):
-            witness = _first_least_cover(covers, allowed, target, witness.bit_count() + 1, witness)
-        out |= witness
-    return out
 
 
 def _domination_covers(g: Graph) -> tuple[int, ...]:
@@ -330,13 +302,15 @@ def _gamma_part(covers: tuple[int, ...], part: int) -> tuple[int, int]:
 def gamma(g: Graph) -> tuple[int, int]:
     """Domination number with a minimum dominating set witness."""
     covers = _domination_covers(g)
-    parts = [(part, part, _gamma_part(covers, part)[1]) for part in g.components()]
-    witness = _union_witness(covers, parts)
-    return witness.bit_count(), witness
+    return _by_component(g, lambda part: _gamma_part(covers, part))
 
 
 def min_dominating_within(g: Graph, allowed: int) -> tuple[int, int] | None:
-    """Smallest dominating set of g contained in ``allowed``, if any."""
+    """Smallest dominating set of g contained in ``allowed``, if any.
+
+    No code in ``invdom`` calls it, but ``perfbench/tracing.py::TRACED``
+    names it, so deleting it is a benchmark change.
+    """
     g.check_subset(allowed)
     return _min_cover(_domination_covers(g), allowed, g.full)
 
@@ -405,8 +379,8 @@ def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
     from D; gamma^-1 is the least of these sizes, certified by the first D
     in bitmask order that reaches it, and strong gamma^-1 the largest.
     Defined only for isolate-free graphs.  Each component runs its own
-    pass: both values add over components, the certificate's D is the union
-    of the parts' sets, and its T is joined by ``_union_witness``.
+    pass: both values add over components, and the certificate's D and T
+    are the unions of the parts' sets.
 
     Each D's search stops once it can move neither value.  It starts from
     the greedy cover of V - D.  After a cover of size c the limit is c while
@@ -420,26 +394,27 @@ def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
     """
     _require_isolate_free(g)
     covers = _domination_covers(g)
-    size = d_mask = strong = 0
-    t_parts = []
-    for part in g.components():
-        part_size, part_t, part_d, part_strong = _inverse_part(covers, part)
-        size += part_size
-        d_mask |= part_d
-        strong += part_strong
-        t_parts.append((part & ~part_d, part, part_t))
-    t_mask = _union_witness(covers, t_parts)
+    size, t_mask, d_mask, strong = _by_component(g, lambda part: _inverse_part(covers, part))
     return size, InverseCertificate(d_mask, t_mask, "exact", size), strong
 
 
 def inverse_gamma(g: Graph) -> tuple[int, InverseCertificate]:
-    """Smallest inverse dominating set size, with a realizing (D, T) pair."""
+    """Smallest inverse dominating set size, with a realizing (D, T) pair.
+
+    ``inverse_pass`` serves every caller in ``invdom``; this wrapper stays
+    because ``perfbench/tracing.py::TRACED`` names it, so deleting it is a
+    benchmark change.
+    """
     size, cert, _ = inverse_pass(g)
     return size, cert
 
 
 def strong_inverse_gamma(g: Graph) -> int:
-    """Largest, over minimum dominating sets D, of the best disjoint size."""
+    """Largest, over minimum dominating sets D, of the best disjoint size.
+
+    Kept, like ``inverse_gamma``, because ``perfbench/tracing.py::TRACED``
+    names it.
+    """
     return inverse_pass(g)[2]
 
 
@@ -461,16 +436,11 @@ def optimal_dominating_set(g: Graph) -> DominationCertificate:
     own least key and the set is the union of the parts' picks.
     """
     covers = _domination_covers(g)
-    alpha_of_d = edges = d = 0
-    for part in g.components():
-        neg_a, part_edges, part_d = _optimal_part(g, covers, part)
-        alpha_of_d -= neg_a
-        edges += part_edges
-        d |= part_d
+    neg_alpha, edges, d = _by_component(g, lambda part: _optimal_part(g, covers, part))
     return DominationCertificate(
         d_set=d,
         size=d.bit_count(),
-        alpha_of_d=alpha_of_d,
+        alpha_of_d=-neg_alpha,
         induced_edges=edges,
         isolate_count=g.induced_isolates(d).bit_count(),
     )

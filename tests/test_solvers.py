@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from invdom import harness, naive, solvers
+from invdom.certificates import check_inverse_certificate
 from invdom.errors import HasIsolates
 from invdom.generate import (
     complete_graph,
@@ -175,14 +176,26 @@ def test_inverse_pass_matches_the_per_set_reference(c5, corpus7):
 
 
 @pytest.mark.parametrize("line", ["HEg??GE", "HU???WI", "O???ECO?@GCAC?agG?QP@"])
-def test_split_witnesses_are_those_of_one_search_over_the_whole_graph(line):
+def test_split_witnesses_are_unions_of_the_parts(line):
     # In each, one part's greedy cover is least and another's is not, so the
-    # plain union of the parts' least covers is not the whole graph's
-    # witness.  No graph with n <= 8 shows this.  The first two have 9
-    # vertices and differ in gamma's witness; the last, a random_mid graph,
-    # also differs in the T of its inverse certificate.
+    # union of the parts' first least covers is not the first least cover of
+    # one search over the whole graph.  No graph with n <= 8 shows this.  The
+    # first two have 9 vertices and differ in gamma's witness; the last, a
+    # random_mid graph, also differs in the T of its inverse certificate.
     g = parse_graph6(line)
     assert len(g.components()) == 2
+    covers = solvers._domination_covers(g)
+    gamma_join = t_join = 0
+    for part in g.components():
+        gamma_join |= solvers._gamma_part(covers, part)[1]
+        t_join |= solvers._inverse_part(covers, part)[1]
+    size, witness = solvers.gamma(g)
+    assert witness == gamma_join
+    assert witness != solvers._gamma_part(covers, g.full)[1]
+    assert witness.bit_count() == size and g.is_dominating(witness)
+    cert = solvers.inverse_pass(g)[1]
+    assert cert.t_set == t_join
+    assert check_inverse_certificate(g, cert, size) == []
     assert harness.check_component_split(g) == []
 
 
