@@ -34,8 +34,12 @@ search still run on the whole graph.  ``min_dominating_within`` and
 The inverse pass searches V - D for each minimum dominating set D only as
 far as D can still move gamma^-1 or strong gamma^-1.  Once D's best cover
 so far cannot raise the largest size seen, the limit drops to the least
-size seen; a limit of at most gamma = |D| skips the search, since no
-dominating set is smaller.
+size seen.  The gamma-sets in hand give D a floor: its least disjoint
+cover has size gamma if some gamma-set is disjoint from D, and at least
+gamma + 1 if none is, since the enumeration is complete.  A limit of at
+most the floor ends D's search, and once the least size seen is gamma,
+every D with floor gamma is skipped: its size is gamma, so it moves
+neither value.
 
 Every result is deterministic: minimum dominating sets come back in
 increasing bitmask order, each component's witness is the first optimum
@@ -349,21 +353,29 @@ def _require_isolate_free(g: Graph) -> None:
 def _inverse_part(covers: tuple[int, ...], part: int) -> tuple[int, int, int, int]:
     """The inverse pass on an isolate-free G[part]: (gamma^-1, T, D, strong
     gamma^-1), with (D, T) the certificate."""
+    sets = _min_covers(covers, part)
+    gamma = sets[0].bit_count()
     best = (part.bit_count() + 1, 0, 0)  # (size, t_mask, d_mask); every real size is <= |part|
     worst = 0
     size = t_mask = 0  # least cover of part - D found so far for the current D
+    floor = 0  # no cover of part - D is smaller
 
     def threshold(chosen: int, count: int) -> int:
         nonlocal size, t_mask
         size, t_mask = count, chosen
-        return count if count > worst else min(count, best[0])
+        limit = count if count > worst else min(count, best[0])
+        return limit if limit > floor else 0
 
-    for d in _min_covers(covers, part):
+    for d in sets:
+        partnered = any(not d & other for other in sets)
+        if partnered and best[0] == gamma:
+            continue  # its size is gamma: it moves neither value
+        floor = gamma if partnered else gamma + 1
         allowed = part & ~d
         greedy = _greedy_cover(covers, allowed, part)
         assert greedy is not None  # Ore: part - D dominates for isolate-free G[part]
         limit = threshold(greedy, greedy.bit_count())
-        if limit > d.bit_count():
+        if limit:
             _cover_search(covers, allowed, part, limit, threshold)
         if size < best[0]:
             best = (size, t_mask, d)
@@ -386,11 +398,16 @@ def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
     the greedy cover of V - D.  After a cover of size c the limit is c while
     c exceeds the largest size so far, since D may still raise strong
     gamma^-1; otherwise it is min(c, least size so far), so the search only
-    looks for a cover that would lower gamma^-1.  No dominating set is
-    smaller than gamma = |D|, so a starting limit of at most |D| skips the
-    search.  A D that moves either value still gets its exact size, and the
-    limit stays above that size until the search reaches its first least
-    cover, so the certificate is the one an unlimited search would give.
+    looks for a cover that would lower gamma^-1.  No cover of V - D is
+    smaller than D's floor: gamma if some gamma-set is disjoint from D, and
+    gamma + 1 if none is, since every dominating set of size gamma is a
+    gamma-set.  So a limit of at most the floor ends the search, or skips
+    it when the greedy cover already sets one.  Once the least size so far
+    is gamma, a D with floor gamma is skipped: its size is gamma, so it can
+    neither lower the least size nor raise the largest.  A D that moves
+    either value still gets its exact size, and the limit stays above that
+    size until the search reaches its first least cover, so the certificate
+    is the one an unlimited search would give.
     """
     _require_isolate_free(g)
     covers = _domination_covers(g)

@@ -21,7 +21,7 @@ from invdom.generate import (
     pad_with_k2,
     random_graph,
 )
-from invdom.graph import Graph, disjoint_union, mask_of
+from invdom.graph import Graph, disjoint_union, mask_of, to_sorted
 from invdom.graph6 import parse_graph6
 
 
@@ -146,13 +146,20 @@ def test_inverse_chain_inequalities(corpus7):
 
 
 def _inverse_pass_reference(g: Graph) -> tuple[int, tuple[int, int], int]:
-    """Unthresholded pass: a full search on every gamma-set, in bitmask order."""
-    sizes = []
-    for d in solvers.enumerate_min_dominating_sets(g):
-        size, t_mask = solvers.min_dominating_within(g, g.full & ~d)
-        sizes.append((size, d, t_mask))
-    size, d, t_mask = min(sizes, key=lambda entry: entry[0])  # the first least
-    return size, (d, t_mask), max(entry[0] for entry in sizes)
+    """Unthresholded pass: a full search on every gamma-set of each component,
+    in bitmask order, joined over the components as ``_by_component`` joins."""
+    covers = solvers._domination_covers(g)
+
+    def part_reference(part: int) -> tuple[int, int, int, int]:
+        sizes = []
+        for d in solvers._min_covers(covers, part):
+            size, t_mask = solvers._min_cover(covers, part & ~d, part)
+            sizes.append((size, d, t_mask))
+        size, d, t_mask = min(sizes, key=lambda entry: entry[0])  # the first least
+        return size, d, t_mask, max(entry[0] for entry in sizes)
+
+    size, d, t_mask, strong = solvers._by_component(g, part_reference)
+    return size, (d, t_mask), strong
 
 
 def test_inverse_pass_matches_the_per_set_reference(c5, corpus7):
@@ -165,6 +172,7 @@ def test_inverse_pass_matches_the_per_set_reference(c5, corpus7):
             graphs.append(g)
     graphs += [pad_with_k2(c5, t) for t in range(7)]
     graphs += gamma5_corpus(1)[::12]  # 20 graphs across its families
+    graphs.append(parse_graph6("O???ECO?@GCAC?agG?QP@"))  # T is no whole-graph search's
     for g in graphs:
         size, cert, strong = solvers.inverse_pass(g)
         assert (size, (cert.d_set, cert.t_set), strong) == _inverse_pass_reference(g)
@@ -173,6 +181,71 @@ def test_inverse_pass_matches_the_per_set_reference(c5, corpus7):
         size, cert, strong = solvers.inverse_pass(g)
         assert (size, (cert.d_set, cert.t_set), strong) == _inverse_pass_reference(g)
         assert (size, strong) == (naive.inverse_gamma_naive(g), naive.strong_inverse_gamma_naive(g))
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        # gamma-sets {0,4}, {3,4}, {0,5}, {0,6}: the first has no disjoint
+        # partner (floor gamma + 1), the later ones do (floor gamma).  The
+        # only connected graph with n <= 7 where such a D comes first, so
+        # the certificate's D is the first partnered one, found before
+        # gamma^-1 = gamma is known.
+        ("FCZnO", (2, [3, 4], [0, 5], 3)),
+        # gamma-sets {0,4} and {3,4}: no disjoint pair, so every floor is
+        # gamma + 1 = gamma^-1 = strong gamma^-1
+        ("DCw", (3, [0, 4], [1, 2, 3], 3)),
+    ],
+)
+def test_inverse_pass_on_both_floors(line, expected):
+    g = parse_graph6(line)
+    size, cert, strong = solvers.inverse_pass(g)
+    assert (size, to_sorted(cert.d_set), to_sorted(cert.t_set), strong) == expected
+    assert (size, (cert.d_set, cert.t_set), strong) == _inverse_pass_reference(g)
+    assert (size, strong) == (naive.inverse_gamma_naive(g), naive.strong_inverse_gamma_naive(g))
+
+
+def _count_cover_calls(monkeypatch) -> list[tuple[str, int, int | None]]:
+    """Record each greedy cover as ("greedy", allowed, its size) and each
+    cover search as ("search", allowed, None), in call order."""
+    calls = []
+    greedy_cover, cover_search = solvers._greedy_cover, solvers._cover_search
+
+    def counted_greedy(covers, allowed, target):
+        cover = greedy_cover(covers, allowed, target)
+        calls.append(("greedy", allowed, cover.bit_count()))
+        return cover
+
+    def counted_search(covers, allowed, target, limit, found):
+        calls.append(("search", allowed, None))
+        cover_search(covers, allowed, target, limit, found)
+
+    monkeypatch.setattr(solvers, "_greedy_cover", counted_greedy)
+    monkeypatch.setattr(solvers, "_cover_search", counted_search)
+    return calls
+
+
+@pytest.mark.parametrize("t", [0, 2])
+def test_a_disjoint_gamma_set_settles_d(t, c5, monkeypatch):
+    # every gamma-set of C5 and of K2 has a disjoint partner, so once the
+    # first D of a component reaches gamma every later D is skipped
+    g = pad_with_k2(c5, t)
+    calls = _count_cover_calls(monkeypatch)
+    cert = solvers.inverse_pass(g)[1]
+    greedy = [allowed for kind, allowed, _ in calls if kind == "greedy"]
+    assert len(greedy) == len(g.components()) == 1 + t
+    # each is the greedy cover of part - D for the certificate's D
+    assert [part & ~allowed for part, allowed in zip(g.components(), greedy)] == [
+        part & cert.d_set for part in g.components()
+    ]
+
+
+def test_no_search_below_a_greedy_cover_at_the_floor(monkeypatch):
+    # DCw has no disjoint gamma-set pair: a greedy cover of size gamma + 1
+    # is least, so only the enumeration searches
+    calls = _count_cover_calls(monkeypatch)
+    solvers.inverse_pass(parse_graph6("DCw"))
+    assert [(kind, size) for kind, _, size in calls] == [("search", None), ("greedy", 3), ("greedy", 3)]
 
 
 @pytest.mark.parametrize("line", ["HEg??GE", "HU???WI", "O???ECO?@GCAC?agG?QP@"])
