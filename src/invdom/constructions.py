@@ -16,9 +16,11 @@ The constructions reach the exact solvers in two places only: the gate
 from a minimum dominating set, and ``_certify`` solves the one bound a
 certificate is stated against (alpha, alpha + floor((gamma-1)/2), or b),
 because a certificate names a number the construction itself never
-derives.  ``biglemma_trichotomy`` (alpha of G[D]) and ``gamma5_construct``
-(its optimal gamma-set) also call solvers, for inputs to the proof rather
-than bounds.
+derives.  ``theorem_main_construct`` takes gamma and alpha from a caller
+that has already solved them, and then solves neither.
+``biglemma_trichotomy`` (alpha of G[D]) and ``gamma5_construct`` (its
+optimal gamma-set) also call solvers, for inputs to the proof rather than
+bounds.
 """
 
 from __future__ import annotations
@@ -206,20 +208,23 @@ def expand_to_maximal_independent(g: Graph, seed: int, universe: int) -> int:
 
 # -- certificate constructions ---------------------------------------------------
 
-def _certify(g: Graph, d_set: int, t: int, kind: str, where: str) -> InverseCertificate:
+def _certify(
+    g: Graph, d_set: int, t: int, kind: str, where: str, alpha: int | None = None
+) -> InverseCertificate:
     """The certificate (d_set, t) against the bound ``kind`` names, re-checked.
 
     The only place a construction solves a bound, and each call solves one:
     alpha for "alpha", alpha + floor((|D|-1)/2) for "main_theorem" (|D| is
-    gamma once the gate has passed), b for "bipartite_b".  Callers read the
-    bound from the returned ``bound_value`` instead of solving it again.  A
-    certificate that fails ``check_inverse_certificate`` raises
-    InternalContradiction rather than leaving the construction.
+    gamma once the gate has passed), b for "bipartite_b".  A given ``alpha``
+    is used as alpha(G) in place of solving it.  Callers read the bound from
+    the returned ``bound_value`` instead of solving it again.  A certificate
+    that fails ``check_inverse_certificate`` raises InternalContradiction
+    rather than leaving the construction.
     """
     if kind == "bipartite_b":
         bound = solvers.max_induced_bipartite(g)[0]
     else:
-        bound = solvers.alpha(g)[0]
+        bound = solvers.alpha(g)[0] if alpha is None else alpha
         if kind == "main_theorem":
             bound += (d_set.bit_count() - 1) // 2
     cert = InverseCertificate(d_set, t, kind, bound)
@@ -256,15 +261,18 @@ def _require_isolate_free(g: Graph, where: str) -> None:
         raise HasIsolates(f"{where} needs an isolate-free graph")
 
 
-def _require_minimum_dominating(g: Graph, d_set: int, where: str) -> None:
-    """Every construction's gate: g nonempty and isolate-free, d_set a gamma-set."""
+def _require_minimum_dominating(
+    g: Graph, d_set: int, where: str, gamma: int | None = None
+) -> None:
+    """Every construction's gate: g nonempty and isolate-free, d_set a
+    gamma-set.  A given ``gamma`` is used as gamma(G) in place of solving it."""
     if g.n == 0:
         raise PreconditionViolated(f"{where}: empty graph")
     _require_isolate_free(g, where)
     g.check_subset(d_set)
     if not g.is_dominating(d_set):
         raise PreconditionViolated(f"{where}: d_set does not dominate")
-    k = solvers.gamma(g)[0]
+    k = solvers.gamma(g)[0] if gamma is None else gamma
     if d_set.bit_count() != k:
         raise PreconditionViolated(
             f"{where}: |d_set| = {d_set.bit_count()} but gamma = {k}"
@@ -292,15 +300,22 @@ def inddom_construct(g: Graph, d_set: int, s: int) -> InverseCertificate:
     return _certify(g, d_set, t, "alpha", "inddom_construct")
 
 
-def theorem_main_construct(g: Graph, d_set: int) -> InverseCertificate:
+def theorem_main_construct(
+    g: Graph, d_set: int, *, gamma: int | None = None, alpha: int | None = None
+) -> InverseCertificate:
     """Disjoint dominating set within alpha(G) + floor((gamma(G)-1)/2).
 
     Follows the partial-ISR proof: maximal independent F inside D, standard
     partition of (V-D)-N(F) over D-F, a largest partial ISR expanded to a
     maximal independent set of G-D, then two patching rounds with outside
     neighbors (for F-N(S), then for the unhit part of D-F).
+
+    ``gamma`` and ``alpha``, when given, must be the exact solvers' own
+    values for g: the gate checks |d_set| against that gamma and the bound
+    is stated with that alpha, so neither is solved again.  Left as None,
+    each is solved here.
     """
-    _require_minimum_dominating(g, d_set, "theorem_main_construct")
+    _require_minimum_dominating(g, d_set, "theorem_main_construct", gamma)
 
     f_set, cells = _maximal_f_and_cells(g, d_set)
     isr = max_partial_isr(g, cells)
@@ -320,7 +335,7 @@ def theorem_main_construct(g: Graph, d_set: int) -> InverseCertificate:
             {"unhit": unhit, "isr": isr},
         )
     t = _patch(g, s1, unhit, d_set, "theorem_main_construct")
-    return _certify(g, d_set, t, "main_theorem", "theorem_main_construct")
+    return _certify(g, d_set, t, "main_theorem", "theorem_main_construct", alpha)
 
 
 def bipartite_inverse_construct(g: Graph, d_set: int) -> InverseCertificate:

@@ -9,10 +9,12 @@ once per isolate-free graph when any check needs either.  A verify run uses
 ``RunConfig.jobs`` worker processes (the CLI's ``--jobs``, default 1) and
 emits reports in input order either way.  ``search_run`` reads gamma,
 alpha, gamma^-1 and the main certificate from ``analyze_graph`` rather than
-computing them itself.  ``main_thm_ok`` is True whenever the main
-construction returns: it certifies |T| <= alpha + floor((gamma-1)/2) itself,
-against that exact bound, and raises InternalContradiction otherwise, which
-the report records as False with its reproducer.
+computing them itself.  gamma and alpha are solved once per graph: the
+main construction takes the report's values for its gate and its bound.
+``main_thm_ok`` is True whenever the main construction returns: it
+certifies |T| <= alpha + floor((gamma-1)/2) itself, against that exact
+bound, and raises InternalContradiction otherwise, which the report
+records as False with its reproducer.
 """
 
 from __future__ import annotations
@@ -136,7 +138,9 @@ def analyze_graph(
                 report.strong_inv_gamma = strong_inv_gamma
         if "main_thm" in checks:
             try:
-                cert = constructions.theorem_main_construct(g, gamma_witness)
+                cert = constructions.theorem_main_construct(
+                    g, gamma_witness, gamma=gamma_value, alpha=alpha_value
+                )
             except InternalContradiction as exc:
                 report.main_thm_ok = False
                 report.contradiction = exc.reproducer(graph6_str)
@@ -398,9 +402,10 @@ def check_optimal_set(g: Graph) -> list[str]:
 def check_main_construction(g: Graph) -> list[str]:
     """For every gamma-set, the main construction re-checks within its bound."""
     k = solvers.gamma(g)[0]
+    alpha_value = solvers.alpha(g)[0]
     problems = []
     for d in solvers.enumerate_min_dominating_sets(g):
-        cert = constructions.theorem_main_construct(g, d)
+        cert = constructions.theorem_main_construct(g, d, gamma=k, alpha=alpha_value)
         problems += [
             f"D = {to_sorted(d)}: {problem}" for problem in check_inverse_certificate(g, cert, k)
         ]

@@ -282,7 +282,7 @@ def test_verify_writes_no_counterexamples_file_unless_asked(tmp_path, monkeypatc
     assert "counterexamples written" not in err
 
 
-def raise_contradiction(g, d_set):
+def raise_contradiction(g, d_set, **_known):
     raise InternalContradiction("planted contradiction", {"d_set": d_set})
 
 

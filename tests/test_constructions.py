@@ -353,8 +353,13 @@ def test_inddom_rejects_bad_input(c4, p4):
 
 @pytest.mark.parametrize(
     "construct",
-    [lambda g, d: inddom_construct(g, d, 0), theorem_main_construct, bipartite_inverse_construct],
-    ids=["inddom", "main", "bipartite"],
+    [
+        lambda g, d: inddom_construct(g, d, 0),
+        theorem_main_construct,
+        lambda g, d: theorem_main_construct(g, d, gamma=1, alpha=1),
+        bipartite_inverse_construct,
+    ],
+    ids=["inddom", "main", "main-given-values", "bipartite"],
 )
 def test_constructions_share_one_precondition_gate(construct):
     with pytest.raises(PreconditionViolated, match="empty graph"):
@@ -382,6 +387,15 @@ def test_main_construct_rejects(star4):
         theorem_main_construct(Graph(2), 0b11)
     with pytest.raises(PreconditionViolated):
         theorem_main_construct(star4, mask_of((1, 2, 3, 4)))  # not minimum
+
+
+def test_main_construct_checks_the_values_it_is_given(c5):
+    gamma_value, d = solvers.gamma(c5)
+    alpha_value = solvers.alpha(c5)[0]
+    with pytest.raises(PreconditionViolated, match=f"gamma = {gamma_value + 1}"):
+        theorem_main_construct(c5, d, gamma=gamma_value + 1, alpha=alpha_value)
+    with pytest.raises(InternalContradiction, match="produced an invalid certificate"):
+        theorem_main_construct(c5, d, gamma=gamma_value, alpha=alpha_value - 1)
 
 
 # -- bipartite construction ------------------------------------------------------------
@@ -450,11 +464,12 @@ def _witness(g: Graph) -> int:
     "build, solver",
     [
         (lambda: theorem_main_construct(C9, _witness(C9)), "alpha"),
+        (lambda: theorem_main_construct(C9, _witness(C9), gamma=3, alpha=4), None),
         (lambda: inddom_construct(C9, C9_CERT.d_set, C9_CERT.d_set), "alpha"),
         (lambda: bipartite_inverse_construct(C9, _witness(C9)), "max_induced_bipartite"),
     ] + [(lambda g=g: gamma5_construct(g), "alpha") for g in gamma5_graphs()],
-    ids=["main", "inddom", "bipartite", "gamma5-5K2", "gamma5-5K13", "gamma5-C5-pendants",
-         "gamma5-K5-pendants"],
+    ids=["main", "main-given-values", "inddom", "bipartite", "gamma5-5K2", "gamma5-5K13",
+         "gamma5-C5-pendants", "gamma5-K5-pendants"],
 )
 def test_each_construction_solves_its_bound_once(monkeypatch, build, solver):
     calls = {"alpha": 0, "max_induced_bipartite": 0}

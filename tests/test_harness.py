@@ -53,6 +53,23 @@ def test_all_checks_on_c5():
     }
 
 
+@pytest.mark.parametrize(
+    "g", [cycle_graph(5), random_graph(random.Random(1), 16, 0.3)], ids=["C5", "gnp16"]
+)
+def test_analyze_graph_solves_each_invariant_once(monkeypatch, g):
+    names = ("gamma", "alpha", "max_induced_bipartite", "inverse_pass")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(h, _name=name, _original=getattr(solvers, name)):
+            calls[_name] += 1
+            return _original(h)
+
+        monkeypatch.setattr(solvers, name, counted)
+    assert not g.has_isolated_vertex()
+    assert harness.analyze_graph(g).main_thm_ok is True
+    assert calls == dict.fromkeys(names, 1)
+
+
 def test_c5_plus_29_k2_at_63_vertices():
     # 5 * 2^29 gamma-sets: only a solver that splits by component finishes
     g = pad_with_k2(cycle_graph(5), 29)
