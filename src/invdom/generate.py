@@ -10,7 +10,11 @@ form finds prune twice: subtrees of its own search that are images of
 explored ones, and children that an automorphism of the parent maps to
 an earlier child.  Both skip only work whose outcome is already decided,
 so the canonical keys, the representatives and their order are those of
-the unpruned search.
+the unpruned search.  Refinement keeps a coloring as its list of class
+masks and keys only the members of classes that can split: a singleton
+class never splits, and its place in the color order does not depend on
+its key, so the colorings, and with them the keys, are those of keying
+every vertex (``tests/oracles.py`` keeps that plain form).
 """
 
 from __future__ import annotations
@@ -25,42 +29,66 @@ from .graph import Graph, bits, disjoint_union
 
 # -- canonical forms -----------------------------------------------------------
 
-def _refine(adj: tuple[int, ...], n: int, colors: list[int]) -> list[int]:
+def _refine(adj: tuple[int, ...], n: int, masks: list[int]) -> list[int]:
     """Equitable color refinement: split classes by neighbor counts.
 
-    ``colors`` are dense (0..k-1).  Keys are packed base-(n+1) integers: a
-    vertex's current color followed by its neighbor count into every
-    class, so sorting keys sorts classes and only ever splits them.  The
-    coloring is stable once no class splits.
+    A coloring is the list of its class masks, ``masks[c]`` the vertices of
+    color ``c``.  Each round walks the classes in color order.  A singleton
+    cannot split and keeps its place; the members of a larger class are
+    keyed by their neighbor count into every class, packed base n + 1, and
+    the class splits into one class per distinct key, in sorted order.
+    That is the order of (old color, counts) over all vertices, so keying
+    singletons too would give the same coloring.  The coloring is stable
+    once no class splits.
     """
     base = n + 1
-    k = max(colors) + 1
     while True:
-        class_masks = [0] * k
-        for v, c in enumerate(colors):
-            class_masks[c] |= 1 << v
-        keys = []
-        for v in range(n):
-            row = adj[v]
-            key = colors[v]
-            for cm in class_masks:
-                key = key * base + (row & cm).bit_count()
-            keys.append(key)
-        distinct = sorted(set(keys))
-        if len(distinct) == k:
-            return colors
-        relabel = {key: i for i, key in enumerate(distinct)}
-        colors = [relabel[key] for key in keys]
-        k = len(distinct)
+        split = []
+        for cell in masks:
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = adj[low.bit_length() - 1]
+                key = 0
+                for cm in masks:
+                    key = key * base + (row & cm).bit_count()
+                parts[key] = parts.get(key, 0) | low
+            if len(parts) == 1:
+                split.append(cell)
+            else:
+                split.extend(parts[key] for key in sorted(parts))
+        if len(split) == len(masks):
+            return masks
+        masks = split
 
 
 def _encode(adj: tuple[int, ...], order: list[int]) -> int:
-    """Upper-triangle bits of the relabeled graph packed into an int."""
+    """Upper-triangle bits of the relabeled graph packed into an int.
+
+    Row i holds one bit per later position j, the first of them highest.
+    Each vertex's neighbors are placed at their positions, so a row costs
+    its degree, not n - i single-bit tests.
+    """
+    n = len(order)
+    place = [0] * n  # place[v]: v's bit in the row of any earlier position
+    for i, v in enumerate(order):
+        place[v] = 1 << (n - 1 - i)
     out = 0
-    for i in range(len(order)):
-        row = adj[order[i]]
-        for j in range(i + 1, len(order)):
-            out = (out << 1) | (row >> order[j] & 1)
+    later = (1 << n) - 1
+    for i, v in enumerate(order):
+        later ^= 1 << v
+        rest = adj[v] & later
+        row = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row |= place[low.bit_length() - 1]
+        out = out << (n - 1 - i) | row
     return out
 
 
@@ -81,17 +109,21 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...]]:
     """(n, bits) key identical across isomorphic graphs, and automorphisms of g.
 
     The key is the smallest ``_encode`` over the leaves of the
-    individualization-refinement tree.  Two leaves with the same encoding
-    differ by an automorphism, the permutation taking the first leaf's
-    order to the other's; each one found is recorded as bytes ``p`` with
-    ``p[v]`` the image of ``v`` (compact, since ``all_graphs`` keeps them
-    for every graph it generates).  A node individualizes one vertex of its
-    target cell per orbit under the automorphisms found so far that fix
-    the node's individualized vertices: a skipped subtree is the image of
-    an explored one, with the same encodings, so the minimum is that of
-    the whole tree.  Since every leaf is compared with the first leaf of
-    its encoding, the automorphisms returned generate all of Aut(g)
-    (McKay, "Practical graph isomorphism", 1981).
+    individualization-refinement tree.  A node is an equitable coloring
+    from ``_refine``, as class masks; its target cell is its first class
+    with two or more vertices, and it is a leaf once every class is a
+    singleton, its classes in color order giving the vertex order.  Two
+    leaves with the same encoding differ by an automorphism, the
+    permutation taking the first leaf's order to the other's; each one
+    found is recorded as bytes ``p`` with ``p[v]`` the image of ``v``
+    (compact, since ``all_graphs`` keeps them for every graph it
+    generates).  A node individualizes one vertex of its target cell per
+    orbit under the automorphisms found so far that fix the node's
+    individualized vertices: a skipped subtree is the image of an explored
+    one, with the same encodings, so the minimum is that of the whole
+    tree.  Since every leaf is compared with the first leaf of its
+    encoding, the automorphisms returned generate all of Aut(g) (McKay,
+    "Practical graph isomorphism", 1981).
     """
     n = g.n
     if n <= 1:
@@ -101,15 +133,9 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...]]:
     autos: list[bytes] = []
     fixed_by: list[int] = []  # fixed_by[i]: mask of the vertices autos[i] fixes
 
-    def rec(colors: list[int], path: int) -> None:
-        counts = [0] * n
-        for c in colors:
-            counts[c] += 1
-        target = next((c for c in range(n) if counts[c] > 1), -1)
-        if target < 0:
-            order = [0] * n
-            for v, c in enumerate(colors):
-                order[c] = v
+    def rec(masks: list[int], path: int) -> None:
+        if len(masks) == n:
+            order = [cell.bit_length() - 1 for cell in masks]
             first = leaves.setdefault(_encode(adj, order), order)
             if first is not order:
                 p = [0] * n
@@ -118,18 +144,20 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...]]:
                 autos.append(bytes(p))
                 fixed_by.append(sum(1 << v for v in range(n) if p[v] == v))
             return
+        target = next(c for c, cell in enumerate(masks) if cell & (cell - 1))
+        cell = masks[target]
         explored = covered = 0
-        for v in range(n):
-            if colors[v] != target or covered >> v & 1:
+        for v in bits(cell):
+            if covered >> v & 1:
                 continue
             # v keeps the target color; the rest of its cell and every later class move up one
-            split = [c + (c > target or (c == target and u != v)) for u, c in enumerate(colors)]
+            split = masks[:target] + [1 << v, cell ^ 1 << v] + masks[target + 1:]
             rec(_refine(adj, n, split), path | 1 << v)
             explored |= 1 << v
             stabilizer = [p for p, fix in zip(autos, fixed_by) if not path & ~fix]
             covered = _closure(explored, stabilizer)
 
-    rec(_refine(adj, n, [0] * n), 0)
+    rec(_refine(adj, n, [(1 << n) - 1]), 0)
     return (n, min(leaves)), tuple(autos)
 
 

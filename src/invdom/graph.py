@@ -69,11 +69,14 @@ class Graph:
         for v, row in enumerate(rows):
             if row >> len(rows):
                 raise ValueError(f"row {v} has bits beyond n")
-            if row & (1 << v):
+            bit = 1 << v
+            if row & bit:
                 raise ValueError(f"loop at vertex {v}")
-            for u in bits(row):
-                if not rows[u] & (1 << v):
-                    raise ValueError(f"asymmetric adjacency at ({v},{u})")
+            while row:
+                low = row & -row
+                row ^= low
+                if not rows[low.bit_length() - 1] & bit:
+                    raise ValueError(f"asymmetric adjacency at ({v},{low.bit_length() - 1})")
         g = cls(len(rows))
         g.adj = rows
         return g

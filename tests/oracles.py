@@ -3,6 +3,9 @@
 ``components`` labels vertices by union-find over the edge list, apart from
 the bitmask walk of ``Graph.components``.
 
+``refine`` is the plain form of ``generate._refine``: it keys every vertex
+in every round, singletons included.
+
 ``haxell_condition`` is Haxell's sufficient condition for an independent
 transversal, checked here as a property of ``find_isr``.  Everything here
 tries every subset or every relabelling, so keep the cells and graphs small.
@@ -51,6 +54,36 @@ def _relabelled_bits(g: Graph, order: Sequence[int]) -> int:
 def canonical_form(g: Graph) -> tuple[int, int]:
     """(n, smallest packed upper triangle over all n! vertex orders)."""
     return g.n, min(_relabelled_bits(g, order) for order in permutations(range(g.n)))
+
+
+def refine(adj: Sequence[int], n: int, colors: list[int]) -> list[int]:
+    """Equitable color refinement, every vertex keyed in every round.
+
+    ``colors`` are dense (0..k-1).  Each round keys every vertex by its
+    color followed by its neighbor count into every class, packed base
+    n + 1, and renumbers the colors by the rank of the key; the coloring is
+    stable once no class splits.  ``generate._refine`` must give the same
+    colors while keying only the members of classes that can split.
+    """
+    base = n + 1
+    k = max(colors) + 1
+    while True:
+        class_masks = [0] * k
+        for v, c in enumerate(colors):
+            class_masks[c] |= 1 << v
+        keys = []
+        for v in range(n):
+            row = adj[v]
+            key = colors[v]
+            for cm in class_masks:
+                key = key * base + (row & cm).bit_count()
+            keys.append(key)
+        distinct = sorted(set(keys))
+        if len(distinct) == k:
+            return colors
+        relabel = {key: i for i, key in enumerate(distinct)}
+        colors = [relabel[key] for key in keys]
+        k = len(distinct)
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:

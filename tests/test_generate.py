@@ -5,7 +5,9 @@ it prunes cannot silently change which representative a class gets or
 the order of the corpus.  ``canonical_form`` is checked against the
 brute-force oracles in ``oracles.py`` on every graph with n <= 6 and on
 seeded relabellings of each; isomorphism and |Aut(G)| do not change under
-relabelling, so the oracles run once per class.
+relabelling, so the oracles run once per class.  Its output itself, keys
+and automorphisms in the order found, is pinned for n <= 7, and
+``_refine`` is checked against the plain refinement ``oracles.refine``.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import pytest
 
 from invdom import generate
 from invdom.generate import all_graphs, canonical_form
-from invdom.graph import Graph
+from invdom.graph import Graph, bits
 from invdom.graph6 import write_graph6
 
 import oracles
@@ -24,6 +26,8 @@ import oracles
 ALL_GRAPHS_SHA256 = "ebc1aa37ba4bc59466c49b5b787c5448b591396e8f7605a973504dee79f94610"
 # number of isomorphism classes of graphs on n vertices, n = 0..7
 CLASSES = (1, 1, 2, 4, 11, 34, 156, 1044)
+# SHA-256 of repr(canonical_form(g)) for every graph of _classes(1), ..., _classes(7), in order, joined by "\n"
+CANONICAL_FORM_SHA256 = "54c436923a9dfcdb9a81b767b7845aec5116c57f5e82d2e323fe01c13ca8551b"
 
 
 def test_all_graphs_output_is_pinned():
@@ -71,6 +75,35 @@ def _group_order(n: int, generators: list[tuple[int, ...]]) -> int:
     return len(group)
 
 
+def _masks(colors: list[int]) -> list[int]:
+    """The class masks of a dense coloring, by color."""
+    masks = [0] * (max(colors) + 1)
+    for v, c in enumerate(colors):
+        masks[c] |= 1 << v
+    return masks
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_refine_matches_the_reference_refinement(n):
+    """From the unit coloring and from each one-vertex individualization of
+    its refinement, as ``canonical_form`` individualizes, ``_refine`` gives
+    the reference's coloring, and that coloring is equitable."""
+    for g in all_graphs(n):
+        start = [0] * n
+        stable = oracles.refine(g.adj, n, start)
+        colorings = [start] + [
+            [c + (c > stable[v] or (c == stable[v] and u != v)) for u, c in enumerate(stable)]
+            for v in range(n) if stable.count(stable[v]) > 1
+        ]
+        for colors in colorings:
+            expected = _masks(oracles.refine(g.adj, n, colors))
+            masks = generate._refine(g.adj, n, _masks(colors))
+            assert masks == expected, write_graph6(g)
+            for cell in masks:
+                counts = {tuple((g.adj[v] & other).bit_count() for other in masks) for v in bits(cell)}
+                assert len(counts) == 1, write_graph6(g)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_canonical_form_keys_agree_with_isomorphism(n):
     classes = _classes(n)
@@ -92,3 +125,11 @@ def test_canonical_form_automorphisms_generate_the_whole_group(n):
                 assert sorted(p) == list(range(n))
                 assert all(g.adj[p[u]] >> p[v] & 1 == g.adj[u] >> v & 1 for u in range(n) for v in range(n))
             assert _group_order(n, autos) == order, write_graph6(g)
+
+
+def test_canonical_form_output_is_pinned():
+    """The keys and the automorphisms, in the order found, on every graph
+    with n <= 7 and three relabellings of each: a faster search must
+    reach the same leaves in the same order."""
+    lines = [repr(canonical_form(g)) for n in range(1, 8) for labellings in _classes(n) for g in labellings]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CANONICAL_FORM_SHA256

@@ -1,6 +1,8 @@
 """Graph primitives: neighborhoods, predicates, private neighbors, unions,
 connected components."""
 
+import re
+
 import pytest
 
 from invdom.errors import TooLarge, VertexNotInD
@@ -106,6 +108,12 @@ def test_equality_and_hash(c4):
 def test_from_rows_validation():
     with pytest.raises(ValueError):
         Graph.from_rows([0b10, 0b00])  # asymmetric
+    with pytest.raises(ValueError, match=re.escape("loop at vertex 0")):
+        Graph.from_rows([0b1])
+    with pytest.raises(ValueError, match=re.escape("row 0 has bits beyond n")):
+        Graph.from_rows([0b100, 0b0])
+    with pytest.raises(ValueError, match=re.escape("asymmetric adjacency at (1,2)")):
+        Graph.from_rows([0b010, 0b101, 0b000])  # 0-1 is symmetric, 1-2 is not
     g = Graph.from_rows([0b10, 0b01])
     assert list(g.edges()) == [(0, 1)]
 
