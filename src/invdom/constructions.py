@@ -12,15 +12,19 @@ from the member itself, and a partial ISR needs no index bookkeeping.
 Only ``isr_cells`` builds (V-D)-N(F) over D-F; ISR searches take cells.
 
 The constructions reach the exact solvers in two places only: the gate
-``_require_minimum_dominating`` solves gamma, because every proof starts
-from a minimum dominating set, and ``_certify`` solves the one bound a
-certificate is stated against (alpha, alpha + floor((gamma-1)/2), or b),
-because a certificate names a number the construction itself never
-derives.  ``theorem_main_construct`` takes gamma and alpha from a caller
-that has already solved them, and then solves neither.
-``biglemma_trichotomy`` (alpha of G[D]) and ``gamma5_construct`` (its
-optimal gamma-set) also call solvers, for inputs to the proof rather than
-bounds.
+``_require_minimum_dominating`` decides that D is a gamma-set, because
+every proof starts from a minimum dominating set, and ``_certify`` solves
+the one bound a certificate is stated against (alpha, alpha +
+floor((gamma-1)/2), or b), because a certificate names a number the
+construction itself never derives.  The gate asks
+``solvers.is_minimum_dominating``, which searches each component for a
+smaller cover and stops at the first; it solves gamma only to name it when
+D is not minimum.  ``theorem_main_construct`` takes gamma and alpha from a
+caller that has already solved them, and then solves neither;
+``gamma5_construct`` hands gamma = |D| to the body of ``inddom_construct``,
+since its D comes from a complete enumeration.  ``biglemma_trichotomy``
+(alpha of G[D]) and ``gamma5_construct`` (its optimal gamma-set) also call
+solvers, for inputs to the proof rather than bounds.
 """
 
 from __future__ import annotations
@@ -199,10 +203,14 @@ def expand_to_maximal_independent(g: Graph, seed: int, universe: int) -> int:
         raise ValueError("seed not contained in universe")
     if not g.is_independent(seed):
         raise SeedNotIndependent(f"seed {list(bits(seed))} spans an edge")
+    adj = g.adj
     out = seed
-    for v in bits(universe & ~seed):
-        if not g.adj[v] & out:
-            out |= 1 << v
+    rest = universe & ~seed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not adj[low.bit_length() - 1] & out:
+            out |= low
     return out
 
 
@@ -238,7 +246,10 @@ def _certify(
 
 def _patch(g: Graph, t: int, vertices: int, d_set: int, where: str) -> int:
     """t plus the lowest neighbor outside d_set of each vertex in ``vertices``."""
-    for v in bits(vertices):
+    while vertices:
+        low = vertices & -vertices
+        vertices ^= low
+        v = low.bit_length() - 1
         outside = g.adj[v] & ~d_set
         if not outside:
             raise InternalContradiction(
@@ -248,6 +259,55 @@ def _patch(g: Graph, t: int, vertices: int, d_set: int, where: str) -> int:
             )
         t |= outside & -outside
     return t
+
+
+def _grow_bipartite(g: Graph, seed: int, universe: int) -> int | None:
+    """Greedy (by vertex id) maximal B with seed <= B <= seed | universe
+    inducing a bipartite graph, or None if G[seed] is not bipartite.
+
+    The seed joins first, then the rest of the universe, one vertex at a
+    time.  B keeps its components and one side of a 2-colouring of each.
+    A vertex can join iff, in each component it touches, its neighbours lie
+    on one side, which is iff G[B + v] is bipartite: it goes opposite its
+    neighbours, after the components whose neighbours of v lie on the other
+    side swap sides, and the components it touches merge.
+    """
+    adj = g.adj
+    b = side = 0  # side: one colour class of G[B]
+    parts: list[int] = []  # the components of G[B]
+
+    def join(low: int) -> bool:
+        nonlocal b, side, parts
+        nbrs = adj[low.bit_length() - 1] & b
+        merged, flip, kept = low, 0, []
+        for part in parts:
+            hit = nbrs & part
+            if not hit:
+                kept.append(part)
+                continue
+            if hit & ~side:
+                if hit & side:
+                    return False
+                flip |= part
+            merged |= part
+        kept.append(merged)
+        parts = kept
+        side ^= flip
+        b |= low
+        return True
+
+    rest = seed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not join(low):
+            return None
+    rest = universe & ~seed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        join(low)
+    return b
 
 
 def _maximal_f_and_cells(g: Graph, d_set: int) -> tuple[int, tuple[int, ...]]:
@@ -265,17 +325,26 @@ def _require_minimum_dominating(
     g: Graph, d_set: int, where: str, gamma: int | None = None
 ) -> None:
     """Every construction's gate: g nonempty and isolate-free, d_set a
-    gamma-set.  A given ``gamma`` is used as gamma(G) in place of solving it."""
+    gamma-set.
+
+    A given ``gamma`` is used as gamma(G), and |d_set| is checked against
+    it.  Without one, ``solvers.is_minimum_dominating`` decides whether some
+    component has a cover smaller than its share of d_set; gamma is solved
+    only when it has, to name it in the error.
+    """
     if g.n == 0:
         raise PreconditionViolated(f"{where}: empty graph")
     _require_isolate_free(g, where)
     g.check_subset(d_set)
     if not g.is_dominating(d_set):
         raise PreconditionViolated(f"{where}: d_set does not dominate")
-    k = solvers.gamma(g)[0] if gamma is None else gamma
-    if d_set.bit_count() != k:
+    if gamma is None:
+        if solvers.is_minimum_dominating(g, d_set):
+            return
+        gamma = solvers.gamma(g)[0]
+    if d_set.bit_count() != gamma:
         raise PreconditionViolated(
-            f"{where}: |d_set| = {d_set.bit_count()} but gamma = {k}"
+            f"{where}: |d_set| = {d_set.bit_count()} but gamma = {gamma}"
         )
 
 
@@ -284,9 +353,16 @@ def inddom_construct(g: Graph, d_set: int, s: int) -> InverseCertificate:
 
     Requires S independent with S-D dominating D-S.  Expands S-D to a
     maximal independent set of G-D, then patches the still-undominated part
-    of D with one outside neighbor each.
+    of D with one outside neighbor each.  ``gamma5_construct`` calls the
+    body, ``_inddom``, with gamma = |D|: its D is a gamma-set by a complete
+    enumeration, so the gate skips the minimality check and keeps the rest.
     """
-    _require_minimum_dominating(g, d_set, "inddom_construct")
+    return _inddom(g, d_set, s, None)
+
+
+def _inddom(g: Graph, d_set: int, s: int, gamma: int | None) -> InverseCertificate:
+    """``inddom_construct``, with ``gamma`` handed to the gate."""
+    _require_minimum_dominating(g, d_set, "inddom_construct", gamma)
     g.check_subset(s)
     if not g.is_independent(s):
         raise PreconditionViolated("s is not independent")
@@ -343,19 +419,18 @@ def bipartite_inverse_construct(g: Graph, d_set: int) -> InverseCertificate:
 
     The union of the two partial ISRs induces a bipartite subgraph; expand it
     to a maximal bipartite-inducing set B in G-D and patch F-N(B) with
-    outside neighbors.
+    outside neighbors.  ``_grow_bipartite`` grows B one vertex at a time on
+    a kept 2-colouring of its components, in place of a whole-set
+    bipartiteness test per vertex, and accepts the same vertices.
     """
     _require_minimum_dominating(g, d_set, "bipartite_inverse_construct")
 
     f_set, cells = _maximal_f_and_cells(g, d_set)
     r1, r2 = two_partial_isrs(g, cells)
 
-    b_mask = r1 | r2
-    if not g.is_bipartite_subset(b_mask):
-        raise InternalContradiction("ISR union is not bipartite", {"b": b_mask})
-    for v in bits(g.full & ~d_set & ~b_mask):
-        if g.is_bipartite_subset(b_mask | (1 << v)):
-            b_mask |= 1 << v
+    b_mask = _grow_bipartite(g, r1 | r2, g.full & ~d_set)
+    if b_mask is None:
+        raise InternalContradiction("ISR union is not bipartite", {"b": r1 | r2})
 
     f0 = f_set & ~g.open_neighborhood(b_mask)
     if not g.is_bipartite_subset(b_mask | f0):
@@ -532,7 +607,7 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
                 "trichotomy guarantees a special independent set here",
                 {"cert": cert},
             )
-        return inddom_construct(g, d, s)
+        return _inddom(g, d, s, cert.size)
 
     ordering = superisrs(g, cert)
     cells = standard_partition(g, ordering, g.full & ~d)
@@ -546,7 +621,7 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
                 "size-4 partial ISR left more than one D-vertex undominated",
                 {"isr": s, "missing": missing},
             )
-        return inddom_construct(g, d, s | missing)
+        return _inddom(g, d, s | missing, cert.size)
 
     # choose the (R1, R2) pair minimizing edges between the two sides
     best_pair: tuple[int, int] | None = None

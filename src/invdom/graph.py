@@ -101,24 +101,34 @@ class Graph:
 
     def open_neighborhood(self, s: int) -> int:
         """N(s): union of neighbor masks (may intersect s)."""
+        adj = self.adj
         out = 0
-        for v in bits(s):
-            out |= self.adj[v]
+        while s:
+            low = s & -s
+            s ^= low
+            out |= adj[low.bit_length() - 1]
         return out
 
     def closed_neighborhood(self, s: int) -> int:
         """N[s] = s together with every neighbor of a member."""
-        out = s
-        for v in bits(s):
-            out |= self.adj[v]
+        adj = self.adj
+        out = rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out |= adj[low.bit_length() - 1]
         return out
 
     def is_dominating(self, s: int) -> bool:
         return self.closed_neighborhood(s) == self.full
 
     def is_independent(self, s: int) -> bool:
-        for v in bits(s):
-            if self.adj[v] & s:
+        adj = self.adj
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if adj[low.bit_length() - 1] & s:
                 return False
         return True
 
@@ -127,22 +137,37 @@ class Graph:
         vb = 1 << v
         if not d_set & vb:
             raise VertexNotInD(f"vertex {v} not in the dominating set")
+        adj = self.adj
         out = 0
-        for w in bits(self.full & ~d_set):
-            if self.adj[w] & d_set == vb:
-                out |= 1 << w
+        rest = self.full & ~d_set
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if adj[low.bit_length() - 1] & d_set == vb:
+                out |= low
         return out
 
     def induced_isolates(self, s: int) -> int:
         """Members of s with no neighbor inside s."""
+        adj = self.adj
         out = 0
-        for v in bits(s):
-            if not self.adj[v] & s:
-                out |= 1 << v
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not adj[low.bit_length() - 1] & s:
+                out |= low
         return out
 
     def induced_edge_count(self, s: int) -> int:
-        return sum((self.adj[v] & s).bit_count() for v in bits(s)) // 2
+        adj = self.adj
+        ends = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ends += (adj[low.bit_length() - 1] & s).bit_count()
+        return ends // 2
 
     def is_clique(self) -> bool:
         return all(self.adj[v] | (1 << v) == self.full for v in range(self.n))
@@ -175,6 +200,7 @@ class Graph:
 
     def is_bipartite_subset(self, s: int) -> bool:
         """True iff the subgraph induced by s has no odd cycle."""
+        adj = self.adj
         rest = s
         while rest:
             v = rest & -rest
@@ -182,18 +208,18 @@ class Graph:
             frontier, on_a = v, True
             while frontier:
                 nxt = 0
-                for u in bits(frontier):
-                    nxt |= self.adj[u] & s
-                nxt &= ~(side_a | side_b)
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    nxt |= adj[low.bit_length() - 1]
+                nxt &= s & ~(side_a | side_b)
                 if on_a:
                     side_b |= nxt
                 else:
                     side_a |= nxt
                 frontier, on_a = nxt, not on_a
-            for side in (side_a, side_b):
-                for u in bits(side):
-                    if self.adj[u] & side:
-                        return False
+            if not (self.is_independent(side_a) and self.is_independent(side_b)):
+                return False
             rest &= ~(side_a | side_b)
         return True
 

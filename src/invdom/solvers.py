@@ -3,7 +3,8 @@
 All searches are branch-and-bound over bitmask vertex sets, tuned for
 graphs of a few dozen vertices, and two of them serve every solver.  One
 set-cover search serves gamma, ``min_dominating_within``, the minimum
-dominating sets and the inverse pass: it branches on the undominated vertex
+dominating sets, the inverse pass and ``is_minimum_dominating``, the
+constructions' gate: it branches on the undominated vertex
 with the fewest candidates, most-dominating candidate first, and excludes
 earlier siblings from later branches, so it reaches each set once.  One
 search for the largest subset that splits into one or two independent sides
@@ -40,6 +41,12 @@ gamma + 1 if none is, since the enumeration is complete.  A limit of at
 most the floor ends D's search, and once the least size seen is gamma,
 every D with floor gamma is skipped: its size is gamma, so it moves
 neither value.
+
+``is_minimum_dominating`` decides, where gamma would solve: each
+component's search starts at the limit |D & part| with no greedy cover and
+ends at the first cover below it.  ``optimal_dominating_set`` solves
+alpha(G[D]) only for a D whose key, with a greedy matching's bound in place
+of alpha, is below the least key so far.
 
 Every result is deterministic: minimum dominating sets come back in
 increasing bitmask order, each component's witness is the first optimum
@@ -309,6 +316,32 @@ def gamma(g: Graph) -> tuple[int, int]:
     return _by_component(g, lambda part: _gamma_part(covers, part))
 
 
+def is_minimum_dominating(g: Graph, d_set: int) -> bool:
+    """True iff ``d_set`` is a minimum dominating set of g.
+
+    A dominating D is minimum iff no component has a cover smaller than
+    its share of D, so each component runs one search with limit
+    |D & part| that stops at the first cover it reaches, with no greedy
+    start and no search down to gamma.
+    """
+    g.check_subset(d_set)
+    if not g.is_dominating(d_set):
+        return False
+    covers = _domination_covers(g)
+    smaller = False
+
+    def stop(_chosen: int, _count: int) -> int:
+        nonlocal smaller
+        smaller = True
+        return 0
+
+    for part in g.components():
+        _cover_search(covers, part, part, (d_set & part).bit_count(), stop)
+        if smaller:
+            return False
+    return True
+
+
 def min_dominating_within(g: Graph, allowed: int) -> tuple[int, int] | None:
     """Smallest dominating set of g contained in ``allowed``, if any.
 
@@ -439,10 +472,29 @@ def strong_inverse_gamma(g: Graph) -> int:
 
 def _optimal_part(g: Graph, covers: tuple[int, ...], part: int) -> tuple[int, int, int]:
     """Least key (-alpha(G[D]), induced edges of D, D) over the minimum
-    dominating sets D of G[part]."""
-    return min(
-        (-alpha_within(g, d)[0], g.induced_edge_count(d), d) for d in _min_covers(covers, part)
-    )
+    dominating sets D of G[part].
+
+    A greedy matching of m edges inside D gives alpha(G[D]) <= |D| - m, so
+    (m - |D|, edges, D) is at most D's key.  alpha(G[D]) is solved only
+    when that lower key is below the least key so far; every D skipped has
+    a key above it, so the least key is the one over all D.
+    """
+    adj = g.adj
+    best = (1, 0, 0)  # above every key, since -alpha(G[D]) <= 0
+    for d in _min_covers(covers, part):
+        matched = 0
+        rest = d
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            mate = adj[low.bit_length() - 1] & rest
+            if mate:
+                rest ^= mate & -mate
+                matched += 1
+        edges = g.induced_edge_count(d)
+        if (matched - d.bit_count(), edges, d) < best:
+            best = min(best, (-alpha_within(g, d)[0], edges, d))
+    return best
 
 
 def optimal_dominating_set(g: Graph) -> DominationCertificate:

@@ -6,15 +6,43 @@ the bitmask walk of ``Graph.components``.
 ``refine`` is the plain form of ``generate._refine``: it keys every vertex
 in every round, singletons included.
 
+``grow_bipartite`` is the plain form of ``constructions._grow_bipartite``:
+it tests the whole of B + v for each vertex v.  ``optimal_key`` is the plain
+form of ``solvers._optimal_part`` on the whole graph: alpha(G[D]) solved for
+every gamma-set D.  Both stand on solvers and Graph methods that tests check
+against ``invdom.naive``, so they take graphs of any order.
+
 ``haxell_condition`` is Haxell's sufficient condition for an independent
-transversal, checked here as a property of ``find_isr``.  Everything here
-tries every subset or every relabelling, so keep the cells and graphs small.
+transversal, checked here as a property of ``find_isr``.  Everything else
+here tries every subset or every relabelling, so keep the cells and graphs
+small.
 """
 
 from itertools import combinations, permutations
 from typing import Sequence
 
+from invdom import solvers
 from invdom.graph import Graph, bits, mask_of
+
+
+def grow_bipartite(g: Graph, seed: int, universe: int) -> int | None:
+    """B grown from seed by each vertex of the universe, by id, for which
+    G[B + v] stays bipartite; None if G[seed] is not bipartite."""
+    if not g.is_bipartite_subset(seed):
+        return None
+    b = seed
+    for v in bits(universe & ~seed):
+        if g.is_bipartite_subset(b | 1 << v):
+            b |= 1 << v
+    return b
+
+
+def optimal_key(g: Graph) -> tuple[int, int, int]:
+    """Least (-alpha(G[D]), induced edges of D, D) over every gamma-set D."""
+    return min(
+        (-solvers.alpha_within(g, d)[0], g.induced_edge_count(d), d)
+        for d in solvers.enumerate_min_dominating_sets(g)
+    )
 
 
 def gamma_induced(g: Graph, sub: int) -> int:

@@ -50,8 +50,8 @@ from invdom.generate import (
 )
 from invdom.graph import Graph, bits, mask_of, to_sorted
 from invdom.graph6 import write_graph6
-from oracles import haxell_condition
-from test_golden import gamma5_graphs
+from oracles import grow_bipartite, haxell_condition
+from test_golden import gamma5_graphs, rewrite_corpus
 
 
 # -- standard partitions ------------------------------------------------------
@@ -368,6 +368,25 @@ def test_constructions_share_one_precondition_gate(construct):
         construct(Graph(3, [(0, 1)]), mask_of((0, 2)))
 
 
+@pytest.mark.parametrize(
+    "construct",
+    [lambda g, d: inddom_construct(g, d, 0), theorem_main_construct, bipartite_inverse_construct],
+    ids=["inddom", "main", "bipartite"],
+)
+@pytest.mark.parametrize(
+    "g, d_set, size, gamma_value",
+    [
+        (star_graph(4), mask_of((1, 2, 3, 4)), 4, 1),
+        (pad_with_k2(cycle_graph(5), 2), mask_of((0, 2, 5, 7, 8)), 5, 4),
+    ],
+    ids=["star-leaves", "C5+2K2-one-part-too-big"],
+)
+def test_a_dominating_set_above_gamma_names_gamma(construct, g, d_set, size, gamma_value):
+    assert g.is_dominating(d_set)
+    with pytest.raises(PreconditionViolated, match=rf"\|d_set\| = {size} but gamma = {gamma_value}$"):
+        construct(g, d_set)
+
+
 # -- main theorem construction --------------------------------------------------------
 
 def test_main_construct_k2(k2):
@@ -456,31 +475,54 @@ def test_certify_raises_with_a_reproducer():
     assert record["context"]["problems"] == repr(["t_set does not dominate"])
 
 
-def _witness(g: Graph) -> int:
-    return solvers.gamma(g)[1]
+C9_WITNESS = solvers.gamma(C9)[1]
 
 
 @pytest.mark.parametrize(
-    "build, solver",
+    "build, solver, decisions",
     [
-        (lambda: theorem_main_construct(C9, _witness(C9)), "alpha"),
-        (lambda: theorem_main_construct(C9, _witness(C9), gamma=3, alpha=4), None),
-        (lambda: inddom_construct(C9, C9_CERT.d_set, C9_CERT.d_set), "alpha"),
-        (lambda: bipartite_inverse_construct(C9, _witness(C9)), "max_induced_bipartite"),
-    ] + [(lambda g=g: gamma5_construct(g), "alpha") for g in gamma5_graphs()],
+        (lambda: theorem_main_construct(C9, C9_WITNESS), "alpha", 1),
+        (lambda: theorem_main_construct(C9, C9_WITNESS, gamma=3, alpha=4), None, 0),
+        (lambda: inddom_construct(C9, C9_CERT.d_set, C9_CERT.d_set), "alpha", 1),
+        (lambda: bipartite_inverse_construct(C9, C9_WITNESS), "max_induced_bipartite", 1),
+    ] + [(lambda g=g: gamma5_construct(g), "alpha", 0) for g in gamma5_graphs()],
     ids=["main", "main-given-values", "inddom", "bipartite", "gamma5-5K2", "gamma5-5K13",
          "gamma5-C5-pendants", "gamma5-K5-pendants"],
 )
-def test_each_construction_solves_its_bound_once(monkeypatch, build, solver):
-    calls = {"alpha": 0, "max_induced_bipartite": 0}
+def test_each_construction_solves_its_bound_once(monkeypatch, build, solver, decisions):
+    """On a minimum D no construction solves gamma.  The gate decides
+    minimality once for a (g, d) call, and not at all where gamma is handed
+    down: to the main construction by its caller, and inside
+    gamma5_construct, whose D comes from a complete enumeration."""
+    calls = {"gamma": 0, "alpha": 0, "max_induced_bipartite": 0, "is_minimum_dominating": 0}
     for name in calls:
-        def counted(g, _name=name, _original=getattr(solvers, name)):
+        def counted(*args, _name=name, _original=getattr(solvers, name)):
             calls[_name] += 1
-            return _original(g)
+            return _original(*args)
 
         monkeypatch.setattr(solvers, name, counted)
     build()
-    assert calls == {name: int(name == solver) for name in calls}
+    bounds = {name: int(name == solver) for name in ("gamma", "alpha", "max_induced_bipartite")}
+    assert calls == {**bounds, "is_minimum_dominating": decisions}
+
+
+def test_bipartite_growth_matches_the_quadratic_loop(corpus7):
+    """The ISR union of the gamma witness and of the optimal gamma-set grown
+    in G - D, as the construction grows it, and every seed in every graph
+    with n <= 6 grown in V, non-bipartite seeds included."""
+    for g in rewrite_corpus():
+        if g.has_isolated_vertex():
+            continue
+        for d in {solvers.gamma(g)[1], solvers.optimal_dominating_set(g).d_set}:
+            _, cells = constructions._maximal_f_and_cells(g, d)
+            r1, r2 = two_partial_isrs(g, cells)
+            expected = grow_bipartite(g, r1 | r2, g.full & ~d)
+            assert constructions._grow_bipartite(g, r1 | r2, g.full & ~d) == expected
+    for n in range(1, 7):
+        for g in corpus7[n]:
+            for seed in range(1 << g.n):
+                grown = constructions._grow_bipartite(g, seed, g.full)
+                assert grown == grow_bipartite(g, seed, g.full), (write_graph6(g), seed)
 
 
 # -- special independent sets ----------------------------------------------------------

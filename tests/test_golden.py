@@ -23,6 +23,7 @@ from invdom.generate import (
     complete_graph,
     cycle_graph,
     gamma5_corpus,
+    pad_with_k2,
     random_graph,
     star_graph,
     with_pendant_pairs,
@@ -58,6 +59,13 @@ def gamma5_graphs() -> list[Graph]:
         with_pendant_pairs(cycle_graph(5), 2),
         with_pendant_pairs(complete_graph(5), 2),
     ]
+
+
+def rewrite_corpus() -> list[Graph]:
+    """The corpus the rewritten loops meet their plain oracles on:
+    ``golden_corpus()``, ``gamma5_corpus(1)`` and C5 + t*K2 for t = 1..6."""
+    padded = [pad_with_k2(cycle_graph(5), t) for t in range(1, 7)]
+    return golden_corpus() + gamma5_corpus(1) + padded
 
 
 def _outcome(fn, *args):

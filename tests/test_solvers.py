@@ -22,7 +22,9 @@ from invdom.generate import (
     random_graph,
 )
 from invdom.graph import Graph, disjoint_union, mask_of, to_sorted
-from invdom.graph6 import parse_graph6
+from invdom.graph6 import parse_graph6, write_graph6
+from oracles import optimal_key
+from test_golden import rewrite_corpus
 
 
 def disjoint_unions(seed: int, count: int, isolate_free: bool = False) -> list[Graph]:
@@ -381,11 +383,30 @@ def test_optimal_key_is_minimal(corpus7):
             assert key <= other
 
 
+def test_the_bounded_optimal_key_matches_the_plain_minimum():
+    """alpha(G[D]) solved only below the least key gives the least key."""
+    for g in rewrite_corpus():
+        covers = solvers._domination_covers(g)
+        assert solvers._optimal_part(g, covers, g.full) == optimal_key(g), write_graph6(g)
+
+
+def test_is_minimum_dominating_matches_the_oracle(corpus7):
+    """Every vertex set of every graph with n <= 6: minimum dominating iff it
+    dominates and has gamma vertices, gamma from the exhaustive oracle."""
+    for n in range(1, 7):
+        for g in corpus7[n]:
+            k = naive.gamma_naive(g)[0]
+            for s in range(1 << g.n):
+                expected = g.is_dominating(s) and s.bit_count() == k
+                assert solvers.is_minimum_dominating(g, s) == expected, (write_graph6(g), s)
+
+
 def test_empty_graph_edge_cases():
     g = Graph(0)
     assert solvers.gamma(g) == (0, 0)
     assert solvers.alpha(g) == (0, 0)
     assert solvers.enumerate_min_dominating_sets(g) == [0]
+    assert solvers.is_minimum_dominating(g, 0)
     assert solvers.min_dominating_within(g, 0) == (0, 0)
     assert solvers.inverse_pass(g)[0::2] == (0, 0)
     assert solvers.max_induced_bipartite(g) == (0, 0)
