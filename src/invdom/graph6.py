@@ -23,6 +23,8 @@ from .graph import MAX_VERTICES, Graph
 
 HEADER = b">>graph6<<"
 _SHORT_MAX = 62  # largest n of the single-byte size form
+# (u, v) of each upper-triangle bit in body order; n vertices use a prefix
+_PAIRS = tuple((u, v) for v in range(1, MAX_VERTICES) for u in range(v))
 
 
 def _pair_count(n: int) -> int:
@@ -59,7 +61,8 @@ def parse_graph6(data: bytes | str) -> Graph:
         if n > MAX_VERTICES:
             raise TooLarge(f"graph6 size {n} exceeds {MAX_VERTICES} vertices")
 
-    need = (_pair_count(n) + 5) // 6
+    pairs = _pair_count(n)
+    need = (pairs + 5) // 6
     if len(body) < need:
         raise TruncatedBody(f"need {need} body bytes for n={n}, got {len(body)}")
     if len(body) > need:
@@ -68,15 +71,14 @@ def parse_graph6(data: bytes | str) -> Graph:
     bitstream = 0
     for b in body:
         bitstream = (bitstream << 6) | (b - 63)
-    total_bits = 6 * need
+    bitstream >>= 6 * need - pairs  # drop the padding bits
 
+    # pair i of the body is bit pairs - 1 - i
     edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bitstream >> (total_bits - 1 - idx) & 1:
-                edges.append((u, v))
-            idx += 1
+    while bitstream:
+        low = bitstream & -bitstream
+        bitstream ^= low
+        edges.append(_PAIRS[pairs - low.bit_length()])
     return Graph(n, edges)
 
 

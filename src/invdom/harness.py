@@ -11,6 +11,9 @@ emits reports in input order either way.  ``search_run`` reads gamma,
 alpha, gamma^-1 and the main certificate from ``analyze_graph`` rather than
 computing them itself.  gamma and alpha are solved once per graph: the
 main construction takes the report's values for its gate and its bound.
+When the inverse pass runs, gamma and the main construction's D, the lowest
+gamma-set, come from its enumeration of the gamma-sets; gamma's own search
+runs only on graphs with isolates or when no check needs the pass.
 ``main_thm_ok`` is True whenever the main construction returns: it
 certifies |T| <= alpha + floor((gamma-1)/2) itself, against that exact
 bound, and raises InternalContradiction otherwise, which the report
@@ -114,17 +117,20 @@ def analyze_graph(
     start = time.perf_counter_ns()
     if graph6_str is None:
         graph6_str = write_graph6(g)
-    gamma_value, gamma_witness = solvers.gamma(g)
+    isolate_free = g.n > 0 and not g.has_isolated_vertex()
+    inverse = isolate_free and checks & {"conjecture", "three_halves", "strong"}
+    if inverse:
+        inv_gamma, _, _, strong_inv_gamma, gamma_value, gamma_set = solvers._inverse_sweep(g)
+    else:
+        gamma_value, gamma_set = solvers.gamma(g)
     alpha_value, _ = solvers.alpha(g)
     report = GraphReport(
         graph6=graph6_str, n=g.n, m=g.m, gamma=gamma_value, alpha=alpha_value
     )
     if "b" in checks:
         report.b = solvers.max_induced_bipartite(g)[0]
-    isolate_free = g.n > 0 and not g.has_isolated_vertex()
     if isolate_free:
-        if checks & {"conjecture", "three_halves", "strong"}:
-            inv_gamma, _, strong_inv_gamma = solvers.inverse_pass(g)
+        if inverse:
             if checks & {"conjecture", "three_halves"}:
                 report.inv_gamma = inv_gamma
             if "conjecture" in checks:
@@ -139,7 +145,7 @@ def analyze_graph(
         if "main_thm" in checks:
             try:
                 cert = constructions.theorem_main_construct(
-                    g, gamma_witness, gamma=gamma_value, alpha=alpha_value
+                    g, gamma_set, gamma=gamma_value, alpha=alpha_value
                 )
             except InternalContradiction as exc:
                 report.main_thm_ok = False
@@ -363,7 +369,10 @@ def check_component_split(g: Graph) -> list[str]:
     witness and the certificate's T join each part's first least cover,
     which need not be the whole graph's first, so they are checked for
     validity: the gamma witness dominates with size gamma, and the
-    certificate passes ``check_inverse_certificate`` against gamma."""
+    certificate passes ``check_inverse_certificate`` against gamma.  The
+    inverse pass's gamma and lowest gamma-set, which ``analyze_graph`` takes
+    in place of gamma's search, are gamma's value and the least of the
+    enumerated gamma-sets, on the whole graph and joined by component."""
     covers = solvers._domination_covers(g)
     size, witness = solvers.gamma(g)
     cert = solvers.optimal_dominating_set(g)
@@ -382,12 +391,21 @@ def check_component_split(g: Graph) -> list[str]:
         problems.append(f"gamma witness {to_sorted(witness)} is no dominating set of size {size}")
     if not g.has_isolated_vertex():
         inverse_size, inverse, strong = solvers.inverse_pass(g)
-        whole_size, _, whole_d, whole_strong = solvers._inverse_part(covers, g.full)
+        *_, split_gamma, split_low = solvers._inverse_sweep(g)
+        whole_size, _, whole_d, whole_strong, whole_gamma, whole_low = solvers._inverse_part(
+            covers, g.full
+        )
         pairs.append((
-            "inverse pass (size, D, strong)",
-            (inverse_size, inverse.d_set, strong),
-            (whole_size, whole_d, whole_strong),
+            "inverse pass (size, D, strong, gamma, lowest gamma-set)",
+            (inverse_size, inverse.d_set, strong, split_gamma, split_low),
+            (whole_size, whole_d, whole_strong, whole_gamma, whole_low),
         ))
+        lowest = min(solvers.enumerate_min_dominating_sets(g))
+        if (whole_gamma, whole_low) != (size, lowest):
+            problems.append(
+                f"inverse pass gives gamma {whole_gamma} and lowest gamma-set {to_sorted(whole_low)},"
+                f" not {size} and {to_sorted(lowest)}"
+            )
         problems += [f"inverse certificate: {p}" for p in check_inverse_certificate(g, inverse, size)]
     return problems + [
         f"{label}: by component {split}, whole graph {whole}"

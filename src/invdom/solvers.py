@@ -10,12 +10,25 @@ earlier siblings from later branches, so it reaches each set once.  One
 search for the largest subset that splits into one or two independent sides
 serves alpha, ``alpha_within`` and b(G).  No solver runs another for a seed.
 
-Besides the count of its candidates, that second search bounds a node by
+A cover-search node with s picks left and u vertices undominated can end
+in a cover only if some candidate covers at least ceil(u / s) of them, so
+it is cut when none does: the cut that a sweep for the largest coverage
+makes.  Its pass over the candidates stops at the first one that does,
+which most nodes reach after a few.  The loop that picks the vertex to
+branch on ends the node at an undominated vertex with no candidate left.
+Covers are symmetric, so that is the sweep's test that the candidates'
+covers reach every undominated vertex.  The node cuts and branches as the
+sweep did, so every search reaches the same covers in the same order.
+
+Besides the count of its candidates, the sides search bounds a node by
 what its candidates must lose (``_side_loss``): a greedy matching inside the
 vertices that can join only one side, and greedy vertex-disjoint triangles
 inside those that can join either.  The bound cuts only subtrees that cannot
 beat the best so far, so the search meets the same improving leaves in the
 same order, and every alpha and b witness is the one it returned without it.
+An edge loses one of two vertices and a triangle one of three, so the loss
+is at most half the candidates, and it is computed only where that much
+would cut.
 
 gamma, alpha, b, the inverse pass and ``optimal_dominating_set`` run their
 searches once per connected component, on the component's mask
@@ -32,8 +45,10 @@ number is the product of the parts' counts (5 * 2^t on C5 + t*K2), so
 search still run on the whole graph.  ``min_dominating_within`` and
 ``alpha_within`` take an arbitrary ``allowed`` mask and do not split either.
 
-The inverse pass searches V - D for each minimum dominating set D only as
-far as D can still move gamma^-1 or strong gamma^-1.  Once D's best cover
+The inverse pass enumerates the gamma-sets, so it also yields gamma and the
+lowest gamma-set, which ``verify`` takes in place of gamma's own search.
+It searches V - D for each minimum dominating set D only as far as D can
+still move gamma^-1 or strong gamma^-1.  Once D's best cover
 so far cannot raise the largest size seen, the limit drops to the least
 size seen.  The gamma-sets in hand give D a floor: its least disjoint
 cover has size gamma if some gamma-set is disjoint from D, and at least
@@ -123,8 +138,12 @@ def _max_sides(g: Graph, allowed: int, sides: int) -> tuple[int, int]:
     def grow(a: int, b: int, count: int, cand_a: int, cand_b: int) -> None:
         nonlocal best, best_mask
         cand = cand_a | cand_b
-        bound = count + cand.bit_count()
-        if bound <= best or bound - _side_loss(adj, cand_a, cand_b) <= best:
+        size = cand.bit_count()
+        bound = count + size
+        if bound <= best:
+            return
+        # the loss is at most size // 2, so it cuts only a gap of at most that
+        if 2 * (bound - best) <= size and bound - _side_loss(adj, cand_a, cand_b) <= best:
             return
         # taking a free vertex changes no candidate degree: one pass finds both
         free = 0
@@ -237,34 +256,32 @@ def _cover_search(
         slack = limit - count - 1  # picks we may still spend
         if slack <= 0:
             return
-        maxcov = 0
-        union = 0
+        # the slack picks left cover all of undom only if one of them covers
+        # need; the first such candidate ends the pass, and none cuts the node
+        need = -(-undom.bit_count() // slack)
         rest = avail
         while rest:
             low = rest & -rest
             rest ^= low
-            cover = covers[low.bit_length() - 1]
-            c = (cover & undom).bit_count()
-            if c > maxcov:
-                maxcov = c
-            union |= cover
-        if undom & ~union or maxcov == 0:
+            if (covers[low.bit_length() - 1] & undom).bit_count() >= need:
+                break
+        else:
             return
-        if (undom.bit_count() + maxcov - 1) // maxcov > slack:
-            return
-        # branch on the hardest uncovered vertex
-        u, u_opts = -1, 1 << 30
+        # branch on the hardest uncovered vertex: fewest candidates, lowest id
+        u_opts, u_cands = 1 << 30, 0
         rest = undom
         while rest:
             low = rest & -rest
             rest ^= low
-            w = low.bit_length() - 1
-            k = (covers[w] & avail).bit_count()
+            opts = covers[low.bit_length() - 1] & avail
+            if not opts:
+                return  # nothing left can cover it
+            k = opts.bit_count()
             if k < u_opts:
-                u, u_opts = w, k
+                u_opts, u_cands = k, opts
         # most-covering candidate first, lowest id on ties
         cands = []
-        rest = covers[u] & avail
+        rest = u_cands
         while rest:
             low = rest & -rest
             rest ^= low
@@ -383,9 +400,9 @@ def _require_isolate_free(g: Graph) -> None:
         raise HasIsolates("a graph with isolates cannot have an inverse dominating set")
 
 
-def _inverse_part(covers: tuple[int, ...], part: int) -> tuple[int, int, int, int]:
+def _inverse_part(covers: tuple[int, ...], part: int) -> tuple[int, int, int, int, int, int]:
     """The inverse pass on an isolate-free G[part]: (gamma^-1, T, D, strong
-    gamma^-1), with (D, T) the certificate."""
+    gamma^-1, gamma, lowest gamma-set), with (D, T) the certificate."""
     sets = _min_covers(covers, part)
     gamma = sets[0].bit_count()
     best = (part.bit_count() + 1, 0, 0)  # (size, t_mask, d_mask); every real size is <= |part|
@@ -414,7 +431,19 @@ def _inverse_part(covers: tuple[int, ...], part: int) -> tuple[int, int, int, in
             best = (size, t_mask, d)
         worst = max(worst, size)
     size, t_mask, d_mask = best
-    return size, t_mask, d_mask, worst
+    return size, t_mask, d_mask, worst, gamma, sets[0]
+
+
+def _inverse_sweep(g: Graph) -> tuple[int, int, int, int, int, int]:
+    """``_inverse_part`` joined over the components of an isolate-free g.
+
+    Besides the pass, it gives gamma and the lowest gamma-set of g without
+    another search: the parts' masks are disjoint, so the least union of
+    one gamma-set per part is the union of each part's least.
+    """
+    _require_isolate_free(g)
+    covers = _domination_covers(g)
+    return _by_component(g, lambda part: _inverse_part(covers, part))
 
 
 def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
@@ -442,9 +471,7 @@ def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
     size until the search reaches its first least cover, so the certificate
     is the one an unlimited search would give.
     """
-    _require_isolate_free(g)
-    covers = _domination_covers(g)
-    size, t_mask, d_mask, strong = _by_component(g, lambda part: _inverse_part(covers, part))
+    size, t_mask, d_mask, strong, _, _ = _inverse_sweep(g)
     return size, InverseCertificate(d_mask, t_mask, "exact", size), strong
 
 

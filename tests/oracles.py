@@ -12,6 +12,10 @@ form of ``solvers._optimal_part`` on the whole graph: alpha(G[D]) solved for
 every gamma-set D.  Both stand on solvers and Graph methods that tests check
 against ``invdom.naive``, so they take graphs of any order.
 
+``cover_search`` is the plain form of ``solvers._cover_search``: each node
+sweeps every available candidate for the union of their covers and the
+largest coverage, then picks the vertex to branch on in a second loop.
+
 ``haxell_condition`` is Haxell's sufficient condition for an independent
 transversal, checked here as a property of ``find_isr``.  Everything else
 here tries every subset or every relabelling, so keep the cells and graphs
@@ -19,7 +23,7 @@ small.
 """
 
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from invdom import solvers
 from invdom.graph import Graph, bits, mask_of
@@ -43,6 +47,44 @@ def optimal_key(g: Graph) -> tuple[int, int, int]:
         (-solvers.alpha_within(g, d)[0], g.induced_edge_count(d), d)
         for d in solvers.enumerate_min_dominating_sets(g)
     )
+
+
+def cover_search(
+    covers: tuple[int, ...],
+    allowed: int,
+    target: int,
+    limit: int,
+    found: Callable[[int, int], int],
+) -> None:
+    """``solvers._cover_search`` with the union sweep over every candidate."""
+
+    def search(chosen: int, count: int, undom: int, avail: int) -> None:
+        nonlocal limit
+        if not undom:
+            if count < limit:
+                limit = found(chosen, count)
+            return
+        slack = limit - count - 1
+        if slack <= 0:
+            return
+        maxcov = 0
+        union = 0
+        for v in bits(avail):
+            c = (covers[v] & undom).bit_count()
+            maxcov = max(maxcov, c)
+            union |= covers[v]
+        if undom & ~union or maxcov == 0:
+            return
+        if (undom.bit_count() + maxcov - 1) // maxcov > slack:
+            return
+        u = min(bits(undom), key=lambda w: (covers[w] & avail).bit_count())
+        cands = sorted((-(covers[v] & undom).bit_count(), v) for v in bits(covers[u] & avail))
+        remaining = avail
+        for _, v in cands:
+            search(chosen | (1 << v), count + 1, undom & ~covers[v], remaining & ~(1 << v))
+            remaining &= ~(1 << v)
+
+    search(0, 0, target, allowed)
 
 
 def gamma_induced(g: Graph, sub: int) -> int:

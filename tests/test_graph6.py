@@ -54,6 +54,27 @@ def test_reference_encoder_agreement():
         assert parse_graph6(expected) == g
 
 
+def test_reference_decoder_agreement_up_to_64_vertices():
+    """parse_graph6 reads networkx's encoding of seeded random graphs on
+    15..64 vertices as networkx's own decoder does."""
+    import random
+
+    rng = random.Random(20261019)
+    for n in range(15, 65):
+        ref = nx.gnp_random_graph(n, rng.choice((0.1, 0.3, 0.5, 0.9)), seed=rng.getrandbits(32))
+        text = nx.to_graph6_bytes(ref, header=False).strip()
+        back = nx.from_graph6_bytes(text)
+        assert parse_graph6(text) == Graph(n, back.edges())
+
+
+def test_padding_bits_are_ignored():
+    # n = 4 has 6 pair bits, no padding; n = 3 has 3 pair bits and 3 padding
+    assert parse_graph6("B" + chr(63 + 0b111)) == Graph(3)
+    assert parse_graph6("B" + chr(63 + 0b101111)) == Graph(3, [(0, 1), (1, 2)])
+    full = write_graph6(complete_graph(5))  # 10 pair bits, 2 padding bits
+    assert parse_graph6(full[:-1] + chr(ord(full[-1]) | 0b11)) == complete_graph(5)
+
+
 def test_roundtrip_small_corpus(corpus7):
     for graphs in corpus7.values():
         for g in graphs:

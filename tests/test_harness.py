@@ -53,11 +53,23 @@ def test_all_checks_on_c5():
     }
 
 
+GNP16 = random_graph(random.Random(1), 16, 0.3)
+
+
 @pytest.mark.parametrize(
-    "g", [cycle_graph(5), random_graph(random.Random(1), 16, 0.3)], ids=["C5", "gnp16"]
+    "g, checks, gamma_calls, pass_calls",
+    [
+        (cycle_graph(5), harness.ALL_CHECKS, 0, 1),
+        (GNP16, harness.ALL_CHECKS, 0, 1),
+        (disjoint_union(cycle_graph(5), Graph(1)), harness.ALL_CHECKS, 1, 0),
+        (GNP16, frozenset({"main_thm", "b"}), 1, 0),
+    ],
+    ids=["C5", "gnp16", "C5+K1", "gnp16-no-inverse-check"],
 )
-def test_analyze_graph_solves_each_invariant_once(monkeypatch, g):
-    names = ("gamma", "alpha", "max_induced_bipartite", "inverse_pass")
+def test_analyze_graph_solves_each_invariant_once(monkeypatch, g, checks, gamma_calls, pass_calls):
+    # an isolate-free graph takes gamma and the main construction's D from
+    # the inverse pass when one runs; only otherwise is gamma solved
+    names = ("gamma", "alpha", "max_induced_bipartite", "_inverse_sweep")
     calls = dict.fromkeys(names, 0)
     for name in names:
         def counted(h, _name=name, _original=getattr(solvers, name)):
@@ -65,9 +77,11 @@ def test_analyze_graph_solves_each_invariant_once(monkeypatch, g):
             return _original(h)
 
         monkeypatch.setattr(solvers, name, counted)
-    assert not g.has_isolated_vertex()
-    assert harness.analyze_graph(g).main_thm_ok is True
-    assert calls == dict.fromkeys(names, 1)
+    report = harness.analyze_graph(g, checks=checks)
+    assert report.main_thm_ok is (None if g.has_isolated_vertex() else True)
+    assert calls == {
+        "gamma": gamma_calls, "alpha": 1, "max_induced_bipartite": 1, "_inverse_sweep": pass_calls,
+    }
 
 
 def test_c5_plus_29_k2_at_63_vertices():

@@ -23,7 +23,7 @@ from invdom.generate import (
 )
 from invdom.graph import Graph, disjoint_union, mask_of, to_sorted
 from invdom.graph6 import parse_graph6, write_graph6
-from oracles import optimal_key
+from oracles import cover_search, optimal_key
 from test_golden import rewrite_corpus
 
 
@@ -274,6 +274,33 @@ def test_split_witnesses_are_unions_of_the_parts(line):
     assert harness.check_component_split(g) == []
 
 
+def _found_calls(search, covers, allowed, target, limit, step) -> list[tuple[int, int]]:
+    calls: list[tuple[int, int]] = []
+
+    def found(chosen: int, count: int) -> int:
+        calls.append((chosen, count))
+        return step(count)
+
+    search(covers, allowed, target, limit, found)
+    return calls
+
+
+def test_cover_search_calls_found_as_its_plain_form_does():
+    """The node that stops at the first candidate covering enough and tests
+    each uncovered vertex for a candidate calls ``found`` with the covers,
+    and in the order, of the node that sweeps every candidate: collecting,
+    stopping at the first cover and improving, on the whole vertex set, on
+    V - D for the lowest gamma-set D and on V - {0}."""
+    steps = (lambda count: count + 1, lambda count: 0, lambda count: count)
+    for g in rewrite_corpus():
+        covers = solvers._domination_covers(g)
+        lowest = solvers.enumerate_min_dominating_sets(g)[0]
+        for allowed in (g.full, g.full & ~lowest, g.full & ~1):
+            for step in steps:
+                args = (covers, allowed, g.full, g.n + 1, step)
+                assert _found_calls(solvers._cover_search, *args) == _found_calls(cover_search, *args)
+
+
 def test_max_induced_bipartite(c4, c5, k4):
     assert solvers.max_induced_bipartite(c4)[0] == 4
     assert solvers.max_induced_bipartite(k4)[0] == 2
@@ -343,6 +370,7 @@ def test_side_loss_is_a_sound_bound(seed):
             cand_b = rng.choice((0, cand_a, rng.getrandbits(g.n), cand_a | rng.getrandbits(g.n)))
             loss = solvers._side_loss(g.adj, cand_a, cand_b)
             assert 0 <= loss
+            assert 2 * loss <= (cand_a | cand_b).bit_count()  # what gates the call
             assert _largest_split(g, cand_a, cand_b) <= (cand_a | cand_b).bit_count() - loss
 
 
