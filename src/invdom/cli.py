@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: analyze one graph, verify a graph6 corpus, run a single
-construction with re-verification, search for near-tight instances, and
-selftest the whole stack.  Exit codes: 0 ok, 1 failed check, 2 input
-error, 3 violated precondition, 4 internal contradiction.
+construction with re-verification, and selftest the whole stack.  Exit
+codes: 0 ok, 1 failed check, 2 input error, 3 violated precondition,
+4 internal contradiction.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .constructions import (
 )
 from .errors import InputFormatError, InternalContradiction, PreconditionViolated, TooLarge
 from . import solvers
-from .graph import MAX_VERTICES, Graph
+from .graph import Graph
 from .graph6 import parse_edge_list, parse_graph6, write_graph6
 from .harness import (
     ALL_CHECKS,
@@ -172,31 +172,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise InputFormatError("--n must be at least 2: smaller graphs have isolated vertices")
-    if args.n > MAX_VERTICES:
-        raise InputFormatError(f"--n must be at most {MAX_VERTICES}")
-    if not 0 <= args.p <= 1:
-        raise InputFormatError("--p must be a probability in [0, 1]")
-    if args.count < 1:
-        raise InputFormatError("--count must be at least 1")
-    # Every check above runs before --out is opened, so bad input leaves an old log intact.
-    out_handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-
-    def sink(line: str) -> None:
-        out_handle.write(line + "\n")
-
-    try:
-        summary = harness.search_run(args.n, args.p, args.count, args.seed, sink, _log)
-    finally:
-        if args.out:
-            out_handle.close()
-    if summary["contradictions"]:
-        return EXIT_CONTRADICTION
-    return EXIT_CHECK_FAILED if summary["counterexamples"] else EXIT_OK
-
-
 def _cmd_selftest(args: argparse.Namespace) -> int:
     if args.max_n < 2:
         raise InputFormatError("--max-n must be at least 2: smaller graphs have isolated vertices")
@@ -239,14 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph6 string or path")
     p.add_argument("--which", required=True, choices=("main", "bipartite", "gamma5", "inddom"))
     p.set_defaults(fn=_cmd_construct)
-
-    p = sub.add_parser("search", help="seeded random hunt for near-tight instances")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", help="write the JSONL log here")
-    p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
     p.add_argument(

@@ -348,20 +348,19 @@ def _require_minimum_dominating(
         )
 
 
-def inddom_construct(g: Graph, d_set: int, s: int) -> InverseCertificate:
+def inddom_construct(
+    g: Graph, d_set: int, s: int, *, gamma: int | None = None
+) -> InverseCertificate:
     """Inverse dominating set of size <= alpha(G) from a special independent set.
 
     Requires S independent with S-D dominating D-S.  Expands S-D to a
     maximal independent set of G-D, then patches the still-undominated part
-    of D with one outside neighbor each.  ``gamma5_construct`` calls the
-    body, ``_inddom``, with gamma = |D|: its D is a gamma-set by a complete
-    enumeration, so the gate skips the minimality check and keeps the rest.
+    of D with one outside neighbor each.
+
+    ``gamma``, when given, must be gamma(g): the gate checks |d_set| against
+    it instead of deciding minimality.  ``gamma5_construct`` passes |D|, as
+    its D is a gamma-set by a complete enumeration.
     """
-    return _inddom(g, d_set, s, None)
-
-
-def _inddom(g: Graph, d_set: int, s: int, gamma: int | None) -> InverseCertificate:
-    """``inddom_construct``, with ``gamma`` handed to the gate."""
     _require_minimum_dominating(g, d_set, "inddom_construct", gamma)
     g.check_subset(s)
     if not g.is_independent(s):
@@ -607,7 +606,7 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
                 "trichotomy guarantees a special independent set here",
                 {"cert": cert},
             )
-        return _inddom(g, d, s, cert.size)
+        return inddom_construct(g, d, s, gamma=cert.size)
 
     ordering = superisrs(g, cert)
     cells = standard_partition(g, ordering, g.full & ~d)
@@ -621,7 +620,7 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
                 "size-4 partial ISR left more than one D-vertex undominated",
                 {"isr": s, "missing": missing},
             )
-        return _inddom(g, d, s | missing, cert.size)
+        return inddom_construct(g, d, s | missing, gamma=cert.size)
 
     # choose the (R1, R2) pair minimizing edges between the two sides
     best_pair: tuple[int, int] | None = None

@@ -1,4 +1,4 @@
-"""Report computation, corpus verification, tightness search, and selftest.
+"""Report computation, corpus verification, and selftest.
 
 One GraphReport per input graph, serialized as JSONL with a fixed field
 order.  Checks are individually toggleable; undefined quantities (inverse
@@ -7,13 +7,12 @@ three-halves bound is evaluated in exact integer arithmetic.  gamma^-1 and
 strong gamma^-1 come from one pass over the minimum dominating sets, run
 once per isolate-free graph when any check needs either.  A verify run uses
 ``RunConfig.jobs`` worker processes (the CLI's ``--jobs``, default 1) and
-emits reports in input order either way.  ``search_run`` reads gamma,
-alpha, gamma^-1 and the main certificate from ``analyze_graph`` rather than
-computing them itself.  gamma and alpha are solved once per graph: the
-main construction takes the report's values for its gate and its bound.
-When the inverse pass runs, gamma and the main construction's D, the lowest
-gamma-set, come from its enumeration of the gamma-sets; gamma's own search
-runs only on graphs with isolates or when no check needs the pass.
+emits reports in input order either way.  gamma and alpha are solved once
+per graph: the main construction takes the report's values for its gate
+and its bound.  When the inverse pass runs, gamma and the main
+construction's D, the lowest gamma-set, come from its enumeration of the
+gamma-sets; gamma's own search runs only on graphs with isolates or when
+no check needs the pass.
 ``main_thm_ok`` is True whenever the main construction returns: it
 certifies |T| <= alpha + floor((gamma-1)/2) itself, against that exact
 bound, and raises InternalContradiction otherwise, which the report
@@ -30,7 +29,7 @@ from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
 from . import constructions, generate, naive, solvers
-from .certificates import InverseCertificate, check_inverse_certificate
+from .certificates import check_inverse_certificate
 from .errors import Graph6Error, InternalContradiction, TooLarge
 from .graph import Graph, bits, mask_of, to_sorted
 from .graph6 import parse_graph6, write_graph6
@@ -75,10 +74,8 @@ class GraphReport:
     three_halves_ok: bool | str | None = None
     main_thm_ok: bool | None = None
     elapsed_micros: int = 0
-    # Kept out of the JSONL report: the main construction's certificate, read
-    # by search_run, and the InternalContradiction.reproducer() of a failed
-    # construction, logged by verify_stream and search_run.
-    main_cert: InverseCertificate | None = None
+    # Kept out of the JSONL report: the InternalContradiction.reproducer() of
+    # a failed construction, logged by verify_stream.
     contradiction: dict | None = None
 
     def failed_checks(self) -> list[str]:
@@ -144,14 +141,13 @@ def analyze_graph(
                 report.strong_inv_gamma = strong_inv_gamma
         if "main_thm" in checks:
             try:
-                cert = constructions.theorem_main_construct(
+                constructions.theorem_main_construct(
                     g, gamma_set, gamma=gamma_value, alpha=alpha_value
                 )
             except InternalContradiction as exc:
                 report.main_thm_ok = False
                 report.contradiction = exc.reproducer(graph6_str)
             else:
-                report.main_cert = cert
                 report.main_thm_ok = True
     report.elapsed_micros = (time.perf_counter_ns() - start) // 1000
     return report
@@ -232,85 +228,6 @@ def verify_stream(
             log(f"line {lineno}: FAILED {','.join(failed)} {report.graph6}")
         sink(report.to_json())
     return summary
-
-
-# -- search ------------------------------------------------------------------------
-
-def search_run(
-    n: int,
-    p: float,
-    count: int,
-    seed: int,
-    sink: Callable[[str], None],
-    log: Callable[[str], None] = lambda _msg: None,
-) -> dict:
-    """Seeded hunt for instances tightening the conjecture and main bound.
-
-    Emits a JSONL event whenever a generated graph achieves a new maximum of
-    inv_gamma/alpha or of |T|/bound for the main construction, both read
-    from ``analyze_graph``.  Output is integer-only and deterministic for a
-    fixed seed.  A failed construction logs its reproducer; the returned
-    summary adds the count of these to the one emitted.
-    """
-    import random
-
-    rng = random.Random(seed)
-    best_inv: tuple[int, int] | None = None  # ratio as a fraction
-    best_main: tuple[int, int] | None = None
-    counterexamples = 0
-    contradictions = 0
-
-    def stream() -> Iterator[Graph]:
-        yield generate.star_graph(n - 1)
-        if n >= 3:
-            yield generate.cycle_graph(n)
-        yield generate.path_graph(n)
-        attempts = 0
-        while attempts < 60 * count:
-            attempts += 1
-            g = generate.random_graph(rng, n, p)
-            if not g.has_isolated_vertex():
-                yield g
-
-    produced = 0
-    for g in stream():
-        if produced >= count:
-            break
-        produced += 1
-        report = analyze_graph(g, checks=frozenset({"conjecture", "main_thm"}))
-        g6, inv, alpha_value = report.graph6, report.inv_gamma, report.alpha
-        if report.conjecture_ok is False:
-            counterexamples += 1
-            sink(json.dumps({
-                "event": "counterexample", "graph6": g6, "n": g.n,
-                "inv_gamma": inv, "alpha": alpha_value,
-            }, separators=(",", ":")))
-        if best_inv is None or inv * best_inv[1] > best_inv[0] * alpha_value:
-            best_inv = (inv, alpha_value)
-            sink(json.dumps({
-                "event": "new_max", "metric": "inv_over_alpha", "graph6": g6,
-                "n": g.n, "gamma": report.gamma, "alpha": alpha_value,
-                "inv_gamma": inv,
-            }, separators=(",", ":")))
-        if report.contradiction:
-            contradictions += 1
-            log(f"graph {produced}: contradiction {json.dumps(report.contradiction)}")
-            continue
-        t_size, bound = report.main_cert.t_set.bit_count(), report.main_cert.bound_value
-        if best_main is None or t_size * best_main[1] > best_main[0] * bound:
-            best_main = (t_size, bound)
-            sink(json.dumps({
-                "event": "new_max", "metric": "construction_over_bound",
-                "graph6": g6, "n": g.n, "t_size": t_size, "bound": bound,
-            }, separators=(",", ":")))
-    summary = {
-        "event": "summary", "graphs": produced,
-        "best_inv_over_alpha": list(best_inv) if best_inv else None,
-        "best_construction_over_bound": list(best_main) if best_main else None,
-        "counterexamples": counterexamples,
-    }
-    sink(json.dumps(summary, separators=(",", ":")))
-    return {**summary, "contradictions": contradictions}
 
 
 # -- selftest -----------------------------------------------------------------------

@@ -6,6 +6,7 @@ n <= 6 by test_harness.py::test_selftest_check_holds_up_to_six_vertices;
 here selftest runs only as far as its exit code and its report need.
 """
 
+import argparse
 import io
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 
 from invdom import cli, constructions, generate, harness, solvers
 from invdom.errors import InternalContradiction, LemmaViolated
-from invdom.generate import complete_graph, cycle_graph, path_graph, star_graph
+from invdom.generate import complete_graph, cycle_graph, path_graph
 from invdom.graph import Graph
 from invdom.graph6 import parse_graph6, write_graph6
 from invdom.harness import (
@@ -86,41 +87,14 @@ def test_selftest_rejects_more_than_eight_vertices_before_generating(max_n, monk
     assert captured.out == ""
 
 
-def test_search_with_a_counterexample_exits_1(monkeypatch):
-    summary = {"counterexamples": 1, "contradictions": 0}
-    monkeypatch.setattr(harness, "search_run", lambda *args: summary)
-    assert cli.main(["search", "--n", "5", "--p", "0.5", "--count", "1", "--seed", "1"]) == EXIT_CHECK_FAILED
-
-
-@pytest.mark.parametrize("n", ["0", "1"])
-def test_search_rejects_fewer_than_two_vertices(n, capsys):
-    argv = ["search", "--n", n, "--p", "0.5", "--count", "2", "--seed", "1"]
-    assert cli.main(argv) == EXIT_INPUT_ERROR
-    captured = capsys.readouterr()
-    assert "--n must be at least 2" in captured.err
-    assert captured.out == ""
-
-
-def test_search_output_depends_only_on_the_seed(capsys):
-    argv = ["search", "--n", "7", "--p", "0.4", "--count", "12", "--seed", "3"]
-    assert cli.main(argv) == EXIT_OK
-    first = capsys.readouterr().out
-    assert cli.main(argv) == EXIT_OK
-    assert capsys.readouterr().out == first
-    assert json.loads(first.splitlines()[-1])["graphs"] == 12
-
-
-def test_search_output_is_pinned(capsys):
-    argv = ["search", "--n", "9", "--p", "0.35", "--count", "60", "--seed", "1"]
-    assert cli.main(argv) == EXIT_OK
-    assert capsys.readouterr().out.splitlines() == [
-        '{"event":"new_max","metric":"inv_over_alpha","graph6":"HsaCCA?","n":9,'
-        '"gamma":1,"alpha":8,"inv_gamma":8}',
-        '{"event":"new_max","metric":"construction_over_bound","graph6":"HsaCCA?","n":9,'
-        '"t_size":8,"bound":8}',
-        '{"event":"summary","graphs":60,"best_inv_over_alpha":[8,8],'
-        '"best_construction_over_bound":[8,8],"counterexamples":0}',
-    ]
+def test_search_is_an_unknown_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--n", "5", "--p", "0.5", "--count", "1", "--seed", "1"])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "invalid choice: 'search'" in capsys.readouterr().err
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["analyze", "construct", "selftest", "verify"]
 
 
 def verify(tmp_path, lines, *extra):
@@ -156,20 +130,6 @@ def test_verify_exits_2_on_a_missing_corpus_and_keeps_the_old_output(tmp_path, c
     assert cli.main(["verify", str(tmp_path / "missing.g6"), "--out", str(out)]) == EXIT_INPUT_ERROR
     assert out.read_text() == "old report\n"
     assert capsys.readouterr().err.startswith("error: ")
-
-
-@pytest.mark.parametrize(
-    "n, count, message",
-    [("70", "2", "--n must be at most 64"), ("7", "-3", "--count must be at least 1"),
-     ("7", "0", "--count must be at least 1")],
-)
-def test_search_rejects_bad_input_and_keeps_the_old_log(n, count, message, tmp_path, capsys):
-    out = tmp_path / "old.jsonl"
-    out.write_text("old log\n")
-    argv = ["search", "--n", n, "--p", "0.5", "--count", count, "--seed", "1", "--out", str(out)]
-    assert cli.main(argv) == EXIT_INPUT_ERROR
-    assert out.read_text() == "old log\n"
-    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_python_m_invdom_runs_the_cli():
@@ -218,17 +178,13 @@ def test_a_graph_file_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
         ["analyze", "DIR"],
         ["construct", "DIR", "--which", "main"],
         ["analyze", "--edges", "BIG"],
-        ["search", "--n", "70", "--p", "0.5", "--count", "1", "--seed", "1"],
         ["verify", "GOOD", "--out", "NOWHERE"],
-        ["search", "--n", "6", "--p", "-0.5", "--count", "1", "--seed", "1"],
-        ["search", "--n", "6", "--p", "1.5", "--count", "1", "--seed", "1"],
         ["verify", "GOOD", "--jobs", "0"],
         ["verify", "GOOD", "--jobs", str((os.cpu_count() or 1) + 1)],
         ["analyze", TOO_LARGE],
     ],
-    ids=["missing-edges", "analyze-dir", "construct-dir", "edges-too-large", "search-too-large",
-         "verify-out-unwritable", "search-p-negative", "search-p-above-1", "verify-no-jobs",
-         "verify-jobs-above-cpus", "graph6-too-large"],
+    ids=["missing-edges", "analyze-dir", "construct-dir", "edges-too-large",
+         "verify-out-unwritable", "verify-no-jobs", "verify-jobs-above-cpus", "graph6-too-large"],
 )
 def test_an_input_error_exits_2_without_a_traceback(argv, tmp_path, capsys, monkeypatch):
     def no_pool(*_args, **_kwargs):
@@ -298,19 +254,6 @@ def test_verify_exits_4_and_logs_the_contradiction(tmp_path, monkeypatch, capsys
     }]
     report = json.loads((tmp_path / "out.jsonl").read_text())
     assert report["main_thm_ok"] is False and "contradiction" not in report
-
-
-def test_search_exits_4_and_logs_each_contradiction(monkeypatch, capsys):
-    monkeypatch.setattr(constructions, "theorem_main_construct", raise_contradiction)
-    argv = ["search", "--n", "5", "--p", "0.5", "--count", "3", "--seed", "1"]
-    assert cli.main(argv) == EXIT_CONTRADICTION
-    captured = capsys.readouterr()
-    logged = [json.loads(line.split(": contradiction ", 1)[1]) for line in captured.err.splitlines()]
-    graph6 = [write_graph6(g) for g in (star_graph(4), cycle_graph(5), path_graph(5))]
-    assert [entry["graph6"] for entry in logged] == graph6
-    assert {entry["error"] for entry in logged} == {"planted contradiction"}
-    summary = json.loads(captured.out.splitlines()[-1])
-    assert summary["graphs"] == 3 and summary["best_construction_over_bound"] is None
 
 
 def test_construct_exits_3_on_a_violated_precondition(capsys):
