@@ -19,12 +19,15 @@ floor((gamma-1)/2), or b), because a certificate names a number the
 construction itself never derives.  The gate asks
 ``solvers.is_minimum_dominating``, which searches each component for a
 smaller cover and stops at the first; it solves gamma only to name it when
-D is not minimum.  ``theorem_main_construct`` takes gamma and alpha from a
-caller that has already solved them, and then solves neither;
+D is not minimum.  ``theorem_main_construct`` takes gamma from a caller
+that has already solved it, and then decides nothing;
 ``gamma5_construct`` hands gamma = |D| to the body of ``inddom_construct``,
 since its D comes from a complete enumeration.  ``biglemma_trichotomy``
 (alpha of G[D]) and ``gamma5_construct`` (its optimal gamma-set) also call
-solvers, for inputs to the proof rather than bounds.
+solvers, for inputs to the proof rather than bounds.  The solvers hold
+their results for the most recent graph, so alpha, b, the decision on a D
+and the optimal gamma-set, asked again by a later construction on the same
+graph or by ``verify`` before it, are not solved again.
 """
 
 from __future__ import annotations
@@ -216,23 +219,22 @@ def expand_to_maximal_independent(g: Graph, seed: int, universe: int) -> int:
 
 # -- certificate constructions ---------------------------------------------------
 
-def _certify(
-    g: Graph, d_set: int, t: int, kind: str, where: str, alpha: int | None = None
-) -> InverseCertificate:
+def _certify(g: Graph, d_set: int, t: int, kind: str, where: str) -> InverseCertificate:
     """The certificate (d_set, t) against the bound ``kind`` names, re-checked.
 
-    The only place a construction solves a bound, and each call solves one:
-    alpha for "alpha", alpha + floor((|D|-1)/2) for "main_theorem" (|D| is
-    gamma once the gate has passed), b for "bipartite_b".  A given ``alpha``
-    is used as alpha(G) in place of solving it.  Callers read the bound from
-    the returned ``bound_value`` instead of solving it again.  A certificate
-    that fails ``check_inverse_certificate`` raises InternalContradiction
-    rather than leaving the construction.
+    The only place a construction asks for a bound, and each call asks for
+    one: alpha for "alpha", alpha + floor((|D|-1)/2) for "main_theorem" (|D|
+    is gamma once the gate has passed), b for "bipartite_b".  Each call
+    solves one, unless the solvers already hold it for g, as they hold
+    ``verify``'s alpha when its main construction asks.  Callers read the
+    bound from the returned ``bound_value`` instead of asking again.  A
+    certificate that fails ``check_inverse_certificate`` raises
+    InternalContradiction rather than leaving the construction.
     """
     if kind == "bipartite_b":
         bound = solvers.max_induced_bipartite(g)[0]
     else:
-        bound = solvers.alpha(g)[0] if alpha is None else alpha
+        bound = solvers.alpha(g)[0]
         if kind == "main_theorem":
             bound += (d_set.bit_count() - 1) // 2
     cert = InverseCertificate(d_set, t, kind, bound)
@@ -375,9 +377,7 @@ def inddom_construct(
     return _certify(g, d_set, t, "alpha", "inddom_construct")
 
 
-def theorem_main_construct(
-    g: Graph, d_set: int, *, gamma: int | None = None, alpha: int | None = None
-) -> InverseCertificate:
+def theorem_main_construct(g: Graph, d_set: int, *, gamma: int | None = None) -> InverseCertificate:
     """Disjoint dominating set within alpha(G) + floor((gamma(G)-1)/2).
 
     Follows the partial-ISR proof: maximal independent F inside D, standard
@@ -385,10 +385,8 @@ def theorem_main_construct(
     maximal independent set of G-D, then two patching rounds with outside
     neighbors (for F-N(S), then for the unhit part of D-F).
 
-    ``gamma`` and ``alpha``, when given, must be the exact solvers' own
-    values for g: the gate checks |d_set| against that gamma and the bound
-    is stated with that alpha, so neither is solved again.  Left as None,
-    each is solved here.
+    ``gamma``, when given, must be gamma(g): the gate checks |d_set| against
+    it instead of deciding minimality.  ``analyze_graph`` passes its own.
     """
     _require_minimum_dominating(g, d_set, "theorem_main_construct", gamma)
 
@@ -410,7 +408,7 @@ def theorem_main_construct(
             {"unhit": unhit, "isr": isr},
         )
     t = _patch(g, s1, unhit, d_set, "theorem_main_construct")
-    return _certify(g, d_set, t, "main_theorem", "theorem_main_construct", alpha)
+    return _certify(g, d_set, t, "main_theorem", "theorem_main_construct")
 
 
 def bipartite_inverse_construct(g: Graph, d_set: int) -> InverseCertificate:
@@ -591,7 +589,8 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
     two-ISR machinery: a partial ISR of size 4 is an immediate win; failing
     that, pick the ISR pair minimizing cross edges and analyse the set the
     pair misses.  Every claim is re-checked; a dead end raises.  Each route
-    solves alpha once, in ``_certify``.
+    solves alpha once, in ``_certify``, and none if the solvers already hold
+    it for g; the optimal gamma-set, too, is solved only if not held.
     """
     _require_isolate_free(g, "gamma5_construct")
     cert = solvers.optimal_dominating_set(g)

@@ -8,11 +8,15 @@ strong gamma^-1 come from one pass over the minimum dominating sets, run
 once per isolate-free graph when any check needs either.  A verify run uses
 ``RunConfig.jobs`` worker processes (the CLI's ``--jobs``, default 1) and
 emits reports in input order either way.  gamma and alpha are solved once
-per graph: the main construction takes the report's values for its gate
-and its bound.  When the inverse pass runs, gamma and the main
+per graph: the main construction takes the report's gamma for its gate,
+and its bound's alpha is the one the solvers hold from the report's own
+call, since they keep each result for the most recent graph (see
+``solvers``).  When the inverse pass runs, gamma and the main
 construction's D, the lowest gamma-set, come from its enumeration of the
 gamma-sets; gamma's own search runs only on graphs with isolates or when
-no check needs the pass.
+no check needs the pass.  A caller that asks the solvers about the same
+graph after ``analyze_graph``, such as a construction on the same graph6
+line parsed anew, is answered from those held results.
 ``main_thm_ok`` is True whenever the main construction returns: it
 certifies |T| <= alpha + floor((gamma-1)/2) itself, against that exact
 bound, and raises InternalContradiction otherwise, which the report
@@ -141,9 +145,7 @@ def analyze_graph(
                 report.strong_inv_gamma = strong_inv_gamma
         if "main_thm" in checks:
             try:
-                constructions.theorem_main_construct(
-                    g, gamma_set, gamma=gamma_value, alpha=alpha_value
-                )
+                constructions.theorem_main_construct(g, gamma_set, gamma=gamma_value)
             except InternalContradiction as exc:
                 report.main_thm_ok = False
                 report.contradiction = exc.reproducer(graph6_str)
@@ -300,7 +302,7 @@ def check_component_split(g: Graph) -> list[str]:
         (
             "optimal (-alpha(D), edges, D)",
             (-cert.alpha_of_d, cert.induced_edges, cert.d_set),
-            solvers._optimal_part(g, covers, g.full),
+            solvers._optimal_part(g, g.full),
         ),
     ]
     problems = []
@@ -310,7 +312,7 @@ def check_component_split(g: Graph) -> list[str]:
         inverse_size, inverse, strong = solvers.inverse_pass(g)
         *_, split_gamma, split_low = solvers._inverse_sweep(g)
         whole_size, _, whole_d, whole_strong, whole_gamma, whole_low = solvers._inverse_part(
-            covers, g.full
+            g, g.full
         )
         pairs.append((
             "inverse pass (size, D, strong, gamma, lowest gamma-set)",
@@ -353,10 +355,9 @@ def check_optimal_set(g: Graph) -> list[str]:
 def check_main_construction(g: Graph) -> list[str]:
     """For every gamma-set, the main construction re-checks within its bound."""
     k = solvers.gamma(g)[0]
-    alpha_value = solvers.alpha(g)[0]
     problems = []
     for d in solvers.enumerate_min_dominating_sets(g):
-        cert = constructions.theorem_main_construct(g, d, gamma=k, alpha=alpha_value)
+        cert = constructions.theorem_main_construct(g, d, gamma=k)
         problems += [
             f"D = {to_sorted(d)}: {problem}" for problem in check_inverse_certificate(g, cert, k)
         ]

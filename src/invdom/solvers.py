@@ -67,16 +67,57 @@ Every result is deterministic: minimum dominating sets come back in
 increasing bitmask order, each component's witness is the first optimum
 its search reaches, and ties in ``optimal_dominating_set`` break toward the
 smallest bitmask.
+
+The solvers that one graph's callers ask more than once (alpha, b, the
+closed neighborhoods, each component's gamma-sets, the gamma-set decision
+and the optimal gamma-set) keep their results for one graph, the most
+recent, keyed on the content of ``g.adj``, which fixes n.  A different graph
+replaces them all.  So ``verify`` and every construction after it solve
+each of these once per graph, and a graph parsed afresh from the same
+graph6 line shares the results of one built from edges.  Nothing is stored
+on the ``Graph``, and an object's identity is no key: a caller that hands
+the same graph again after others asks it afresh, as a benchmark that
+repeats its rounds does.  The results held are immutable;
+``enumerate_min_dominating_sets`` copies its gamma-sets into a new list.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from operator import add
 from typing import Callable
 
 from .certificates import DominationCertificate, InverseCertificate
 from .errors import HasIsolates
 from .graph import Graph
+
+
+# -- one graph's results -------------------------------------------------------
+
+# the adjacency of the graph whose results are held, and those results by
+# (solver, args)
+_held: tuple[tuple[int, ...] | None, dict] = (None, {})
+_MISSING = object()
+
+
+def _per_graph(solve: Callable) -> Callable:
+    """``solve(g, *args)``, answered from the held results when g has the
+    held graph's adjacency; any other graph replaces what is held."""
+
+    @wraps(solve)
+    def memoized(g: Graph, *args):
+        global _held
+        adj, results = _held
+        if adj != g.adj:
+            results = {}
+            _held = (g.adj, results)
+        key = (solve, args)
+        result = results.get(key, _MISSING)
+        if result is _MISSING:
+            result = results[key] = solve(g, *args)
+        return result
+
+    return memoized
 
 
 # -- independent sides: alpha and b(G) -------------------------------------
@@ -199,11 +240,13 @@ def _by_component(g: Graph, solve: Callable[[int], tuple[int, ...]]) -> tuple[in
     return total
 
 
+@_per_graph
 def alpha(g: Graph) -> tuple[int, int]:
     """Independence number with a maximum independent set witness."""
     return _by_component(g, lambda part: _max_sides(g, part, 1))
 
 
+@_per_graph
 def max_induced_bipartite(g: Graph) -> tuple[int, int]:
     """Largest vertex set inducing an odd-cycle-free subgraph: (b(G), witness)."""
     return _by_component(g, lambda part: _max_sides(g, part, 2))
@@ -316,6 +359,7 @@ def _min_cover(covers: tuple[int, ...], allowed: int, target: int) -> tuple[int,
     return best.bit_count(), best
 
 
+@_per_graph
 def _domination_covers(g: Graph) -> tuple[int, ...]:
     return tuple(g.adj[v] | (1 << v) for v in range(g.n))
 
@@ -333,6 +377,7 @@ def gamma(g: Graph) -> tuple[int, int]:
     return _by_component(g, lambda part: _gamma_part(covers, part))
 
 
+@_per_graph
 def is_minimum_dominating(g: Graph, d_set: int) -> bool:
     """True iff ``d_set`` is a minimum dominating set of g.
 
@@ -369,9 +414,11 @@ def min_dominating_within(g: Graph, allowed: int) -> tuple[int, int] | None:
     return _min_cover(_domination_covers(g), allowed, g.full)
 
 
-def _min_covers(covers: tuple[int, ...], part: int) -> list[int]:
+@_per_graph
+def _min_covers(g: Graph, part: int) -> tuple[int, ...]:
     """All dominating sets of G[part] of size gamma(G[part]), in increasing
-    bitmask order."""
+    bitmask order: the one enumeration of a component that the inverse pass
+    and ``optimal_dominating_set`` share."""
     out: list[int] = []
 
     def collect(chosen: int, count: int) -> int:
@@ -383,14 +430,13 @@ def _min_covers(covers: tuple[int, ...], part: int) -> list[int]:
     # A smaller cover drops the larger ones collected.  The limit never drops
     # below gamma + 1, and the search reaches every inclusion-minimal cover
     # below its limit, so every gamma-set is found.
-    _cover_search(covers, part, part, part.bit_count() + 1, collect)
-    out.sort()
-    return out
+    _cover_search(_domination_covers(g), part, part, part.bit_count() + 1, collect)
+    return tuple(sorted(out))
 
 
 def enumerate_min_dominating_sets(g: Graph) -> list[int]:
     """All dominating sets of size gamma(g), in increasing bitmask order."""
-    return _min_covers(_domination_covers(g), g.full)
+    return list(_min_covers(g, g.full))
 
 
 # -- inverse domination -------------------------------------------------------
@@ -400,10 +446,11 @@ def _require_isolate_free(g: Graph) -> None:
         raise HasIsolates("a graph with isolates cannot have an inverse dominating set")
 
 
-def _inverse_part(covers: tuple[int, ...], part: int) -> tuple[int, int, int, int, int, int]:
+def _inverse_part(g: Graph, part: int) -> tuple[int, int, int, int, int, int]:
     """The inverse pass on an isolate-free G[part]: (gamma^-1, T, D, strong
     gamma^-1, gamma, lowest gamma-set), with (D, T) the certificate."""
-    sets = _min_covers(covers, part)
+    covers = _domination_covers(g)
+    sets = _min_covers(g, part)
     gamma = sets[0].bit_count()
     best = (part.bit_count() + 1, 0, 0)  # (size, t_mask, d_mask); every real size is <= |part|
     worst = 0
@@ -442,8 +489,7 @@ def _inverse_sweep(g: Graph) -> tuple[int, int, int, int, int, int]:
     one gamma-set per part is the union of each part's least.
     """
     _require_isolate_free(g)
-    covers = _domination_covers(g)
-    return _by_component(g, lambda part: _inverse_part(covers, part))
+    return _by_component(g, lambda part: _inverse_part(g, part))
 
 
 def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
@@ -497,7 +543,7 @@ def strong_inverse_gamma(g: Graph) -> int:
 
 # -- optimal dominating sets ----------------------------------------------------
 
-def _optimal_part(g: Graph, covers: tuple[int, ...], part: int) -> tuple[int, int, int]:
+def _optimal_part(g: Graph, part: int) -> tuple[int, int, int]:
     """Least key (-alpha(G[D]), induced edges of D, D) over the minimum
     dominating sets D of G[part].
 
@@ -508,7 +554,7 @@ def _optimal_part(g: Graph, covers: tuple[int, ...], part: int) -> tuple[int, in
     """
     adj = g.adj
     best = (1, 0, 0)  # above every key, since -alpha(G[D]) <= 0
-    for d in _min_covers(covers, part):
+    for d in _min_covers(g, part):
         matched = 0
         rest = d
         while rest:
@@ -524,6 +570,7 @@ def _optimal_part(g: Graph, covers: tuple[int, ...], part: int) -> tuple[int, in
     return best
 
 
+@_per_graph
 def optimal_dominating_set(g: Graph) -> DominationCertificate:
     """Minimum dominating set maximizing induced independence, then fewest
     induced edges, then smallest bitmask.
@@ -531,8 +578,7 @@ def optimal_dominating_set(g: Graph) -> DominationCertificate:
     Each term of the key adds over components, so each component picks its
     own least key and the set is the union of the parts' picks.
     """
-    covers = _domination_covers(g)
-    neg_alpha, edges, d = _by_component(g, lambda part: _optimal_part(g, covers, part))
+    neg_alpha, edges, d = _by_component(g, lambda part: _optimal_part(g, part))
     return DominationCertificate(
         d_set=d,
         size=d.bit_count(),

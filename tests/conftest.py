@@ -1,9 +1,12 @@
-"""Shared fixtures: named small graphs and session-cached corpora."""
+"""Shared fixtures: named small graphs, session-cached corpora, a solver
+memo emptied before each test, and a count of the independent-sides
+searches."""
 
 from __future__ import annotations
 
 import pytest
 
+from invdom import solvers
 from invdom.generate import (
     all_graphs,
     complete_graph,
@@ -12,6 +15,27 @@ from invdom.generate import (
     star_graph,
 )
 from invdom.graph import Graph
+
+
+@pytest.fixture(autouse=True)
+def no_held_results():
+    """Each test starts with no solver results held, so a test that counts
+    a search is not answered from a graph an earlier test asked about."""
+    solvers._held = (None, {})
+
+
+@pytest.fixture
+def side_searches(monkeypatch):
+    """Each ``solvers._max_sides`` search the test makes, as (allowed, sides)."""
+    searches = []
+    max_sides = solvers._max_sides
+
+    def counted(h, allowed, sides):
+        searches.append((allowed, sides))
+        return max_sides(h, allowed, sides)
+
+    monkeypatch.setattr(solvers, "_max_sides", counted)
+    return searches
 
 
 @pytest.fixture

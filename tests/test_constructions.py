@@ -356,7 +356,7 @@ def test_inddom_rejects_bad_input(c4, p4):
     [
         lambda g, d: inddom_construct(g, d, 0),
         theorem_main_construct,
-        lambda g, d: theorem_main_construct(g, d, gamma=1, alpha=1),
+        lambda g, d: theorem_main_construct(g, d, gamma=1),
         bipartite_inverse_construct,
     ],
     ids=["inddom", "main", "main-given-values", "bipartite"],
@@ -410,11 +410,8 @@ def test_main_construct_rejects(star4):
 
 def test_main_construct_checks_the_values_it_is_given(c5):
     gamma_value, d = solvers.gamma(c5)
-    alpha_value = solvers.alpha(c5)[0]
     with pytest.raises(PreconditionViolated, match=f"gamma = {gamma_value + 1}"):
-        theorem_main_construct(c5, d, gamma=gamma_value + 1, alpha=alpha_value)
-    with pytest.raises(InternalContradiction, match="produced an invalid certificate"):
-        theorem_main_construct(c5, d, gamma=gamma_value, alpha=alpha_value - 1)
+        theorem_main_construct(c5, d, gamma=gamma_value + 1)
 
 
 # -- bipartite construction ------------------------------------------------------------
@@ -482,7 +479,7 @@ C9_WITNESS = solvers.gamma(C9)[1]
     "build, solver, decisions",
     [
         (lambda: theorem_main_construct(C9, C9_WITNESS), "alpha", 1),
-        (lambda: theorem_main_construct(C9, C9_WITNESS, gamma=3, alpha=4), None, 0),
+        (lambda: theorem_main_construct(C9, C9_WITNESS, gamma=3), "alpha", 0),
         (lambda: inddom_construct(C9, C9_CERT.d_set, C9_CERT.d_set), "alpha", 1),
         (lambda: bipartite_inverse_construct(C9, C9_WITNESS), "max_induced_bipartite", 1),
     ] + [(lambda g=g: gamma5_construct(g), "alpha", 0) for g in gamma5_graphs()],

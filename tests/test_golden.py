@@ -162,16 +162,11 @@ def test_certificates_and_reports_match_the_pinned_digest():
     assert golden_digest() == GOLDEN_SHA256
 
 
-def test_the_main_construction_given_gamma_and_alpha_gives_the_plain_certificate():
+def test_the_main_construction_given_gamma_gives_the_plain_certificate():
     for g in golden_corpus():
         gamma_value, witness = solvers.gamma(g)
-        alpha_value = solvers.alpha(g)[0]
         plain = _outcome(constructions.theorem_main_construct, g, witness)
-        given = _outcome(
-            lambda: constructions.theorem_main_construct(
-                g, witness, gamma=gamma_value, alpha=alpha_value
-            )
-        )
+        given = _outcome(lambda: constructions.theorem_main_construct(g, witness, gamma=gamma_value))
         assert given == plain, write_graph6(g)
 
 

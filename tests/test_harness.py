@@ -9,9 +9,10 @@ import pytest
 
 from invdom import constructions, harness, solvers
 from invdom.certificates import check_inverse_certificate
-from invdom.generate import all_graphs, cycle_graph, pad_with_k2, random_graph
+from invdom.generate import all_graphs, cycle_graph, gamma5_corpus, pad_with_k2, random_graph
 from invdom.graph import Graph, disjoint_union
 from invdom.graph6 import write_graph6
+from test_golden import gamma5_graphs
 
 BASE_FIELDS = {"graph6", "n", "m", "gamma", "alpha", "elapsed_micros"}
 
@@ -66,10 +67,14 @@ GNP16 = random_graph(random.Random(1), 16, 0.3)
     ],
     ids=["C5", "gnp16", "C5+K1", "gnp16-no-inverse-check"],
 )
-def test_analyze_graph_solves_each_invariant_once(monkeypatch, g, checks, gamma_calls, pass_calls):
+def test_analyze_graph_solves_each_invariant_once(
+    monkeypatch, side_searches, g, checks, gamma_calls, pass_calls
+):
     # an isolate-free graph takes gamma and the main construction's D from
-    # the inverse pass when one runs; only otherwise is gamma solved
-    names = ("gamma", "alpha", "max_induced_bipartite", "_inverse_sweep")
+    # the inverse pass when one runs; only otherwise is gamma solved.  The
+    # main construction's bound asks for alpha again and gets the held one,
+    # so each component has one alpha search and one b search
+    names = ("gamma", "_inverse_sweep")
     calls = dict.fromkeys(names, 0)
     for name in names:
         def counted(h, _name=name, _original=getattr(solvers, name)):
@@ -79,9 +84,42 @@ def test_analyze_graph_solves_each_invariant_once(monkeypatch, g, checks, gamma_
         monkeypatch.setattr(solvers, name, counted)
     report = harness.analyze_graph(g, checks=checks)
     assert report.main_thm_ok is (None if g.has_isolated_vertex() else True)
-    assert calls == {
-        "gamma": gamma_calls, "alpha": 1, "max_induced_bipartite": 1, "_inverse_sweep": pass_calls,
-    }
+    assert calls == {"gamma": gamma_calls, "_inverse_sweep": pass_calls}
+    assert sorted(side_searches) == sorted((part, sides) for part in g.components() for sides in (1, 2))
+
+
+@pytest.mark.parametrize(
+    "g", gamma5_graphs()[:2] + gamma5_corpus(1)[:4],
+    ids=["5K2", "5K13"] + [f"gamma5-corpus-{i}" for i in range(4)],
+)
+def test_verify_and_every_construction_solve_each_component_once(monkeypatch, side_searches, g):
+    # verify on the graph6 line, then each construction on the graph itself,
+    # as a benchmark operation on structured graphs runs them: every alpha
+    # and b search and every gamma-set enumeration runs once per component
+    enumerations = []
+    cover_search = solvers._cover_search
+
+    def counted(covers, allowed, target, limit, found):
+        if allowed == target and limit == allowed.bit_count() + 1:
+            enumerations.append(allowed)
+        cover_search(covers, allowed, target, limit, found)
+
+    monkeypatch.setattr(solvers, "_cover_search", counted)
+    reports: list[str] = []
+    harness.verify_stream([write_graph6(g)], harness.RunConfig(), reports.append)
+    d = solvers.gamma(g)[1]
+    constructions.theorem_main_construct(g, d)
+    constructions.bipartite_inverse_construct(g, d)
+    optimal = solvers.optimal_dominating_set(g).d_set
+    s = constructions.find_special_independent(g, optimal)
+    if s is not None:
+        constructions.inddom_construct(g, optimal, s)
+    constructions.gamma5_construct(g)
+    parts = g.components()
+    assert json.loads(reports[0])["gamma"] == 5
+    assert sorted(allowed for allowed, _ in side_searches if allowed in parts) == sorted(parts * 2)
+    assert len(set(side_searches)) == len(side_searches)
+    assert sorted(enumerations) == sorted(parts)
 
 
 def test_c5_plus_29_k2_at_63_vertices():

@@ -154,7 +154,7 @@ def _inverse_pass_reference(g: Graph) -> tuple[int, tuple[int, int], int]:
 
     def part_reference(part: int) -> tuple[int, int, int, int]:
         sizes = []
-        for d in solvers._min_covers(covers, part):
+        for d in solvers._min_covers(g, part):
             size, t_mask = solvers._min_cover(covers, part & ~d, part)
             sizes.append((size, d, t_mask))
         size, d, t_mask = min(sizes, key=lambda entry: entry[0])  # the first least
@@ -263,7 +263,7 @@ def test_split_witnesses_are_unions_of_the_parts(line):
     gamma_join = t_join = 0
     for part in g.components():
         gamma_join |= solvers._gamma_part(covers, part)[1]
-        t_join |= solvers._inverse_part(covers, part)[1]
+        t_join |= solvers._inverse_part(g, part)[1]
     size, witness = solvers.gamma(g)
     assert witness == gamma_join
     assert witness != solvers._gamma_part(covers, g.full)[1]
@@ -414,8 +414,7 @@ def test_optimal_key_is_minimal(corpus7):
 def test_the_bounded_optimal_key_matches_the_plain_minimum():
     """alpha(G[D]) solved only below the least key gives the least key."""
     for g in rewrite_corpus():
-        covers = solvers._domination_covers(g)
-        assert solvers._optimal_part(g, covers, g.full) == optimal_key(g), write_graph6(g)
+        assert solvers._optimal_part(g, g.full) == optimal_key(g), write_graph6(g)
 
 
 def test_is_minimum_dominating_matches_the_oracle(corpus7):
@@ -427,6 +426,55 @@ def test_is_minimum_dominating_matches_the_oracle(corpus7):
             for s in range(1 << g.n):
                 expected = g.is_dominating(s) and s.bit_count() == k
                 assert solvers.is_minimum_dominating(g, s) == expected, (write_graph6(g), s)
+
+
+def _held_answers(g: Graph) -> tuple:
+    """Every result the solvers hold for g."""
+    lowest = solvers.enumerate_min_dominating_sets(g)[0]
+    return (
+        solvers.alpha(g),
+        solvers.max_induced_bipartite(g),
+        solvers._domination_covers(g),
+        [solvers._min_covers(g, part) for part in g.components()],
+        solvers.enumerate_min_dominating_sets(g),
+        solvers.is_minimum_dominating(g, lowest),
+        solvers.is_minimum_dominating(g, g.full),
+        solvers.optimal_dominating_set(g),
+    )
+
+
+def test_held_results_are_the_cold_ones(corpus7):
+    """Cold, asked again, and asked again after another graph in between,
+    every graph with n <= 6 and of the rewrite corpus gets the same results."""
+    graphs = [g for n in range(1, 7) for g in corpus7[n]] + rewrite_corpus()
+    cold = []
+    for g in graphs:
+        solvers._held = (None, {})
+        cold.append(_held_answers(g))
+        assert _held_answers(g) == cold[-1], write_graph6(g)
+    for a, b, expected in zip(graphs, graphs[1:], cold):
+        _held_answers(a)
+        _held_answers(b)
+        assert _held_answers(a) == expected, write_graph6(a)
+
+
+def test_equal_graphs_share_one_search_and_only_one_graph_is_held(side_searches, c5):
+    parsed = parse_graph6(write_graph6(c5))
+    assert parsed is not c5 and parsed.adj == c5.adj
+    assert solvers.alpha(parsed) == solvers.alpha(c5) == (2, 0b101)
+    assert len(side_searches) == 1
+    other = cycle_graph(7)
+    solvers.alpha(other)
+    assert solvers._held[0] == other.adj
+    assert solvers.alpha(c5) == (2, 0b101)
+    assert len(side_searches) == 3  # other replaced c5's results
+
+
+def test_a_returned_gamma_set_list_is_the_callers_own(c4):
+    sets = solvers.enumerate_min_dominating_sets(c4)
+    expected = list(sets)
+    sets.clear()
+    assert solvers.enumerate_min_dominating_sets(c4) == expected
 
 
 def test_empty_graph_edge_cases():
