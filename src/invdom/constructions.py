@@ -16,18 +16,16 @@ The constructions reach the exact solvers in two places only: the gate
 every proof starts from a minimum dominating set, and ``_certify`` solves
 the one bound a certificate is stated against (alpha, alpha +
 floor((gamma-1)/2), or b), because a certificate names a number the
-construction itself never derives.  The gate asks
-``solvers.is_minimum_dominating``, which searches each component for a
-smaller cover and stops at the first; it solves gamma only to name it when
-D is not minimum.  ``theorem_main_construct`` takes gamma from a caller
-that has already solved it, and then decides nothing;
-``gamma5_construct`` hands gamma = |D| to the body of ``inddom_construct``,
-since its D comes from a complete enumeration.  ``biglemma_trichotomy``
-(alpha of G[D]) and ``gamma5_construct`` (its optimal gamma-set) also call
-solvers, for inputs to the proof rather than bounds.  The solvers hold
-their results for the most recent graph, so alpha, b, the decision on a D
-and the optimal gamma-set, asked again by a later construction on the same
-graph or by ``verify`` before it, are not solved again.
+construction itself never derives.  The gate checks |D| against gamma:
+``theorem_main_construct`` takes gamma from a caller that has already
+solved it, as ``analyze_graph`` has, and ``gamma5_construct`` hands gamma =
+|D| to ``inddom_construct``, since its D comes from a complete enumeration;
+every other gate asks ``solvers.gamma``.  ``biglemma_trichotomy`` (alpha of
+G[D]) and ``gamma5_construct`` (its optimal gamma-set) also call solvers,
+for inputs to the proof rather than bounds.  The solvers hold their results
+for the most recent graph, so gamma, alpha, b and the optimal gamma-set,
+asked again by a later construction on the same graph or by a caller
+before it, are not solved again.
 """
 
 from __future__ import annotations
@@ -329,10 +327,8 @@ def _require_minimum_dominating(
     """Every construction's gate: g nonempty and isolate-free, d_set a
     gamma-set.
 
-    A given ``gamma`` is used as gamma(G), and |d_set| is checked against
-    it.  Without one, ``solvers.is_minimum_dominating`` decides whether some
-    component has a cover smaller than its share of d_set; gamma is solved
-    only when it has, to name it in the error.
+    |d_set| is checked against gamma(G): the given ``gamma``, or else
+    ``solvers.gamma``'s, which is solved only if no earlier call on g did.
     """
     if g.n == 0:
         raise PreconditionViolated(f"{where}: empty graph")
@@ -341,8 +337,6 @@ def _require_minimum_dominating(
     if not g.is_dominating(d_set):
         raise PreconditionViolated(f"{where}: d_set does not dominate")
     if gamma is None:
-        if solvers.is_minimum_dominating(g, d_set):
-            return
         gamma = solvers.gamma(g)[0]
     if d_set.bit_count() != gamma:
         raise PreconditionViolated(
@@ -360,7 +354,7 @@ def inddom_construct(
     of D with one outside neighbor each.
 
     ``gamma``, when given, must be gamma(g): the gate checks |d_set| against
-    it instead of deciding minimality.  ``gamma5_construct`` passes |D|, as
+    it instead of asking the solvers.  ``gamma5_construct`` passes |D|, as
     its D is a gamma-set by a complete enumeration.
     """
     _require_minimum_dominating(g, d_set, "inddom_construct", gamma)
@@ -386,7 +380,7 @@ def theorem_main_construct(g: Graph, d_set: int, *, gamma: int | None = None) ->
     neighbors (for F-N(S), then for the unhit part of D-F).
 
     ``gamma``, when given, must be gamma(g): the gate checks |d_set| against
-    it instead of deciding minimality.  ``analyze_graph`` passes its own.
+    it instead of asking the solvers.  ``analyze_graph`` passes its own.
     """
     _require_minimum_dominating(g, d_set, "theorem_main_construct", gamma)
 

@@ -218,7 +218,8 @@ def verify_stream(
             continue
         assert report is not None
         summary.graphs += 1
-        if report.inv_gamma is None and config.checks & {"conjecture", "three_halves"}:
+        undefined = report.n and report.inv_gamma is None  # the empty graph has no isolate
+        if undefined and config.checks & {"conjecture", "three_halves"}:
             summary.skipped_isolates += 1
         failed = report.failed_checks()
         if report.contradiction:
@@ -246,22 +247,6 @@ def check_graph6_roundtrip(g: Graph) -> list[str]:
 
 def check_gamma(g: Graph) -> list[str]:
     return _compare("gamma", solvers.gamma(g)[0], naive.gamma_naive(g)[0])
-
-
-def check_minimum_decision(g: Graph) -> list[str]:
-    """The constructions' gate, ``is_minimum_dominating``, says yes on every
-    gamma-set and no on every gamma-set with one vertex more, gamma from the
-    exhaustive oracle."""
-    k = naive.gamma_naive(g)[0]
-    problems = []
-    for d in solvers.enumerate_min_dominating_sets(g):
-        for s in [d, *(d | 1 << v for v in bits(g.full & ~d))]:
-            decided = solvers.is_minimum_dominating(g, s)
-            if decided != (s.bit_count() == k):
-                problems.append(
-                    f"D = {to_sorted(s)}: decided {decided}, |D| = {s.bit_count()}, gamma = {k}"
-                )
-    return problems
 
 
 def check_alpha(g: Graph) -> list[str]:
@@ -357,7 +342,7 @@ def check_main_construction(g: Graph) -> list[str]:
     k = solvers.gamma(g)[0]
     problems = []
     for d in solvers.enumerate_min_dominating_sets(g):
-        cert = constructions.theorem_main_construct(g, d, gamma=k)
+        cert = constructions.theorem_main_construct(g, d)
         problems += [
             f"D = {to_sorted(d)}: {problem}" for problem in check_inverse_certificate(g, cert, k)
         ]
@@ -411,7 +396,6 @@ def check_padding(g: Graph) -> list[str]:
 SELFTEST_CHECKS: tuple[tuple[str, bool, Callable[[Graph], list[str]]], ...] = (
     ("graph6 round-trip", False, check_graph6_roundtrip),
     ("gamma vs oracle", False, check_gamma),
-    ("minimum-dominating decision vs oracle", False, check_minimum_decision),
     ("alpha vs oracle", False, check_alpha),
     ("inverse gamma vs oracle", True, check_inverse_gamma),
     ("strong inverse vs oracle", True, check_strong_inverse_gamma),

@@ -3,8 +3,7 @@
 All searches are branch-and-bound over bitmask vertex sets, tuned for
 graphs of a few dozen vertices, and two of them serve every solver.  One
 set-cover search serves gamma, ``min_dominating_within``, the minimum
-dominating sets, the inverse pass and ``is_minimum_dominating``, the
-constructions' gate: it branches on the undominated vertex
+dominating sets and the inverse pass: it branches on the undominated vertex
 with the fewest candidates, most-dominating candidate first, and excludes
 earlier siblings from later branches, so it reaches each set once.  One
 search for the largest subset that splits into one or two independent sides
@@ -57,28 +56,26 @@ most the floor ends D's search, and once the least size seen is gamma,
 every D with floor gamma is skipped: its size is gamma, so it moves
 neither value.
 
-``is_minimum_dominating`` decides, where gamma would solve: each
-component's search starts at the limit |D & part| with no greedy cover and
-ends at the first cover below it.  ``optimal_dominating_set`` solves
-alpha(G[D]) only for a D whose key, with a greedy matching's bound in place
-of alpha, is below the least key so far.
+``optimal_dominating_set`` solves alpha(G[D]) only for a D whose key, with
+a greedy matching's bound in place of alpha, is below the least key so far.
 
 Every result is deterministic: minimum dominating sets come back in
 increasing bitmask order, each component's witness is the first optimum
 its search reaches, and ties in ``optimal_dominating_set`` break toward the
 smallest bitmask.
 
-The solvers that one graph's callers ask more than once (alpha, b, the
-closed neighborhoods, each component's gamma-sets, the gamma-set decision
-and the optimal gamma-set) keep their results for one graph, the most
-recent, keyed on the content of ``g.adj``, which fixes n.  A different graph
-replaces them all.  So ``verify`` and every construction after it solve
-each of these once per graph, and a graph parsed afresh from the same
-graph6 line shares the results of one built from edges.  Nothing is stored
-on the ``Graph``, and an object's identity is no key: a caller that hands
-the same graph again after others asks it afresh, as a benchmark that
-repeats its rounds does.  The results held are immutable;
-``enumerate_min_dominating_sets`` copies its gamma-sets into a new list.
+The solvers that one graph's callers ask more than once (gamma, alpha, b,
+the closed neighborhoods, each component's gamma-sets and the optimal
+gamma-set) keep their results for one graph, the most recent, keyed on the
+content of ``g.adj``, which fixes n.  A different graph replaces them all.
+So ``verify`` and every construction after it solve each of these once per
+graph, the constructions' gates on one graph share one gamma search, and a
+graph parsed afresh from the same graph6 line shares the results of one
+built from edges.  Nothing is stored on the ``Graph``, and an object's
+identity is no key: a caller that hands the same graph again after others
+asks it afresh, as a benchmark that repeats its rounds does.  The results
+held are immutable; ``enumerate_min_dominating_sets`` copies its gamma-sets
+into a new list.
 """
 
 from __future__ import annotations
@@ -371,37 +368,11 @@ def _gamma_part(covers: tuple[int, ...], part: int) -> tuple[int, int]:
     return result
 
 
+@_per_graph
 def gamma(g: Graph) -> tuple[int, int]:
     """Domination number with a minimum dominating set witness."""
     covers = _domination_covers(g)
     return _by_component(g, lambda part: _gamma_part(covers, part))
-
-
-@_per_graph
-def is_minimum_dominating(g: Graph, d_set: int) -> bool:
-    """True iff ``d_set`` is a minimum dominating set of g.
-
-    A dominating D is minimum iff no component has a cover smaller than
-    its share of D, so each component runs one search with limit
-    |D & part| that stops at the first cover it reaches, with no greedy
-    start and no search down to gamma.
-    """
-    g.check_subset(d_set)
-    if not g.is_dominating(d_set):
-        return False
-    covers = _domination_covers(g)
-    smaller = False
-
-    def stop(_chosen: int, _count: int) -> int:
-        nonlocal smaller
-        smaller = True
-        return 0
-
-    for part in g.components():
-        _cover_search(covers, part, part, (d_set & part).bit_count(), stop)
-        if smaller:
-            return False
-    return True
 
 
 def min_dominating_within(g: Graph, allowed: int) -> tuple[int, int] | None:

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from invdom import cli, constructions, generate, harness, solvers
+from invdom import cli, constructions, generate, harness, naive, solvers
+from invdom.certificates import InverseCertificate, check_inverse_certificate
 from invdom.errors import InternalContradiction, LemmaViolated
 from invdom.generate import complete_graph, cycle_graph, path_graph
-from invdom.graph import Graph
+from invdom.graph import Graph, mask_of
 from invdom.graph6 import parse_graph6, write_graph6
 from invdom.harness import (
     EXIT_CHECK_FAILED,
@@ -114,6 +115,16 @@ def test_verify_exits_0_and_skips_bad_lines(tmp_path):
     assert verify(tmp_path, GOOD + ["not a graph", TOO_LARGE]) == EXIT_OK
     assert len((tmp_path / "out.jsonl").read_text().splitlines()) == len(GOOD)
     assert not (tmp_path / "bad.g6").exists()
+
+
+@pytest.mark.parametrize(
+    "lines, skipped",
+    [(["?", "A_"], 0), ([write_graph6(Graph(3, [(0, 1)])), "A_"], 1)],
+    ids=["empty-graph", "isolate"],
+)
+def test_verify_counts_only_graphs_with_isolates_as_skipped(lines, skipped, tmp_path, capsys):
+    assert verify(tmp_path, lines) == EXIT_OK
+    assert f"verified 2 graphs: 0 failures, {skipped} skipped for isolates" in capsys.readouterr().err
 
 
 def test_verify_strict_exits_2_on_a_bad_line(tmp_path):
@@ -254,6 +265,25 @@ def test_verify_exits_4_and_logs_the_contradiction(tmp_path, monkeypatch, capsys
     }]
     report = json.loads((tmp_path / "out.jsonl").read_text())
     assert report["main_thm_ok"] is False and "contradiction" not in report
+
+
+@pytest.mark.parametrize(
+    "which, g",
+    [(which, cycle_graph(4)) for which in ("main", "bipartite", "inddom")]
+    + [("gamma5", Graph(10, [(2 * i, 2 * i + 1) for i in range(5)]))],
+)
+def test_construct_exits_0_and_prints_a_certificate(which, g, capsys):
+    assert cli.main(["construct", write_graph6(g), "--which", which]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    payload = json.loads(out[0])
+    k = naive.gamma_naive(g)[0]
+    assert payload["which"] == which and payload["d_size"] == k
+    cert = InverseCertificate(
+        mask_of(payload["d_set"]), mask_of(payload["t_set"]),
+        payload["bound_kind"], payload["bound_value"],
+    )
+    assert check_inverse_certificate(g, cert, k) == []
 
 
 def test_construct_exits_3_on_a_violated_precondition(capsys):

@@ -476,7 +476,7 @@ C9_WITNESS = solvers.gamma(C9)[1]
 
 
 @pytest.mark.parametrize(
-    "build, solver, decisions",
+    "build, solver, gamma_asks",
     [
         (lambda: theorem_main_construct(C9, C9_WITNESS), "alpha", 1),
         (lambda: theorem_main_construct(C9, C9_WITNESS, gamma=3), "alpha", 0),
@@ -486,12 +486,12 @@ C9_WITNESS = solvers.gamma(C9)[1]
     ids=["main", "main-given-values", "inddom", "bipartite", "gamma5-5K2", "gamma5-5K13",
          "gamma5-C5-pendants", "gamma5-K5-pendants"],
 )
-def test_each_construction_solves_its_bound_once(monkeypatch, build, solver, decisions):
-    """On a minimum D no construction solves gamma.  The gate decides
-    minimality once for a (g, d) call, and not at all where gamma is handed
-    down: to the main construction by its caller, and inside
-    gamma5_construct, whose D comes from a complete enumeration."""
-    calls = {"gamma": 0, "alpha": 0, "max_induced_bipartite": 0, "is_minimum_dominating": 0}
+def test_each_construction_solves_its_bound_once(monkeypatch, build, solver, gamma_asks):
+    """Each construction asks for its bound once.  The gate asks gamma once
+    for a (g, d) call, and not at all where gamma is handed down: to the
+    main construction by its caller, and inside gamma5_construct, whose D
+    comes from a complete enumeration."""
+    calls = {"gamma": 0, "alpha": 0, "max_induced_bipartite": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(solvers, name)):
             calls[_name] += 1
@@ -499,8 +499,22 @@ def test_each_construction_solves_its_bound_once(monkeypatch, build, solver, dec
 
         monkeypatch.setattr(solvers, name, counted)
     build()
-    bounds = {name: int(name == solver) for name in ("gamma", "alpha", "max_induced_bipartite")}
-    assert calls == {**bounds, "is_minimum_dominating": decisions}
+    bounds = {name: int(name == solver) for name in ("alpha", "max_induced_bipartite")}
+    assert calls == {"gamma": gamma_asks, **bounds}
+
+
+def test_two_gates_on_one_graph_share_one_gamma_search(monkeypatch):
+    searches = []
+    min_cover = solvers._min_cover
+
+    def counted(*args):
+        searches.append(args[1:])
+        return min_cover(*args)
+
+    monkeypatch.setattr(solvers, "_min_cover", counted)
+    theorem_main_construct(C9, C9_WITNESS)
+    bipartite_inverse_construct(C9, C9_WITNESS)
+    assert searches == [(C9.full, C9.full)]
 
 
 def test_bipartite_growth_matches_the_quadratic_loop(corpus7):

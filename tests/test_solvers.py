@@ -11,9 +11,9 @@ from itertools import combinations
 
 import pytest
 
-from invdom import harness, naive, solvers
+from invdom import constructions, harness, naive, solvers
 from invdom.certificates import check_inverse_certificate
-from invdom.errors import HasIsolates
+from invdom.errors import HasIsolates, PreconditionViolated
 from invdom.generate import (
     complete_graph,
     cycle_graph,
@@ -417,28 +417,46 @@ def test_the_bounded_optimal_key_matches_the_plain_minimum():
         assert solvers._optimal_part(g, g.full) == optimal_key(g), write_graph6(g)
 
 
-def test_is_minimum_dominating_matches_the_oracle(corpus7):
-    """Every vertex set of every graph with n <= 6: minimum dominating iff it
-    dominates and has gamma vertices, gamma from the exhaustive oracle."""
+def _gate_answer(g: Graph, d_set: int) -> str | None:
+    """The constructions' gate on d_set, asked without gamma: None where it
+    passes, the message where it raises PreconditionViolated."""
+    try:
+        constructions._require_minimum_dominating(g, d_set, "gate")
+    except PreconditionViolated as exc:
+        return str(exc)
+    return None
+
+
+def test_the_gate_passes_exactly_the_gamma_sets(corpus7):
+    """On every isolate-free graph with n <= 6, the gate passes every
+    gamma-set and names the oracle's gamma for every gamma-set with one
+    vertex more, cold and after ``analyze_graph`` has run on the graph."""
     for n in range(1, 7):
         for g in corpus7[n]:
+            if g.has_isolated_vertex():
+                continue
             k = naive.gamma_naive(g)[0]
-            for s in range(1 << g.n):
-                expected = g.is_dominating(s) and s.bit_count() == k
-                assert solvers.is_minimum_dominating(g, s) == expected, (write_graph6(g), s)
+            cases = [
+                (s, None if s == d else f"gate: |d_set| = {k + 1} but gamma = {k}")
+                for d in naive.min_dominating_sets_naive(g)
+                for s in [d, *(d | 1 << v for v in range(g.n) if not d >> v & 1)]
+            ]
+            for warm in (False, True):
+                solvers._held = (None, {})
+                if warm:
+                    harness.analyze_graph(g)
+                assert [(s, _gate_answer(g, s)) for s, _ in cases] == cases, write_graph6(g)
 
 
 def _held_answers(g: Graph) -> tuple:
     """Every result the solvers hold for g."""
-    lowest = solvers.enumerate_min_dominating_sets(g)[0]
     return (
+        solvers.gamma(g),
         solvers.alpha(g),
         solvers.max_induced_bipartite(g),
         solvers._domination_covers(g),
         [solvers._min_covers(g, part) for part in g.components()],
         solvers.enumerate_min_dominating_sets(g),
-        solvers.is_minimum_dominating(g, lowest),
-        solvers.is_minimum_dominating(g, g.full),
         solvers.optimal_dominating_set(g),
     )
 
@@ -482,7 +500,6 @@ def test_empty_graph_edge_cases():
     assert solvers.gamma(g) == (0, 0)
     assert solvers.alpha(g) == (0, 0)
     assert solvers.enumerate_min_dominating_sets(g) == [0]
-    assert solvers.is_minimum_dominating(g, 0)
     assert solvers.min_dominating_within(g, 0) == (0, 0)
     assert solvers.inverse_pass(g)[0::2] == (0, 0)
     assert solvers.max_induced_bipartite(g) == (0, 0)
