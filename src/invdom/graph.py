@@ -196,7 +196,7 @@ class Graph:
         return self._components
 
     def has_isolated_vertex(self) -> bool:
-        return any(row == 0 for row in self.adj)
+        return 0 in self.adj
 
     def is_bipartite_subset(self, s: int) -> bool:
         """True iff the subgraph induced by s has no odd cycle."""

@@ -7,7 +7,8 @@ dominating sets and the inverse pass: it branches on the undominated vertex
 with the fewest candidates, most-dominating candidate first, and excludes
 earlier siblings from later branches, so it reaches each set once.  One
 search for the largest subset that splits into one or two independent sides
-serves alpha, ``alpha_within`` and b(G).  No solver runs another for a seed.
+serves alpha, ``alpha_within`` and b(G).  b takes the held alpha as its
+sides' cap; no other solver runs another for a seed.
 
 A cover-search node with s picks left and u vertices undominated can end
 in a cover only if some candidate covers at least ceil(u / s) of them, so
@@ -27,7 +28,10 @@ beat the best so far, so the search meets the same improving leaves in the
 same order, and every alpha and b witness is the one it returned without it.
 An edge loses one of two vertices and a triangle one of three, so the loss
 is at most half the candidates, and it is computed only where that much
-would cut.
+would cut.  For b, each side is independent, so neither holds more than
+alpha of the component; where 2 * alpha is below the component's order,
+a node is also cut when its sides, each capped at alpha, cannot beat the
+best.
 
 gamma, alpha, b, the inverse pass and ``optimal_dominating_set`` run their
 searches once per connected component, on the component's mask
@@ -52,9 +56,11 @@ so far cannot raise the largest size seen, the limit drops to the least
 size seen.  The gamma-sets in hand give D a floor: its least disjoint
 cover has size gamma if some gamma-set is disjoint from D, and at least
 gamma + 1 if none is, since the enumeration is complete.  A limit of at
-most the floor ends D's search, and once the least size seen is gamma,
-every D with floor gamma is skipped: its size is gamma, so it moves
-neither value.
+most the floor ends D's search.  The pass keeps every cover of the
+component that it meets, greedy or searched, and skips a D whose floor is
+at least the least size seen and which is disjoint from a gamma-set or a
+kept cover of at most the largest size seen: D can then neither lower the
+least size nor raise the largest.
 
 ``optimal_dominating_set`` solves alpha(G[D]) only for a D whose key, with
 a greedy matching's bound in place of alpha, is below the least key so far.
@@ -155,7 +161,7 @@ def _side_loss(adj: tuple[int, ...], cand_a: int, cand_b: int) -> int:
     return loss
 
 
-def _max_sides(g: Graph, allowed: int, sides: int) -> tuple[int, int]:
+def _max_sides(g: Graph, allowed: int, sides: int, cap: int | None = None) -> tuple[int, int]:
     """Largest subset of ``allowed`` splitting into ``sides`` (1 or 2)
     independent sets A and B: (size, witness A | B).
 
@@ -165,13 +171,18 @@ def _max_sides(g: Graph, allowed: int, sides: int) -> tuple[int, int]:
     the sides are interchangeable until then.
 
     A node is cut when its size plus its candidates, less ``_side_loss``,
-    cannot beat the best so far.  A leaf is reached only when it beats the
-    best, and a cut subtree holds no such leaf, so the cuts change neither
-    the order in which the best improves nor the witness.
+    cannot beat the best so far.  ``cap``, when given, is alpha(G[allowed]):
+    no side holds more, so a node is also cut when min(|A| + |cand_a|, cap)
+    + min(|B| + |cand_b|, cap) cannot beat the best.  That cut is tried only
+    where 2 * cap < |allowed|, the dense case, where it pays.  A leaf is
+    reached only when it beats the best, and a cut subtree holds no such
+    leaf, so the cuts change neither the order in which the best improves
+    nor the witness.
     """
     g.check_subset(allowed)
     adj = g.adj
     best, best_mask = 0, 0
+    capped = cap is not None and 2 * cap < allowed.bit_count()
 
     def grow(a: int, b: int, count: int, cand_a: int, cand_b: int) -> None:
         nonlocal best, best_mask
@@ -179,6 +190,15 @@ def _max_sides(g: Graph, allowed: int, sides: int) -> tuple[int, int]:
         size = cand.bit_count()
         bound = count + size
         if bound <= best:
+            return
+        # the sides' sizes x and y have x + y > best here, so min(x, cap) +
+        # min(y, cap) <= best exactly when 2 * cap <= best or one of x, y is
+        # at most best - cap
+        if capped and best >= cap and (
+            best >= 2 * cap
+            or a.bit_count() + cand_a.bit_count() <= best - cap
+            or b.bit_count() + cand_b.bit_count() <= best - cap
+        ):
             return
         # the loss is at most size // 2, so it cuts only a gap of at most that
         if 2 * (bound - best) <= size and bound - _side_loss(adj, cand_a, cand_b) <= best:
@@ -245,30 +265,41 @@ def alpha(g: Graph) -> tuple[int, int]:
 
 @_per_graph
 def max_induced_bipartite(g: Graph) -> tuple[int, int]:
-    """Largest vertex set inducing an odd-cycle-free subgraph: (b(G), witness)."""
-    return _by_component(g, lambda part: _max_sides(g, part, 2))
+    """Largest vertex set inducing an odd-cycle-free subgraph: (b(G), witness).
+
+    Each side is independent, so alpha caps it: a component's cap is the
+    part of alpha's witness inside it, held when alpha was asked first.
+    """
+    independent = alpha(g)[1]
+    return _by_component(g, lambda part: _max_sides(g, part, 2, (independent & part).bit_count()))
 
 
 # -- domination --------------------------------------------------------------
 
 def _greedy_cover(covers: tuple[int, ...], allowed: int, target: int) -> int | None:
-    """Greedy max-coverage solution mask, or None if allowed cannot cover."""
+    """Greedy max-coverage solution mask, or None if allowed cannot cover.
+
+    Each pick is the candidate covering the most of what is left, the lowest
+    id on ties.  A picked candidate covers nothing left, so it stays listed.
+    """
+    cands = []
+    rest = allowed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cands.append((low, covers[low.bit_length() - 1]))
     chosen = 0
     undom = target
     while undom:
-        pick, gain = -1, 0
-        rest = allowed & ~chosen
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            c = (covers[v] & undom).bit_count()
+        pick = gain = 0
+        for bit, cover in cands:
+            c = (cover & undom).bit_count()
             if c > gain:
-                pick, gain = v, c
-        if pick < 0:
+                pick, gain, picked = bit, c, cover
+        if not pick:
             return None
-        chosen |= 1 << pick
-        undom &= ~covers[pick]
+        chosen |= pick
+        undom &= ~picked
     return chosen
 
 
@@ -427,18 +458,24 @@ def _inverse_part(g: Graph, part: int) -> tuple[int, int, int, int, int, int]:
     worst = 0
     size = t_mask = 0  # least cover of part - D found so far for the current D
     floor = 0  # no cover of part - D is smaller
+    found: list[tuple[int, int]] = []  # (size, mask) of every cover of part met so far
 
     def threshold(chosen: int, count: int) -> int:
         nonlocal size, t_mask
         size, t_mask = count, chosen
+        found.append((count, chosen))
         limit = count if count > worst else min(count, best[0])
         return limit if limit > floor else 0
 
     for d in sets:
-        partnered = any(not d & other for other in sets)
-        if partnered and best[0] == gamma:
-            continue  # its size is gamma: it moves neither value
+        partnered = not all(map(d.__and__, sets))  # some gamma-set is disjoint from d
         floor = gamma if partnered else gamma + 1
+        if floor >= best[0] and (
+            partnered or any(count <= worst and not d & cover for count, cover in found)
+        ):
+            # D cannot lower the least size, and a disjoint gamma-set (then
+            # gamma is the least size) or kept cover caps D at the largest
+            continue
         allowed = part & ~d
         greedy = _greedy_cover(covers, allowed, part)
         assert greedy is not None  # Ore: part - D dominates for isolate-free G[part]
@@ -481,12 +518,14 @@ def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
     smaller than D's floor: gamma if some gamma-set is disjoint from D, and
     gamma + 1 if none is, since every dominating set of size gamma is a
     gamma-set.  So a limit of at most the floor ends the search, or skips
-    it when the greedy cover already sets one.  Once the least size so far
-    is gamma, a D with floor gamma is skipped: its size is gamma, so it can
-    neither lower the least size nor raise the largest.  A D that moves
-    either value still gets its exact size, and the limit stays above that
-    size until the search reaches its first least cover, so the certificate
-    is the one an unlimited search would give.
+    it when the greedy cover already sets one.  A D is skipped outright
+    when its floor is at least the least size so far, so it cannot lower
+    gamma^-1, and some gamma-set or cover met earlier in the pass (greedy
+    or searched) is disjoint from D with size at most the largest so far,
+    so it cannot raise strong gamma^-1.  A D that moves either value still
+    gets its exact size, and the limit stays above that size until the
+    search reaches its first least cover, so the certificate is the one an
+    unlimited search would give.
     """
     size, t_mask, d_mask, strong, _, _ = _inverse_sweep(g)
     return size, InverseCertificate(d_mask, t_mask, "exact", size), strong

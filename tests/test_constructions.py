@@ -476,21 +476,22 @@ C9_WITNESS = solvers.gamma(C9)[1]
 
 
 @pytest.mark.parametrize(
-    "build, solver, gamma_asks",
+    "build, asks",
     [
-        (lambda: theorem_main_construct(C9, C9_WITNESS), "alpha", 1),
-        (lambda: theorem_main_construct(C9, C9_WITNESS, gamma=3), "alpha", 0),
-        (lambda: inddom_construct(C9, C9_CERT.d_set, C9_CERT.d_set), "alpha", 1),
-        (lambda: bipartite_inverse_construct(C9, C9_WITNESS), "max_induced_bipartite", 1),
-    ] + [(lambda g=g: gamma5_construct(g), "alpha", 0) for g in gamma5_graphs()],
+        (lambda: theorem_main_construct(C9, C9_WITNESS), (1, 1, 0)),
+        (lambda: theorem_main_construct(C9, C9_WITNESS, gamma=3), (0, 1, 0)),
+        (lambda: inddom_construct(C9, C9_CERT.d_set, C9_CERT.d_set), (1, 1, 0)),
+        (lambda: bipartite_inverse_construct(C9, C9_WITNESS), (1, 1, 1)),
+    ] + [(lambda g=g: gamma5_construct(g), (0, 1, 0)) for g in gamma5_graphs()],
     ids=["main", "main-given-values", "inddom", "bipartite", "gamma5-5K2", "gamma5-5K13",
          "gamma5-C5-pendants", "gamma5-K5-pendants"],
 )
-def test_each_construction_solves_its_bound_once(monkeypatch, build, solver, gamma_asks):
-    """Each construction asks for its bound once.  The gate asks gamma once
-    for a (g, d) call, and not at all where gamma is handed down: to the
-    main construction by its caller, and inside gamma5_construct, whose D
-    comes from a complete enumeration."""
+def test_each_construction_solves_its_bound_once(monkeypatch, build, asks):
+    """Each construction asks for its bound once, as (gamma, alpha, b)
+    asks.  The gate asks gamma once for a (g, d) call, and not at all where
+    gamma is handed down: to the main construction by its caller, and inside
+    gamma5_construct, whose D comes from a complete enumeration.  b asks
+    alpha once, for its sides' cap."""
     calls = {"gamma": 0, "alpha": 0, "max_induced_bipartite": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(solvers, name)):
@@ -499,8 +500,7 @@ def test_each_construction_solves_its_bound_once(monkeypatch, build, solver, gam
 
         monkeypatch.setattr(solvers, name, counted)
     build()
-    bounds = {name: int(name == solver) for name in ("alpha", "max_induced_bipartite")}
-    assert calls == {"gamma": gamma_asks, **bounds}
+    assert tuple(calls.values()) == asks
 
 
 def test_two_gates_on_one_graph_share_one_gamma_search(monkeypatch):

@@ -172,6 +172,11 @@ def test_inverse_pass_matches_the_per_set_reference(c5, corpus7):
         g = random_graph(rng, rng.randint(12, 20), rng.choice((0.15, 0.25, 0.4)))
         if not g.has_isolated_vertex():
             graphs.append(g)
+    for p in (0.15, 0.3):  # random_mid's sparse rows, where most gamma-sets have no partner
+        while len(graphs) < (20 if p == 0.15 else 28):
+            g = random_graph(rng, 16, p)
+            if not g.has_isolated_vertex():
+                graphs.append(g)
     graphs += [pad_with_k2(c5, t) for t in range(7)]
     graphs += gamma5_corpus(1)[::12]  # 20 graphs across its families
     graphs.append(parse_graph6("O???ECO?@GCAC?agG?QP@"))  # T is no whole-graph search's
@@ -197,6 +202,13 @@ def test_inverse_pass_matches_the_per_set_reference(c5, corpus7):
         # gamma-sets {0,4} and {3,4}: no disjoint pair, so every floor is
         # gamma + 1 = gamma^-1 = strong gamma^-1
         ("DCw", (3, [0, 4], [1, 2, 3], 3)),
+        # gamma-sets {0,5} and {4,5}: neither has a partner, and the greedy
+        # cover {1,2,3} of V - {0,5} is disjoint from {4,5}
+        ("ECpo", (3, [0, 5], [1, 2, 3], 3)),
+        # the last gamma-set {5,6} has no partner; the greedy cover {0,1,2}
+        # is disjoint from it but larger than the largest size so far, 2,
+        # so it does not settle {5,6}, whose own size 3 is strong gamma^-1
+        ("FCquo", (2, [1, 5], [2, 6], 3)),
     ],
 )
 def test_inverse_pass_on_both_floors(line, expected):
@@ -248,6 +260,15 @@ def test_no_search_below_a_greedy_cover_at_the_floor(monkeypatch):
     calls = _count_cover_calls(monkeypatch)
     solvers.inverse_pass(parse_graph6("DCw"))
     assert [(kind, size) for kind, _, size in calls] == [("search", None), ("greedy", 3), ("greedy", 3)]
+
+
+def test_a_cover_already_found_settles_d(monkeypatch):
+    # ECpo's second gamma-set {4,5} has floor gamma + 1 = gamma^-1, and the
+    # greedy cover {1,2,3} of V - {0,5}, of size 3 = strong gamma^-1 so far,
+    # is disjoint from it: {4,5} can move neither value, so it gets no cover
+    calls = _count_cover_calls(monkeypatch)
+    solvers.inverse_pass(parse_graph6("ECpo"))
+    assert [(kind, size) for kind, _, size in calls] == [("search", None), ("greedy", 3)]
 
 
 @pytest.mark.parametrize("line", ["HEg??GE", "HU???WI", "O???ECO?@GCAC?agG?QP@"])
@@ -380,6 +401,36 @@ def test_side_loss_counts_a_matching_and_disjoint_triangles():
     assert solvers._side_loss(k4.adj, k4.full, k4.full) == 1  # one triangle, two sides
     # K4 split as {0, 1} on A only and {2, 3} on B only: one edge inside each
     assert solvers._side_loss(k4.adj, 0b0011, 0b1100) == 2
+
+
+def test_the_side_cap_keeps_b_and_its_witness(corpus7):
+    """Capping each side at alpha cuts only subtrees that cannot beat the
+    best, so the search returns what the uncapped search returns."""
+    rng = random.Random(25)
+    graphs = [Graph(0)] + [g for n in range(1, 8) for g in corpus7[n]]
+    graphs += [random_graph(rng, 16 + i % 9, (0.3, 0.5, 0.7)[i % 3]) for i in range(40)]
+    for g in graphs:
+        cap = solvers.alpha(g)[0]
+        assert solvers._max_sides(g, g.full, 2, cap) == solvers._max_sides(g, g.full, 2)
+
+
+def test_the_side_cap_cuts_nodes(monkeypatch):
+    g = random_graph(random.Random(20), 20, 0.5)
+    cap = solvers.alpha(g)[0]
+    assert 2 * cap < g.n  # dense enough for the cap to be tried
+    losses = []
+    side_loss = solvers._side_loss
+
+    def counted(*args):
+        losses.append(args)
+        return side_loss(*args)
+
+    monkeypatch.setattr(solvers, "_side_loss", counted)
+    uncapped = solvers._max_sides(g, g.full, 2)
+    uncapped_losses = len(losses)
+    losses.clear()
+    assert solvers._max_sides(g, g.full, 2, cap) == uncapped
+    assert len(losses) < uncapped_losses
 
 
 def test_optimal_dominating_set_c4(c4):
