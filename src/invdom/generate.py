@@ -11,10 +11,14 @@ explored ones, and children that an automorphism of the parent maps to
 an earlier child.  Both skip only work whose outcome is already decided,
 so the canonical keys, the representatives and their order are those of
 the unpruned search.  Refinement keeps a coloring as its list of class
-masks and keys only the members of classes that can split: a singleton
-class never splits, and its place in the color order does not depend on
-its key, so the colorings, and with them the keys, are those of keying
-every vertex (``tests/oracles.py`` keeps that plain form).
+masks and keys only the members of classes that can split, and only by
+their counts into the classes that split last (fresh): a singleton class
+never splits, its place in the color order does not depend on its key,
+and the members of a class already agree on their counts into every
+class that did not split, so the colorings, and with them the keys, are
+those of keying every vertex into every class (``tests/oracles.py``
+keeps that plain form).  A leaf's code is packed straight from its
+singleton masks, which also serve as its vertex order.
 """
 
 from __future__ import annotations
@@ -24,26 +28,40 @@ from itertools import combinations
 
 from . import solvers
 from .errors import TooLarge
-from .graph import Graph, bits, disjoint_union
+from .graph import Graph, disjoint_union
 
 
 # -- canonical forms -----------------------------------------------------------
 
-def _refine(adj: tuple[int, ...], n: int, masks: list[int]) -> list[int]:
+def _refine(
+    adj: tuple[int, ...], n: int, masks: list[int], fresh: list[int] | None = None
+) -> list[int]:
     """Equitable color refinement: split classes by neighbor counts.
 
     A coloring is the list of its class masks, ``masks[c]`` the vertices of
     color ``c``.  Each round walks the classes in color order.  A singleton
     cannot split and keeps its place; the members of a larger class are
-    keyed by their neighbor count into every class, packed base n + 1, and
-    the class splits into one class per distinct key, in sorted order.
-    That is the order of (old color, counts) over all vertices, so keying
-    singletons too would give the same coloring.  The coloring is stable
-    once no class splits.
+    keyed by their neighbor count into every fresh class, in color order,
+    packed base n + 1, and the class splits into one class per distinct
+    key, in sorted order.  ``fresh`` is every class when not given, and in
+    each later round the parts of the classes that split in the round
+    before, in color order.
+
+    Precondition: the members of each class of ``masks`` agree on their
+    counts into every class not in ``fresh``, as they do when ``masks`` is
+    an equitable coloring with one class split and ``fresh`` its parts.
+    Each round keeps that true, so counts into the other classes would add
+    only digits that are equal across a class, and the order of (old
+    color, counts into every class) over all vertices, the coloring of
+    keying every vertex into every class, is the one found.  The coloring
+    is stable once no class splits.
     """
     base = n + 1
+    if fresh is None:
+        fresh = masks
     while True:
         split = []
+        parted = []
         for cell in masks:
             if not cell & (cell - 1):
                 split.append(cell)
@@ -55,41 +73,19 @@ def _refine(adj: tuple[int, ...], n: int, masks: list[int]) -> list[int]:
                 rest ^= low
                 row = adj[low.bit_length() - 1]
                 key = 0
-                for cm in masks:
+                for cm in fresh:
                     key = key * base + (row & cm).bit_count()
                 parts[key] = parts.get(key, 0) | low
             if len(parts) == 1:
                 split.append(cell)
             else:
-                split.extend(parts[key] for key in sorted(parts))
-        if len(split) == len(masks):
+                pieces = [parts[key] for key in sorted(parts)]
+                split += pieces
+                parted += pieces
+        if not parted:
             return masks
         masks = split
-
-
-def _encode(adj: tuple[int, ...], order: list[int]) -> int:
-    """Upper-triangle bits of the relabeled graph packed into an int.
-
-    Row i holds one bit per later position j, the first of them highest.
-    Each vertex's neighbors are placed at their positions, so a row costs
-    its degree, not n - i single-bit tests.
-    """
-    n = len(order)
-    place = [0] * n  # place[v]: v's bit in the row of any earlier position
-    for i, v in enumerate(order):
-        place[v] = 1 << (n - 1 - i)
-    out = 0
-    later = (1 << n) - 1
-    for i, v in enumerate(order):
-        later ^= 1 << v
-        rest = adj[v] & later
-        row = 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            row |= place[low.bit_length() - 1]
-        out = out << (n - 1 - i) | row
-    return out
+        fresh = parted
 
 
 def _closure(mask: int, perms: list[bytes]) -> int:
@@ -97,7 +93,10 @@ def _closure(mask: int, perms: list[bytes]) -> int:
     frontier = mask
     while frontier:
         images = 0
-        for v in bits(frontier):
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            v = low.bit_length() - 1
             for p in perms:
                 images |= 1 << p[v]
         frontier = images & ~mask
@@ -108,56 +107,95 @@ def _closure(mask: int, perms: list[bytes]) -> int:
 def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...]]:
     """(n, bits) key identical across isomorphic graphs, and automorphisms of g.
 
-    The key is the smallest ``_encode`` over the leaves of the
+    The key is the smallest code over the leaves of the
     individualization-refinement tree.  A node is an equitable coloring
     from ``_refine``, as class masks; its target cell is its first class
     with two or more vertices, and it is a leaf once every class is a
-    singleton, its classes in color order giving the vertex order.  Two
-    leaves with the same encoding differ by an automorphism, the
+    singleton, its classes in color order giving the vertex order.  A
+    child individualizes one vertex v of the target cell: v keeps the
+    target color, the rest of the cell and every later class move up one,
+    and only those two halves are fresh for ``_refine``, since the node is
+    equitable.  A leaf's code is the upper triangle of the graph relabeled
+    by that order, packed from its singleton masks: row i holds one bit
+    per later position j, the first of them highest, and each vertex's
+    later neighbors are placed at their positions, so a row costs its
+    degree.  Two leaves with the same code differ by an automorphism, the
     permutation taking the first leaf's order to the other's; each one
     found is recorded as bytes ``p`` with ``p[v]`` the image of ``v``
     (compact, since ``all_graphs`` keeps them for every graph it
     generates).  A node individualizes one vertex of its target cell per
     orbit under the automorphisms found so far that fix the node's
     individualized vertices: a skipped subtree is the image of an explored
-    one, with the same encodings, so the minimum is that of the whole
-    tree.  Since every leaf is compared with the first leaf of its
-    encoding, the automorphisms returned generate all of Aut(g) (McKay,
-    "Practical graph isomorphism", 1981).
+    one, with the same codes, so the minimum is that of the whole tree.
+    Since every leaf is compared with the first leaf of its code, the
+    automorphisms returned generate all of Aut(g) (McKay, "Practical graph
+    isomorphism", 1981).
     """
     n = g.n
     if n <= 1:
         return (n, 0), ()
     adj = g.adj
+    full = (1 << n) - 1
     leaves: dict[int, list[int]] = {}
     autos: list[bytes] = []
     fixed_by: list[int] = []  # fixed_by[i]: mask of the vertices autos[i] fixes
 
     def rec(masks: list[int], path: int) -> None:
         if len(masks) == n:
-            order = [cell.bit_length() - 1 for cell in masks]
-            first = leaves.setdefault(_encode(adj, order), order)
-            if first is not order:
+            place = [0] * n  # place[v]: v's bit in the row of any earlier position
+            bit = 1 << n
+            for cell in masks:
+                bit >>= 1
+                place[cell.bit_length() - 1] = bit
+            code = 0
+            later = full
+            width = n
+            for cell in masks:
+                later ^= cell
+                width -= 1
+                rest = adj[cell.bit_length() - 1] & later
+                row = 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row |= place[low.bit_length() - 1]
+                code = code << width | row
+            first = leaves.setdefault(code, masks)
+            if first is not masks:
                 p = [0] * n
-                for u, v in zip(first, order):
-                    p[u] = v
+                fixed = 0
+                for a, b in zip(first, masks):
+                    p[a.bit_length() - 1] = b.bit_length() - 1
+                    if a == b:
+                        fixed |= a
                 autos.append(bytes(p))
-                fixed_by.append(sum(1 << v for v in range(n) if p[v] == v))
+                fixed_by.append(fixed)
             return
-        target = next(c for c, cell in enumerate(masks) if cell & (cell - 1))
+        target = 0
+        while not masks[target] & (masks[target] - 1):
+            target += 1
         cell = masks[target]
+        head = masks[:target]
+        tail = masks[target + 1:]
         explored = covered = 0
-        for v in bits(cell):
-            if covered >> v & 1:
+        stabilizer: list[bytes] = []  # the autos found so far that fix path
+        checked = 0
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if covered & low:
                 continue
-            # v keeps the target color; the rest of its cell and every later class move up one
-            split = masks[:target] + [1 << v, cell ^ 1 << v] + masks[target + 1:]
-            rec(_refine(adj, n, split), path | 1 << v)
-            explored |= 1 << v
-            stabilizer = [p for p, fix in zip(autos, fixed_by) if not path & ~fix]
-            covered = _closure(explored, stabilizer)
+            halves = [low, cell ^ low]  # the rest of the cell and every later class move up one
+            rec(_refine(adj, n, head + halves + tail, halves), path | low)
+            explored |= low
+            for i in range(checked, len(autos)):
+                if not path & ~fixed_by[i]:
+                    stabilizer.append(autos[i])
+            checked = len(autos)
+            covered = _closure(explored, stabilizer) if stabilizer else explored
 
-    rec(_refine(adj, n, [(1 << n) - 1]), 0)
+    rec(_refine(adj, n, [full]), 0)
     return (n, min(leaves)), tuple(autos)
 
 
@@ -221,7 +259,8 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
                     parent.adj[v] | ((attach >> v & 1) << new) for v in range(new)
                 ]
                 rows.append(attach)
-                child = Graph.from_rows(rows)
+                child = Graph(n)  # rows symmetric by construction: skip from_rows's check
+                child.adj = tuple(rows)
                 key, autos = canonical_form(child)
                 if key not in seen:
                     seen.add(key)

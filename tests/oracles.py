@@ -4,7 +4,7 @@
 the bitmask walk of ``Graph.components``.
 
 ``refine`` is the plain form of ``generate._refine``: it keys every vertex
-in every round, singletons included.
+into every class in every round, singletons included.
 
 ``grow_bipartite`` is the plain form of ``constructions._grow_bipartite``:
 it tests the whole of B + v for each vertex v.  ``optimal_key`` is the plain
@@ -133,7 +133,8 @@ def refine(adj: Sequence[int], n: int, colors: list[int]) -> list[int]:
     color followed by its neighbor count into every class, packed base
     n + 1, and renumbers the colors by the rank of the key; the coloring is
     stable once no class splits.  ``generate._refine`` must give the same
-    colors while keying only the members of classes that can split.
+    colors while keying only the members of classes that can split, and
+    only by their counts into the classes that split last.
     """
     base = n + 1
     k = max(colors) + 1

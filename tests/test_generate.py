@@ -6,8 +6,10 @@ the order of the corpus.  ``canonical_form`` is checked against the
 brute-force oracles in ``oracles.py`` on every graph with n <= 6 and on
 seeded relabellings of each; isomorphism and |Aut(G)| do not change under
 relabelling, so the oracles run once per class.  Its output itself, keys
-and automorphisms in the order found, is pinned for n <= 7, and
-``_refine`` is checked against the plain refinement ``oracles.refine``.
+and automorphisms in the order found, is pinned for n <= 7 and on a
+sample of n = 8, and ``_refine`` is checked against the plain refinement
+``oracles.refine``, with every class fresh and with only the two halves of
+an individualized cell fresh.
 """
 
 import hashlib
@@ -28,6 +30,8 @@ ALL_GRAPHS_SHA256 = "ebc1aa37ba4bc59466c49b5b787c5448b591396e8f7605a973504dee79f
 CLASSES = (1, 1, 2, 4, 11, 34, 156, 1044)
 # SHA-256 of repr(canonical_form(g)) for every graph of _classes(1), ..., _classes(7), in order, joined by "\n"
 CANONICAL_FORM_SHA256 = "54c436923a9dfcdb9a81b767b7845aec5116c57f5e82d2e323fe01c13ca8551b"
+# SHA-256 of repr(canonical_form(g)) for every graph of _sample(8), in order, joined by "\n"
+CANONICAL_FORM_8_SHA256 = "48ad694531aa74da604fc648511599b9d573a9e3fe3a0d34dd02fe85f0a8aa11"
 
 
 def test_all_graphs_output_is_pinned():
@@ -60,6 +64,20 @@ def _classes(n: int, copies: int = 3) -> list[list[Graph]]:
     return out
 
 
+def _sample(n: int, step: int = 20, copies: int = 2) -> list[Graph]:
+    """Every ``step``-th graph of all_graphs(n), each followed by ``copies``
+    seeded random relabellings."""
+    rng = random.Random(n)
+    out = []
+    for g in all_graphs(n)[::step]:
+        out.append(g)
+        for _ in range(copies):
+            p = list(range(n))
+            rng.shuffle(p)
+            out.append(Graph(n, [(p[u], p[v]) for u, v in g.edges()]))
+    return out
+
+
 def _group_order(n: int, generators: list[tuple[int, ...]]) -> int:
     """Order of the permutation group the generators generate, by closure."""
     identity = tuple(range(n))
@@ -87,17 +105,22 @@ def _masks(colors: list[int]) -> list[int]:
 def test_refine_matches_the_reference_refinement(n):
     """From the unit coloring and from each one-vertex individualization of
     its refinement, as ``canonical_form`` individualizes, ``_refine`` gives
-    the reference's coloring, and that coloring is equitable."""
+    the reference's coloring, and that coloring is equitable.  An
+    individualized coloring is refined twice: with every class fresh, and
+    with only ``{v}`` and the rest of its cell fresh, as ``canonical_form``
+    calls it."""
     for g in all_graphs(n):
         start = [0] * n
         stable = oracles.refine(g.adj, n, start)
-        colorings = [start] + [
-            [c + (c > stable[v] or (c == stable[v] and u != v)) for u, c in enumerate(stable)]
-            for v in range(n) if stable.count(stable[v]) > 1
-        ]
-        for colors in colorings:
+        runs = [(start, None)]
+        for v in range(n):
+            if stable.count(stable[v]) > 1:
+                colors = [c + (c > stable[v] or (c == stable[v] and u != v)) for u, c in enumerate(stable)]
+                halves = [1 << v, _masks(stable)[stable[v]] ^ 1 << v]
+                runs += [(colors, None), (colors, halves)]
+        for colors, fresh in runs:
             expected = _masks(oracles.refine(g.adj, n, colors))
-            masks = generate._refine(g.adj, n, _masks(colors))
+            masks = generate._refine(g.adj, n, _masks(colors), fresh)
             assert masks == expected, write_graph6(g)
             for cell in masks:
                 counts = {tuple((g.adj[v] & other).bit_count() for other in masks) for v in bits(cell)}
@@ -133,3 +156,10 @@ def test_canonical_form_output_is_pinned():
     reach the same leaves in the same order."""
     lines = [repr(canonical_form(g)) for n in range(1, 8) for labellings in _classes(n) for g in labellings]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CANONICAL_FORM_SHA256
+
+
+def test_canonical_form_output_is_pinned_at_eight_vertices():
+    """As above on every 20th graph on 8 vertices and two relabellings of
+    each: at n = 8 refinement has the most classes to key against."""
+    lines = [repr(canonical_form(g)) for g in _sample(8)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CANONICAL_FORM_8_SHA256
