@@ -11,14 +11,23 @@ explored ones, and children that an automorphism of the parent maps to
 an earlier child.  Both skip only work whose outcome is already decided,
 so the canonical keys, the representatives and their order are those of
 the unpruned search.  Refinement keeps a coloring as its list of class
-masks and keys only the members of classes that can split, and only by
-their counts into the classes that split last (fresh): a singleton class
-never splits, its place in the color order does not depend on its key,
-and the members of a class already agree on their counts into every
-class that did not split, so the colorings, and with them the keys, are
-those of keying every vertex into every class (``tests/oracles.py``
-keeps that plain form).  A leaf's code is packed straight from its
-singleton masks, which also serve as its vertex order.
+masks and refines only against what just split (McKay 1981; McKay and
+Piperno, "Practical graph isomorphism, II", 2014).  It keys only the
+members of classes that can split, and only by their counts into the
+fresh classes: the pieces of the classes that split the round before,
+less the last piece of each.  A singleton class never splits, and its
+place in the color order does not depend on its key.  The members of a
+class already agree on their counts into every class that did not split
+and into each class that split, taken whole, so a count into a last
+piece follows from the counts into the pieces before it and never
+decides an order.  Individualizing a vertex v of an equitable coloring
+needs no keyed round: the members of each class agree on their counts
+into v's cell, so the first round splits each class into its
+non-neighbors of v, then its neighbors, one mask operation per class.
+The colorings, and with them the keys, are those of keying every vertex
+into every class (``tests/oracles.py`` keeps that plain form).  A leaf's
+code is packed straight from its singleton masks, which also serve as
+its vertex order.
 """
 
 from __future__ import annotations
@@ -45,16 +54,22 @@ def _refine(
     packed base n + 1, and the class splits into one class per distinct
     key, in sorted order.  ``fresh`` is every class when not given, and in
     each later round the parts of the classes that split in the round
-    before, in color order.
+    before, less the last part of each, in color order.
 
-    Precondition: the members of each class of ``masks`` agree on their
-    counts into every class not in ``fresh``, as they do when ``masks`` is
-    an equitable coloring with one class split and ``fresh`` its parts.
-    Each round keeps that true, so counts into the other classes would add
-    only digits that are equal across a class, and the order of (old
-    color, counts into every class) over all vertices, the coloring of
-    keying every vertex into every class, is the one found.  The coloring
-    is stable once no class splits.
+    Precondition: for each class of ``masks`` and each class C not in
+    ``fresh``, the members of the class agree on their counts into C, or C
+    is the last part of a split class whose other parts are fresh and they
+    agree on their counts into that split class taken whole.  It holds
+    when ``masks`` is an equitable coloring with one class split and
+    ``fresh`` all its parts but the last, such as ``[{v}]`` for ``{v}``
+    and the rest of v's cell.  Each round keeps it true: members with one
+    key agree on every fresh class, and so on each last part, whose count
+    is the whole's less its siblings'.  So counts into a class of the first
+    kind would add digits equal across a class, and a count into a last
+    part can differ between two members only after a sibling's, earlier
+    in color order, has: the order of (old color, counts into every class)
+    over all vertices, the coloring of keying every vertex into every
+    class, is the one found.  The coloring is stable once no class splits.
     """
     base = n + 1
     if fresh is None:
@@ -81,7 +96,7 @@ def _refine(
             else:
                 pieces = [parts[key] for key in sorted(parts)]
                 split += pieces
-                parted += pieces
+                parted += pieces[:-1]
         if not parted:
             return masks
         masks = split
@@ -113,10 +128,16 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...]]:
     with two or more vertices, and it is a leaf once every class is a
     singleton, its classes in color order giving the vertex order.  A
     child individualizes one vertex v of the target cell: v keeps the
-    target color, the rest of the cell and every later class move up one,
-    and only those two halves are fresh for ``_refine``, since the node is
-    equitable.  A leaf's code is the upper triangle of the graph relabeled
-    by that order, packed from its singleton masks: row i holds one bit
+    target color, the rest of the cell and every later class move up one.
+    The node is equitable, so the members of any class agree on their
+    counts into the target cell, and the first round of refinement, keyed
+    by counts into ``{v}`` and the rest of the cell, splits each class
+    into its non-neighbors of v, then its neighbors.  ``rec`` does that
+    round itself, one mask operation per class, and calls ``_refine`` only
+    if some class split, with the non-neighbor pieces fresh (the neighbor
+    pieces are the last parts); otherwise the child is already stable.  A
+    leaf's code is the upper triangle of the graph relabeled by that
+    order, packed from its singleton masks: row i holds one bit
     per later position j, the first of them highest, and each vertex's
     later neighbors are placed at their positions, so a row costs its
     degree.  Two leaves with the same code differ by an automorphism, the
@@ -186,8 +207,20 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...]]:
             rest ^= low
             if covered & low:
                 continue
-            halves = [low, cell ^ low]  # the rest of the cell and every later class move up one
-            rec(_refine(adj, n, head + halves + tail, halves), path | low)
+            # the rest of the cell and every later class move up one, each
+            # split into v's non-neighbors (fresh), then its neighbors; the
+            # classes of head are singletons
+            row = adj[low.bit_length() - 1]
+            child = head + [low]
+            fresh = []
+            for other in [cell ^ low] + tail:
+                inside = other & row
+                if inside and inside != other:
+                    child += (other ^ inside, inside)
+                    fresh.append(other ^ inside)
+                else:
+                    child.append(other)
+            rec(_refine(adj, n, child, fresh) if fresh else child, path | low)
             explored |= low
             for i in range(checked, len(autos)):
                 if not path & ~fixed_by[i]:

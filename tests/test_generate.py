@@ -7,9 +7,14 @@ brute-force oracles in ``oracles.py`` on every graph with n <= 6 and on
 seeded relabellings of each; isomorphism and |Aut(G)| do not change under
 relabelling, so the oracles run once per class.  Its output itself, keys
 and automorphisms in the order found, is pinned for n <= 7 and on a
-sample of n = 8, and ``_refine`` is checked against the plain refinement
-``oracles.refine``, with every class fresh and with only the two halves of
-an individualized cell fresh.
+sample of n = 8, and beyond the pins on six symmetric graphs of 10 to 64
+vertices by relabelling and by their automorphism groups.  ``_refine`` is
+checked against the plain refinement ``oracles.refine`` with every class
+fresh, with only the two halves of an individualized cell fresh, with only
+the individualized vertex fresh, and as ``canonical_form`` runs it: the
+first round split by the vertex's neighborhood, then the non-neighbor
+pieces fresh.  The work of a cold ``all_graphs(7)`` is pinned as call
+counts, so a keyed round brought back per child shows up.
 """
 
 import hashlib
@@ -101,26 +106,48 @@ def _masks(colors: list[int]) -> list[int]:
     return masks
 
 
+def _split_by(adj: tuple[int, ...], masks: list[int], v: int) -> tuple[list[int], list[int]]:
+    """The first round after individualizing v, as ``canonical_form`` runs
+    it: each class splits into its non-neighbors of v, then its neighbors,
+    and the non-neighbor pieces are fresh."""
+    split, fresh = [], []
+    for cell in masks:
+        inside = cell & adj[v]
+        if inside and inside != cell:
+            split += [cell ^ inside, inside]
+            fresh.append(cell ^ inside)
+        else:
+            split.append(cell)
+    return split, fresh
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_refine_matches_the_reference_refinement(n):
     """From the unit coloring and from each one-vertex individualization of
     its refinement, as ``canonical_form`` individualizes, ``_refine`` gives
     the reference's coloring, and that coloring is equitable.  An
-    individualized coloring is refined twice: with every class fresh, and
-    with only ``{v}`` and the rest of its cell fresh, as ``canonical_form``
-    calls it."""
+    individualized coloring is refined four ways: with every class fresh;
+    with ``{v}`` and the rest of its cell fresh; with only ``{v}`` fresh,
+    the last piece of its split left out; and as ``canonical_form`` does
+    it, the first round split by v's neighborhood and ``_refine`` called
+    with the non-neighbor pieces fresh, or not called if no class split."""
     for g in all_graphs(n):
         start = [0] * n
         stable = oracles.refine(g.adj, n, start)
-        runs = [(start, None)]
+        runs = [(start, _masks(start), None)]
         for v in range(n):
             if stable.count(stable[v]) > 1:
                 colors = [c + (c > stable[v] or (c == stable[v] and u != v)) for u, c in enumerate(stable)]
-                halves = [1 << v, _masks(stable)[stable[v]] ^ 1 << v]
-                runs += [(colors, None), (colors, halves)]
-        for colors, fresh in runs:
+                masks = _masks(colors)
+                halves = masks[stable[v]:stable[v] + 2]
+                runs += [(colors, masks, None), (colors, masks, halves), (colors, masks, [1 << v])]
+                runs.append((colors, *_split_by(g.adj, masks, v)))
+        for colors, start_masks, fresh in runs:
             expected = _masks(oracles.refine(g.adj, n, colors))
-            masks = generate._refine(g.adj, n, _masks(colors), fresh)
+            if fresh == []:  # no class split: canonical_form takes the split as stable
+                masks = start_masks
+            else:
+                masks = generate._refine(g.adj, n, start_masks, fresh)
             assert masks == expected, write_graph6(g)
             for cell in masks:
                 counts = {tuple((g.adj[v] & other).bit_count() for other in masks) for v in bits(cell)}
@@ -163,3 +190,74 @@ def test_canonical_form_output_is_pinned_at_eight_vertices():
     each: at n = 8 refinement has the most classes to key against."""
     lines = [repr(canonical_form(g)) for g in _sample(8)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CANONICAL_FORM_8_SHA256
+
+
+def _cycle_product(a: int, b: int) -> Graph:
+    """The Cartesian product C_a x C_b, vertex (i, j) numbered i * b + j."""
+    edges = []
+    for i in range(a):
+        for j in range(b):
+            edges += [(i * b + j, (i + 1) % a * b + j), (i * b + j, i * b + (j + 1) % b)]
+    return Graph(a * b, edges)
+
+
+def _hypercube(d: int) -> Graph:
+    return Graph(1 << d, [(u, u | 1 << i) for u in range(1 << d) for i in range(d) if not u >> i & 1])
+
+
+# name -> (graph, |Aut|, or None where closing the group by brute force is too slow)
+SYMMETRIC = {
+    "petersen": (
+        Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+              + [(i, i + 5) for i in range(5)]
+              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+        120,
+    ),
+    "q4": (_hypercube(4), 384),
+    "c6xc6": (_cycle_product(6, 6), 288),
+    "paley13": (Graph(13, [(u, v) for u in range(13) for v in range(u + 1, 13) if (v - u) % 13 in {1, 3, 4, 9, 10, 12}]), 78),
+    "q6": (_hypercube(6), None),
+    "c8xc8": (_cycle_product(8, 8), None),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_canonical_form_on_symmetric_graphs(name):
+    """Past the pins, on graphs whose search trees are deep and wide: the
+    key survives two seeded relabellings, every permutation returned is an
+    automorphism, and where the group is small enough to close, the
+    generators give all of it."""
+    g, order = SYMMETRIC[name]
+    n = g.n
+    key, autos = canonical_form(g)
+    rng = random.Random(name)
+    for _ in range(2):
+        p = list(range(n))
+        rng.shuffle(p)
+        assert canonical_form(Graph(n, [(p[u], p[v]) for u, v in g.edges()]))[0] == key
+    for p in autos:
+        assert sorted(p) == list(range(n))
+        assert all(g.adj[p[u]] == sum(1 << p[v] for v in bits(g.adj[u])) for u in range(n))
+    if order is not None:
+        assert _group_order(n, autos) == order
+
+
+def test_all_graphs_work_is_pinned(monkeypatch):
+    """A cold all_graphs(7) puts 5,759 children through canonical_form and
+    refines 9,676 times: once per canonical form for the unit coloring, and
+    once per explored child whose first round, split by the individualized
+    vertex's neighborhood, split some class (29,541 with a keyed round per
+    child)."""
+    calls = {"canonical_form": 0, "_refine": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(generate, "_ALL_GRAPHS", {})
+    monkeypatch.setattr(generate, "canonical_form", counted("canonical_form", canonical_form))
+    monkeypatch.setattr(generate, "_refine", counted("_refine", generate._refine))
+    all_graphs(7)
+    assert calls == {"canonical_form": 5759, "_refine": 9676}
