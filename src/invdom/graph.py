@@ -111,13 +111,7 @@ class Graph:
 
     def closed_neighborhood(self, s: int) -> int:
         """N[s] = s together with every neighbor of a member."""
-        adj = self.adj
-        out = rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            out |= adj[low.bit_length() - 1]
-        return out
+        return s | self.open_neighborhood(s)
 
     def is_dominating(self, s: int) -> bool:
         return self.closed_neighborhood(s) == self.full

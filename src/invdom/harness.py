@@ -11,12 +11,12 @@ emits reports in input order either way.  gamma and alpha are solved once
 per graph: the main construction takes the report's gamma for its gate,
 and its bound's alpha is the one the solvers hold from the report's own
 call, since they keep each result for the most recent graph (see
-``solvers``).  When the inverse pass runs, gamma and the main
-construction's D, the lowest gamma-set, come from its enumeration of the
-gamma-sets; gamma's own search runs only on graphs with isolates or when
-no check needs the pass.  A caller that asks the solvers about the same
-graph after ``analyze_graph``, such as a construction on the same graph6
-line parsed anew, is answered from those held results.
+``solvers``).  When the inverse pass runs, the main construction's D is
+its certificate's D, a gamma-set, and gamma is that set's size; gamma's
+own search runs only on graphs with isolates or when no check needs the
+pass.  A caller that asks the solvers about the same graph after
+``analyze_graph``, such as a construction on the same graph6 line parsed
+anew, is answered from those held results.
 ``main_thm_ok`` is True whenever the main construction returns: it
 certifies |T| <= alpha + floor((gamma-1)/2) itself, against that exact
 bound, and raises InternalContradiction otherwise, which the report
@@ -121,7 +121,9 @@ def analyze_graph(
     isolate_free = g.n > 0 and not g.has_isolated_vertex()
     inverse = isolate_free and checks & {"conjecture", "three_halves", "strong"}
     if inverse:
-        inv_gamma, _, _, strong_inv_gamma, gamma_value, gamma_set = solvers._inverse_sweep(g)
+        inv_gamma, cert, strong_inv_gamma = solvers.inverse_pass(g)
+        gamma_set = cert.d_set
+        gamma_value = gamma_set.bit_count()
     else:
         gamma_value, gamma_set = solvers.gamma(g)
     alpha_value, _ = solvers.alpha(g)
@@ -273,10 +275,9 @@ def check_component_split(g: Graph) -> list[str]:
     witness and the certificate's T join each part's first least cover,
     which need not be the whole graph's first, so they are checked for
     validity: the gamma witness dominates with size gamma, and the
-    certificate passes ``check_inverse_certificate`` against gamma.  The
-    inverse pass's gamma and lowest gamma-set, which ``analyze_graph`` takes
-    in place of gamma's search, are gamma's value and the least of the
-    enumerated gamma-sets, on the whole graph and joined by component."""
+    certificate passes ``check_inverse_certificate`` against gamma, so its
+    D, which ``analyze_graph`` takes for gamma and the main construction,
+    is a gamma-set."""
     covers = solvers._domination_covers(g)
     size, witness = solvers.gamma(g)
     cert = solvers.optimal_dominating_set(g)
@@ -295,21 +296,12 @@ def check_component_split(g: Graph) -> list[str]:
         problems.append(f"gamma witness {to_sorted(witness)} is no dominating set of size {size}")
     if not g.has_isolated_vertex():
         inverse_size, inverse, strong = solvers.inverse_pass(g)
-        *_, split_gamma, split_low = solvers._inverse_sweep(g)
-        whole_size, _, whole_d, whole_strong, whole_gamma, whole_low = solvers._inverse_part(
-            g, g.full
-        )
+        whole_size, _, whole_d, whole_strong = solvers._inverse_part(g, g.full)
         pairs.append((
-            "inverse pass (size, D, strong, gamma, lowest gamma-set)",
-            (inverse_size, inverse.d_set, strong, split_gamma, split_low),
-            (whole_size, whole_d, whole_strong, whole_gamma, whole_low),
+            "inverse pass (size, D, strong)",
+            (inverse_size, inverse.d_set, strong),
+            (whole_size, whole_d, whole_strong),
         ))
-        lowest = min(solvers.enumerate_min_dominating_sets(g))
-        if (whole_gamma, whole_low) != (size, lowest):
-            problems.append(
-                f"inverse pass gives gamma {whole_gamma} and lowest gamma-set {to_sorted(whole_low)},"
-                f" not {size} and {to_sorted(lowest)}"
-            )
         problems += [f"inverse certificate: {p}" for p in check_inverse_certificate(g, inverse, size)]
     return problems + [
         f"{label}: by component {split}, whole graph {whole}"

@@ -48,15 +48,15 @@ number is the product of the parts' counts (5 * 2^t on C5 + t*K2), so
 search still run on the whole graph.  ``min_dominating_within`` and
 ``alpha_within`` take an arbitrary ``allowed`` mask and do not split either.
 
-The inverse pass enumerates the gamma-sets, so it also yields gamma and the
-lowest gamma-set, which ``verify`` takes in place of gamma's own search.
-It searches V - D for each minimum dominating set D only as far as D can
-still move gamma^-1 or strong gamma^-1.  Once D's best cover
-so far cannot raise the largest size seen, the limit drops to the least
-size seen.  The gamma-sets in hand give D a floor: its least disjoint
-cover has size gamma if some gamma-set is disjoint from D, and at least
-gamma + 1 if none is, since the enumeration is complete.  A limit of at
-most the floor ends D's search.  The pass keeps every cover of the
+The inverse pass's certificate (D, T) has a gamma-set for D, so
+``verify`` takes gamma and the main construction's D from it in place of
+gamma's own search.  The pass searches V - D for each minimum dominating
+set D only as far as D can still move gamma^-1 or strong gamma^-1.  Once
+D's best cover so far cannot raise the largest size seen, the limit drops
+to the least size seen.  The gamma-sets in hand give D a floor: its least
+disjoint cover has size gamma if some gamma-set is disjoint from D, and at
+least gamma + 1 if none is, since the enumeration is complete.  A limit of
+at most the floor ends D's search.  The pass keeps every cover of the
 component that it meets, greedy or searched, and skips a D whose floor is
 at least the least size seen and which is disjoint from a gamma-set or a
 kept cover of at most the largest size seen: D can then neither lower the
@@ -443,14 +443,9 @@ def enumerate_min_dominating_sets(g: Graph) -> list[int]:
 
 # -- inverse domination -------------------------------------------------------
 
-def _require_isolate_free(g: Graph) -> None:
-    if g.has_isolated_vertex():
-        raise HasIsolates("a graph with isolates cannot have an inverse dominating set")
-
-
-def _inverse_part(g: Graph, part: int) -> tuple[int, int, int, int, int, int]:
+def _inverse_part(g: Graph, part: int) -> tuple[int, int, int, int]:
     """The inverse pass on an isolate-free G[part]: (gamma^-1, T, D, strong
-    gamma^-1, gamma, lowest gamma-set), with (D, T) the certificate."""
+    gamma^-1), with (D, T) the certificate."""
     covers = _domination_covers(g)
     sets = _min_covers(g, part)
     gamma = sets[0].bit_count()
@@ -486,18 +481,7 @@ def _inverse_part(g: Graph, part: int) -> tuple[int, int, int, int, int, int]:
             best = (size, t_mask, d)
         worst = max(worst, size)
     size, t_mask, d_mask = best
-    return size, t_mask, d_mask, worst, gamma, sets[0]
-
-
-def _inverse_sweep(g: Graph) -> tuple[int, int, int, int, int, int]:
-    """``_inverse_part`` joined over the components of an isolate-free g.
-
-    Besides the pass, it gives gamma and the lowest gamma-set of g without
-    another search: the parts' masks are disjoint, so the least union of
-    one gamma-set per part is the union of each part's least.
-    """
-    _require_isolate_free(g)
-    return _by_component(g, lambda part: _inverse_part(g, part))
+    return size, t_mask, d_mask, worst
 
 
 def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
@@ -527,7 +511,9 @@ def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
     search reaches its first least cover, so the certificate is the one an
     unlimited search would give.
     """
-    size, t_mask, d_mask, strong, _, _ = _inverse_sweep(g)
+    if g.has_isolated_vertex():
+        raise HasIsolates("a graph with isolates cannot have an inverse dominating set")
+    size, t_mask, d_mask, strong = _by_component(g, lambda part: _inverse_part(g, part))
     return size, InverseCertificate(d_mask, t_mask, "exact", size), strong
 
 
@@ -557,23 +543,15 @@ def _optimal_part(g: Graph, part: int) -> tuple[int, int, int]:
     """Least key (-alpha(G[D]), induced edges of D, D) over the minimum
     dominating sets D of G[part].
 
-    A greedy matching of m edges inside D gives alpha(G[D]) <= |D| - m, so
-    (m - |D|, edges, D) is at most D's key.  alpha(G[D]) is solved only
-    when that lower key is below the least key so far; every D skipped has
-    a key above it, so the least key is the one over all D.
+    A greedy matching of m edges inside D (``_side_loss`` with one side
+    only) gives alpha(G[D]) <= |D| - m, so (m - |D|, edges, D) is at most
+    D's key.  alpha(G[D]) is solved only when that lower key is below the
+    least key so far; every D skipped has a key above it, so the least key
+    is the one over all D.
     """
-    adj = g.adj
     best = (1, 0, 0)  # above every key, since -alpha(G[D]) <= 0
     for d in _min_covers(g, part):
-        matched = 0
-        rest = d
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            mate = adj[low.bit_length() - 1] & rest
-            if mate:
-                rest ^= mate & -mate
-                matched += 1
+        matched = _side_loss(g.adj, d, 0)
         edges = g.induced_edge_count(d)
         if (matched - d.bit_count(), edges, d) < best:
             best = min(best, (-alpha_within(g, d)[0], edges, d))

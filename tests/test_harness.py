@@ -11,7 +11,7 @@ from invdom import constructions, harness, solvers
 from invdom.certificates import check_inverse_certificate
 from invdom.generate import all_graphs, cycle_graph, gamma5_corpus, pad_with_k2, random_graph
 from invdom.graph import Graph, disjoint_union
-from invdom.graph6 import write_graph6
+from invdom.graph6 import parse_graph6, write_graph6
 from test_golden import gamma5_graphs
 
 BASE_FIELDS = {"graph6", "n", "m", "gamma", "alpha", "elapsed_micros"}
@@ -62,30 +62,49 @@ GNP16 = random_graph(random.Random(1), 16, 0.3)
     [
         (cycle_graph(5), harness.ALL_CHECKS, 0, 1),
         (GNP16, harness.ALL_CHECKS, 0, 1),
+        (pad_with_k2(cycle_graph(5), 2), harness.ALL_CHECKS, 0, 1),
+        (parse_graph6("FCZnO"), harness.ALL_CHECKS, 0, 1),
         (disjoint_union(cycle_graph(5), Graph(1)), harness.ALL_CHECKS, 1, 0),
         (GNP16, frozenset({"main_thm", "b"}), 1, 0),
     ],
-    ids=["C5", "gnp16", "C5+K1", "gnp16-no-inverse-check"],
+    ids=["C5", "gnp16", "C5+2K2", "FCZnO", "C5+K1", "gnp16-no-inverse-check"],
 )
 def test_analyze_graph_solves_each_invariant_once(
     monkeypatch, side_searches, g, checks, gamma_calls, pass_calls
 ):
     # an isolate-free graph takes gamma and the main construction's D from
-    # the inverse pass when one runs; only otherwise is gamma solved.  The
-    # main construction's bound asks for alpha again and gets the held one,
-    # so each component has one alpha search and one b search
-    names = ("gamma", "_inverse_sweep")
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(h, _name=name, _original=getattr(solvers, name)):
+    # the inverse pass's certificate when one runs; only otherwise is gamma
+    # solved.  On FCZnO that D is not the lowest gamma-set.  The main
+    # construction's bound asks for alpha again and gets the held one, so
+    # each component has one alpha search and one b search
+    originals = {name: getattr(solvers, name) for name in ("gamma", "inverse_pass")}
+    calls = dict.fromkeys(originals, 0)
+    for name, original in originals.items():
+        def counted(h, _name=name, _original=original):
             calls[_name] += 1
             return _original(h)
 
         monkeypatch.setattr(solvers, name, counted)
+    given = []
+    main_construct = constructions.theorem_main_construct
+
+    def recorded(h, d_set, *, gamma=None):
+        given.append((d_set, gamma))
+        return main_construct(h, d_set, gamma=gamma)
+
+    monkeypatch.setattr(constructions, "theorem_main_construct", recorded)
     report = harness.analyze_graph(g, checks=checks)
     assert report.main_thm_ok is (None if g.has_isolated_vertex() else True)
-    assert calls == {"gamma": gamma_calls, "_inverse_sweep": pass_calls}
+    assert calls == {"gamma": gamma_calls, "inverse_pass": pass_calls}
     assert sorted(side_searches) == sorted((part, sides) for part in g.components() for sides in (1, 2))
+    if g.has_isolated_vertex():
+        assert given == []
+    elif pass_calls:
+        d = originals["inverse_pass"](g)[1].d_set
+        assert given == [(d, d.bit_count())] == [(d, report.gamma)]
+    else:
+        size, witness = originals["gamma"](g)
+        assert given == [(witness, size)]
 
 
 @pytest.mark.parametrize(
