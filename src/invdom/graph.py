@@ -42,6 +42,10 @@ class Graph:
     Immutable after construction: ``adj[v]`` is the neighbor mask of ``v``,
     the diagonal is empty, and ``full`` is the all-vertices mask.  The
     connected components are computed on first use and kept.
+
+    ``__init__`` is the one validator (at most 64 vertices, no loops, edges
+    inside 0..n-1); only ``generate.all_graphs`` and ``disjoint_union`` set
+    ``adj`` after it, from rows symmetric and loop-free by construction.
     """
 
     __slots__ = ("n", "adj", "full", "_components")
@@ -61,25 +65,6 @@ class Graph:
         self.adj = tuple(rows)
         self.full = (1 << n) - 1
         self._components = None
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[int]) -> "Graph":
-        """Build from neighbor masks (must already be symmetric, loop-free)."""
-        rows = tuple(rows)
-        for v, row in enumerate(rows):
-            if row >> len(rows):
-                raise ValueError(f"row {v} has bits beyond n")
-            bit = 1 << v
-            if row & bit:
-                raise ValueError(f"loop at vertex {v}")
-            while row:
-                low = row & -row
-                row ^= low
-                if not rows[low.bit_length() - 1] & bit:
-                    raise ValueError(f"asymmetric adjacency at ({v},{low.bit_length() - 1})")
-        g = cls(len(rows))
-        g.adj = rows
-        return g
 
     # -- basic accessors ---------------------------------------------------
 
@@ -231,8 +216,6 @@ class Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union with h's vertices shifted up by g.n."""
-    if g.n + h.n > MAX_VERTICES:
-        raise TooLarge(f"union has {g.n + h.n} > {MAX_VERTICES} vertices")
     out = Graph(g.n + h.n)
     out.adj = tuple(list(g.adj) + [row << g.n for row in h.adj])
     return out

@@ -119,6 +119,8 @@ def parse_edge_list(text: str) -> Graph:
                 n_declared = int(parts[0])
             except ValueError:
                 raise InputFormatError(f"line {lineno}: expected vertex count, got {line!r}") from None
+            if n_declared < 0:
+                raise InputFormatError(f"line {lineno}: negative vertex count in {line!r}")
             continue
         if len(parts) != 2:
             raise InputFormatError(f"line {lineno}: expected 'u v', got {line!r}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import permutations
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
@@ -45,21 +45,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION = 3
 EXIT_CONTRADICTION = 4
-
-_REPORT_FIELDS = (
-    "graph6",
-    "n",
-    "m",
-    "gamma",
-    "alpha",
-    "inv_gamma",
-    "strong_inv_gamma",
-    "b",
-    "conjecture_ok",
-    "three_halves_ok",
-    "main_thm_ok",
-    "elapsed_micros",
-)
 
 
 @dataclass
@@ -100,6 +85,9 @@ class GraphReport:
                 continue
             payload[name] = value
         return json.dumps(payload, separators=(",", ":"))
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(GraphReport) if f.name != "contradiction")
 
 
 @dataclass

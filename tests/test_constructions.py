@@ -212,12 +212,11 @@ def _doubled_isr_exists(g: Graph, cells) -> bool:
     verts = sorted(bits(universe))
     index = {v: i for i, v in enumerate(verts)}
     m = len(verts)
-    rows = [0] * (2 * m)
+    edges = []
     for v in verts:
         for u in bits(g.adj[v] & universe):
-            rows[index[v]] |= 1 << index[u]
-            rows[index[v] + m] |= 1 << (index[u] + m)
-    doubled = Graph.from_rows(rows)
+            edges += [(index[v], index[u]), (index[v] + m, index[u] + m)]
+    doubled = Graph(2 * m, edges)
     w_cells = []
     for cell in cells:
         w = 0

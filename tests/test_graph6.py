@@ -144,3 +144,5 @@ def test_edge_list_errors():
         parse_edge_list("2\n0 5\n")
     with pytest.raises(InputFormatError):
         parse_edge_list("1 1\n")
+    with pytest.raises(InputFormatError, match="line 1: negative vertex count"):
+        parse_edge_list("-1\n")

@@ -1,12 +1,10 @@
 """Graph primitives: neighborhoods, predicates, private neighbors, unions,
 connected components."""
 
-import re
-
 import pytest
 
 from invdom.errors import TooLarge, VertexNotInD
-from invdom.generate import cycle_graph, pad_with_k2, path_graph
+from invdom.generate import all_graphs, cycle_graph, pad_with_k2, path_graph
 from invdom.graph import Graph, bits, disjoint_union, mask_of, to_sorted
 
 import oracles
@@ -105,19 +103,6 @@ def test_equality_and_hash(c4):
     assert c4 != Graph(4)
 
 
-def test_from_rows_validation():
-    with pytest.raises(ValueError):
-        Graph.from_rows([0b10, 0b00])  # asymmetric
-    with pytest.raises(ValueError, match=re.escape("loop at vertex 0")):
-        Graph.from_rows([0b1])
-    with pytest.raises(ValueError, match=re.escape("row 0 has bits beyond n")):
-        Graph.from_rows([0b100, 0b0])
-    with pytest.raises(ValueError, match=re.escape("asymmetric adjacency at (1,2)")):
-        Graph.from_rows([0b010, 0b101, 0b000])  # 0-1 is symmetric, 1-2 is not
-    g = Graph.from_rows([0b10, 0b01])
-    assert list(g.edges()) == [(0, 1)]
-
-
 def test_components_match_the_union_find_oracle(corpus7):
     for n in range(1, 7):
         for g in corpus7[n]:
@@ -134,7 +119,8 @@ def test_components_come_lowest_vertex_first():
 
 def test_components_are_fresh_on_every_built_graph(k2):
     assert k2.components() == (k2.full,)  # memoised before k2 is reused below
-    assert Graph.from_rows([0b10, 0b01, 0b0]).components() == (0b11, 0b100)
+    assert Graph(3, [(0, 1)]).components() == (0b11, 0b100)
+    assert all_graphs(3)[1].components() == (0b101, 0b10)  # edge 0-2, vertex 1 alone
     assert disjoint_union(k2, path_graph(3)).components() == (0b11, 0b11100)
     padded = pad_with_k2(cycle_graph(5), 2)
     assert padded.components() == (0b11111, 0b1100000, 0b110000000)
