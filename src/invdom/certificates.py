@@ -15,13 +15,12 @@ BOUND_KINDS = ("exact", "alpha", "bipartite_b", "main_theorem")
 
 @dataclass(frozen=True)
 class DominationCertificate:
-    """A dominating set with the induced-subgraph statistics that rank it."""
+    """A gamma-set D with the two facts that rank it: alpha(G[D]) and the
+    edges of G[D].  |D| and the isolates of G[D] follow from D itself."""
 
     d_set: int
-    size: int
     alpha_of_d: int
     induced_edges: int
-    isolate_count: int
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -45,6 +46,8 @@ MAX_SELFTEST_N = 8
 def _load_single_graph(arg: str | None, edges_path: str | None) -> Graph:
     # As in verify, undecodable bytes survive as surrogates for the parsers to reject.
     if edges_path is not None:
+        if arg is not None:
+            raise InputFormatError("give a graph or --edges, not both")
         with open(edges_path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return parse_edge_list(handle.read())
     if arg is None:
@@ -93,11 +96,25 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one file, through links too; a path that
+    does not exist yet is compared by its resolved name."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     # Pool starts every worker up front, so a count above the CPUs only costs processes.
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise InputFormatError(f"--jobs must be between 1 and {cpus}, the CPU count")
+    # Opening an output truncates it, so no output may be the corpus or the other output.
+    named = [("the corpus", "" if args.corpus == "-" else args.corpus),
+             ("--out", args.out), ("--counterexamples", args.counterexamples)]
+    for (name, path), (other, other_path) in itertools.combinations(named, 2):
+        if path and other_path and _same_file(path, other_path):
+            raise InputFormatError(f"{name} and {other} are the same file: {path}")
     config = RunConfig(checks=args.checks, jobs=args.jobs, strict=args.strict)
     with contextlib.ExitStack() as stack:
         # Open the corpus before --out, so a bad corpus leaves an old report intact.

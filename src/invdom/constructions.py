@@ -20,21 +20,23 @@ construction itself never derives.  The gate checks |D| against gamma:
 ``theorem_main_construct`` takes gamma from a caller that has already
 solved it, as ``analyze_graph`` has, and ``gamma5_construct`` hands gamma =
 |D| to ``inddom_construct``, since its D comes from a complete enumeration;
-every other gate asks ``solvers.gamma``.  ``biglemma_trichotomy`` (alpha of
-G[D]) and ``gamma5_construct`` (its optimal gamma-set) also call solvers,
-for inputs to the proof rather than bounds.  The solvers hold their results
-for the most recent graph, so gamma, alpha, b and the optimal gamma-set,
-asked again by a later construction on the same graph or by a caller
-before it, are not solved again.
+every other gate asks ``solvers.gamma``.  Three more functions call solvers,
+for inputs to the proof rather than bounds: ``biglemma_trichotomy`` and
+``superisrs`` ask alpha(G[D]) of ``solvers.alpha_within``, and
+``gamma5_construct`` asks ``solvers.optimal_dominating_set`` for its D.
+The trichotomy layer takes D as a mask and derives |D| and the isolates of
+G[D] from it, so a caller cannot hand it a wrong statistic.  The solvers
+hold their results for the most recent graph, so gamma, alpha, b and the
+optimal gamma-set, asked again by a later construction on the same graph or
+by a caller before it, are not solved again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import solvers
-from .certificates import DominationCertificate, InverseCertificate, check_inverse_certificate
+from .certificates import InverseCertificate, check_inverse_certificate
 from .errors import (
     HasIsolates,
     InternalContradiction,
@@ -44,24 +46,6 @@ from .errors import (
     SeedNotIndependent,
 )
 from .graph import Graph, bits, mask_of, to_sorted
-
-
-# -- domain types -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrichotomyConditions:
-    isolate_count: int
-    cond1: bool  # a+1 <= alpha(D) <= |D|-3
-    cond2: bool  # |V| + a >= 3|D|
-    cond3: bool  # |D| >= a+5
-
-
-@dataclass(frozen=True)
-class TrichotomyOutcome:
-    """Either a special independent set, or the three structural inequalities."""
-
-    found_s: int | None = None
-    conditions: TrichotomyConditions | None = None
 
 
 # -- validators (used by tests and by the constructions themselves) ------------
@@ -469,14 +453,13 @@ def find_special_independent(g: Graph, d_set: int) -> int | None:
     return rec(0, outside)
 
 
-def lemma41_check(g: Graph, cert: DominationCertificate) -> list[tuple[int, int]]:
-    """Private-neighbor audit: every d_set member that is non-isolated inside
+def lemma41_check(g: Graph, d: int) -> list[tuple[int, int]]:
+    """Private-neighbor audit: every member of D that is non-isolated inside
     G[D] must have at least two private neighbors.
 
     Returns the violations as (vertex, private_count) pairs; empty means ok.
-    Violations are possible when the certificate is not actually optimal.
+    Violations are possible when D is not an optimal gamma-set.
     """
-    d = cert.d_set
     isolates = g.induced_isolates(d)
     out = []
     for v in bits(d & ~isolates):
@@ -486,55 +469,58 @@ def lemma41_check(g: Graph, cert: DominationCertificate) -> list[tuple[int, int]
     return out
 
 
-def biglemma_trichotomy(g: Graph, cert: DominationCertificate) -> TrichotomyOutcome:
-    """Either a special independent set exists, or three structural
-    inequalities all hold.  Anything else is a reportable counterexample.
+def biglemma_trichotomy(g: Graph, d: int) -> int | None:
+    """A special independent set for D, or None when D has none and three
+    structural inequalities all hold, with a the isolates of G[D]:
+    a+1 <= alpha(G[D]) <= |D|-3, |V|+a >= 3|D| and |D| >= a+5.  Anything
+    else raises ``LemmaViolated``, a reportable counterexample, whose
+    context holds |D|, a, alpha(G[D]) and each inequality's truth value.
 
-    The either/or guarantee holds when ``cert`` is a *minimum* dominating
-    set.  For any other dominating set all three outcomes can occur, and
+    The either/or guarantee holds when D is a *minimum* dominating set.  For
+    any other dominating set all three outcomes can occur, and
     ``LemmaViolated`` is then no counterexample: K4 with two pendant leaves
     per vertex and all leaves joined into one clique, with D = K4, has no
     special set and fails |D| >= a + 5.
     """
     _require_isolate_free(g, "biglemma_trichotomy")
-    d = cert.d_set
     s = find_special_independent(g, d)
     if s is not None:
-        return TrichotomyOutcome(found_s=s)
+        return s
+    size = d.bit_count()
     a = g.induced_isolates(d).bit_count()
     alpha_d = solvers.alpha_within(g, d)[0]
-    size = d.bit_count()
-    conds = TrichotomyConditions(
-        isolate_count=a,
-        cond1=a + 1 <= alpha_d <= size - 3,
-        cond2=g.n + a >= 3 * size,
-        cond3=size >= a + 5,
-    )
-    if not (conds.cond1 and conds.cond2 and conds.cond3):
+    inequalities = {
+        "a+1 <= alpha(D) <= |D|-3": a + 1 <= alpha_d <= size - 3,
+        "|V|+a >= 3|D|": g.n + a >= 3 * size,
+        "|D| >= a+5": size >= a + 5,
+    }
+    if not all(inequalities.values()):
         raise LemmaViolated(
             "no special independent set and the structural inequalities fail",
-            {"cert": cert, "conditions": conds},
+            {"d_set": d, "|D|": size, "a": a, "alpha(D)": alpha_d, **inequalities},
         )
-    return TrichotomyOutcome(conditions=conds)
+    return None
 
 
 # -- the gamma = 5 pipeline -------------------------------------------------------
 
-def superisrs(g: Graph, cert: DominationCertificate) -> tuple[int, ...]:
-    """Ordering (d1..d5) of an optimal D whose cells 1-3 and 4-5 have ISRs.
+def superisrs(g: Graph, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Ordering (d1..d5) of an optimal D whose cells 1-3 and 4-5 have ISRs,
+    with the cells: the standard partition of V - D over the ordering.
 
-    Applies when |D| = 5, the induced independence of D is at most 2, and
-    G[D] has no isolated vertices.  The search follows the proof's choice
-    rules: d1,d2 nonadjacent when possible, r3 a vertex undominated by
-    {d1,d2,r1,r2}, d3 one of its D-neighbors.  The rules alone make
-    {r1, r2, r3} an ISR of cells 1-3, so only cells 4-5 are searched.
+    Applies when |D| = 5, alpha(G[D]) is at most 2, and G[D] has no
+    isolated vertices; alpha(G[D]) is solved here, on D's five vertices.
+    The search follows the proof's choice rules: d1,d2 nonadjacent when
+    possible, r3 a vertex undominated by {d1,d2,r1,r2}, d3 one of its
+    D-neighbors.  The rules alone make {r1, r2, r3} an ISR of cells 1-3, so
+    only cells 4-5 are searched.
     """
     _require_isolate_free(g, "superisrs")
-    d = cert.d_set
     if d.bit_count() != 5:
         raise PreconditionViolated(f"|D| = {d.bit_count()}, need exactly 5")
-    if cert.alpha_of_d > 2:
-        raise PreconditionViolated(f"alpha(D) = {cert.alpha_of_d} > 2")
+    alpha_d = solvers.alpha_within(g, d)[0]
+    if alpha_d > 2:
+        raise PreconditionViolated(f"alpha(D) = {alpha_d} > 2")
     if g.induced_isolates(d):
         raise PreconditionViolated("G[D] has isolated vertices")
 
@@ -566,11 +552,12 @@ def superisrs(g: Graph, cert: DominationCertificate) -> tuple[int, ...]:
                     d3 = (d3_opts & -d3_opts).bit_length() - 1
                     d4, d5 = sorted(bits(d & ~mask_of((d1, d2, d3))))
                     ordering = (d1, d2, d3, d4, d5)
-                    if find_isr(g, standard_partition(g, ordering, outside)[3:]) is not None:
-                        return ordering
+                    cells = standard_partition(g, ordering, outside)
+                    if find_isr(g, cells[3:]) is not None:
+                        return ordering, cells
     raise InternalContradiction(
-        "no ordering admits the two ISRs; the certificate is likely not optimal",
-        {"cert": cert},
+        "no ordering admits the two ISRs; D is likely not an optimal gamma-set",
+        {"d_set": d},
     )
 
 
@@ -587,22 +574,21 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
     it for g; the optimal gamma-set, too, is solved only if not held.
     """
     _require_isolate_free(g, "gamma5_construct")
-    cert = solvers.optimal_dominating_set(g)
-    if cert.size != 5:
-        raise PreconditionViolated(f"gamma = {cert.size}, need exactly 5")
-    d = cert.d_set
+    optimal = solvers.optimal_dominating_set(g)
+    d = optimal.d_set
+    if d.bit_count() != 5:
+        raise PreconditionViolated(f"gamma = {d.bit_count()}, need exactly 5")
 
-    if cert.alpha_of_d >= 3 or cert.isolate_count >= 1:
+    if optimal.alpha_of_d >= 3 or g.induced_isolates(d):
         s = find_special_independent(g, d)
         if s is None:
             raise InternalContradiction(
                 "trichotomy guarantees a special independent set here",
-                {"cert": cert},
+                {"d_set": d},
             )
-        return inddom_construct(g, d, s, gamma=cert.size)
+        return inddom_construct(g, d, s, gamma=5)
 
-    ordering = superisrs(g, cert)
-    cells = standard_partition(g, ordering, g.full & ~d)
+    _, cells = superisrs(g, d)
 
     # cheap shortcut: a partial ISR hitting 4 cells yields a special set
     s = max_partial_isr(g, cells)
@@ -613,7 +599,7 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
                 "size-4 partial ISR left more than one D-vertex undominated",
                 {"isr": s, "missing": missing},
             )
-        return inddom_construct(g, d, s | missing, gamma=cert.size)
+        return inddom_construct(g, d, s | missing, gamma=5)
 
     # choose the (R1, R2) pair minimizing edges between the two sides
     best_pair: tuple[int, int] | None = None
@@ -652,11 +638,8 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
     r_k = m1 & cells[k]
     r_star = (m1 | m2) & ~r_k
 
-    rest_cells = 0
-    for i in range(5):
-        if i != k:
-            rest_cells |= cells[i]
-    unreached = rest_cells & ~g.closed_neighborhood(r_star)
+    # the cells partition V - D
+    unreached = g.full & ~d & ~cells[k] & ~g.closed_neighborhood(r_star)
     if unreached:
         w = unreached & -unreached
         wid = w.bit_length() - 1
@@ -676,5 +659,5 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
     raise InternalContradiction(
         "all branches exhausted: R* dominates every other cell, which "
         "contradicts the optimality of D",
-        {"cert": cert, "r1": m1, "r2": m2, "cells": list(cells)},
+        {"d_set": d, "r1": m1, "r2": m2, "cells": list(cells)},
     )

@@ -309,11 +309,11 @@ def check_ore_complement(g: Graph) -> list[str]:
 
 def check_optimal_set(g: Graph) -> list[str]:
     """The optimal gamma-set passes the Lemma 4.1 audit and the trichotomy."""
-    cert = solvers.optimal_dominating_set(g)
-    violations = constructions.lemma41_check(g, cert)
+    d = solvers.optimal_dominating_set(g).d_set
+    violations = constructions.lemma41_check(g, d)
     if violations:
-        return [f"D = {to_sorted(cert.d_set)}: (vertex, private count) {violations}"]
-    constructions.biglemma_trichotomy(g, cert)  # raises LemmaViolated if neither branch holds
+        return [f"D = {to_sorted(d)}: (vertex, private count) {violations}"]
+    constructions.biglemma_trichotomy(g, d)  # raises LemmaViolated if neither branch holds
     return []
 
 

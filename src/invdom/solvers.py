@@ -50,17 +50,8 @@ search still run on the whole graph.  ``min_dominating_within`` and
 
 The inverse pass's certificate (D, T) has a gamma-set for D, so
 ``verify`` takes gamma and the main construction's D from it in place of
-gamma's own search.  The pass searches V - D for each minimum dominating
-set D only as far as D can still move gamma^-1 or strong gamma^-1.  Once
-D's best cover so far cannot raise the largest size seen, the limit drops
-to the least size seen.  The gamma-sets in hand give D a floor: its least
-disjoint cover has size gamma if some gamma-set is disjoint from D, and at
-least gamma + 1 if none is, since the enumeration is complete.  A limit of
-at most the floor ends D's search.  The pass keeps every cover of the
-component that it meets, greedy or searched, and skips a D whose floor is
-at least the least size seen and which is disjoint from a gamma-set or a
-kept cover of at most the largest size seen: D can then neither lower the
-least size nor raise the largest.
+gamma's own search.  ``inverse_pass``'s docstring says how the pass
+limits or skips each gamma-set's search.
 
 ``optimal_dominating_set`` solves alpha(G[D]) only for a D whose key, with
 a greedy matching's bound in place of alpha, is below the least key so far.
@@ -567,10 +558,4 @@ def optimal_dominating_set(g: Graph) -> DominationCertificate:
     own least key and the set is the union of the parts' picks.
     """
     neg_alpha, edges, d = _by_component(g, lambda part: _optimal_part(g, part))
-    return DominationCertificate(
-        d_set=d,
-        size=d.bit_count(),
-        alpha_of_d=-neg_alpha,
-        induced_edges=edges,
-        isolate_count=g.induced_isolates(d).bit_count(),
-    )
+    return DominationCertificate(d_set=d, alpha_of_d=-neg_alpha, induced_edges=edges)

@@ -47,12 +47,12 @@ def test_a_failing_check_names_its_graph_and_the_sweep_goes_on(monkeypatch, caps
     planted = []
     real = constructions.biglemma_trichotomy
 
-    def trichotomy(g, cert):
+    def trichotomy(g, d):
         if g.n == 4 and all(nbrs.bit_count() == 2 for nbrs in g.adj):  # C4
-            planted.append({"error": "planted", "context": {"d": repr(cert.d_set)},
+            planted.append({"error": "planted", "context": {"d": repr(d)},
                             "graph6": write_graph6(g)})
-            raise LemmaViolated("planted", {"d": cert.d_set})
-        return real(g, cert)
+            raise LemmaViolated("planted", {"d": d})
+        return real(g, d)
 
     monkeypatch.setattr(constructions, "biglemma_trichotomy", trichotomy)
     assert cli.main(["selftest", "--max-n", "4"]) == EXIT_CHECK_FAILED
@@ -143,6 +143,34 @@ def test_verify_exits_2_on_a_missing_corpus_and_keeps_the_old_output(tmp_path, c
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "out, counterexamples",
+    [("corpus.g6", None), ("link.g6", None), (None, "corpus.g6"), (None, "link.g6"),
+     ("old.jsonl", "old.jsonl"), ("new.jsonl", "new.jsonl")],
+    ids=["out-corpus", "out-link", "counterexamples-corpus", "counterexamples-link",
+         "out-counterexamples", "out-counterexamples-new"],
+)
+def test_verify_exits_2_when_an_output_is_the_corpus_or_the_other_output(
+    out, counterexamples, tmp_path, monkeypatch, capsys
+):
+    """An output that names the corpus or the other output, directly or
+    through a link, is refused before any file is opened."""
+    monkeypatch.setattr(harness, "analyze_graph", failing_report)
+    monkeypatch.chdir(tmp_path)
+    Path("corpus.g6").write_text("".join(line + "\n" for line in GOOD))
+    Path("link.g6").symlink_to("corpus.g6")
+    Path("old.jsonl").write_text("old report\n")
+    argv = ["verify", "corpus.g6"]
+    argv += ["--out", out] if out else []
+    argv += ["--counterexamples", counterexamples] if counterexamples else []
+    assert cli.main(argv) == EXIT_INPUT_ERROR
+    assert Path("corpus.g6").read_text() == "".join(line + "\n" for line in GOOD)
+    assert Path("old.jsonl").read_text() == "old report\n"
+    assert sorted(os.listdir(tmp_path)) == ["corpus.g6", "link.g6", "old.jsonl"]
+    captured = capsys.readouterr()
+    assert "are the same file" in captured.err and captured.out == ""
+
+
 def test_python_m_invdom_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -209,6 +237,14 @@ def test_an_input_error_exits_2_without_a_traceback(argv, tmp_path, capsys, monk
     assert cli.main([str(paths.get(arg, arg)) for arg in argv]) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_analyze_refuses_a_graph_and_an_edge_file_together(tmp_path, capsys):
+    path = tmp_path / "empty.edges"
+    path.write_text("")
+    assert cli.main(["analyze", GOOD[0], "--edges", str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert "not both" in captured.err and captured.out == ""
 
 
 def test_analyze_takes_64_vertices_in_the_long_graph6_form(tmp_path, capsys):

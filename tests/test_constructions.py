@@ -7,11 +7,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from invdom import constructions, solvers
-from invdom.certificates import (
-    DominationCertificate,
-    InverseCertificate,
-    check_inverse_certificate,
-)
+from invdom.certificates import InverseCertificate, check_inverse_certificate
 from invdom.constructions import (
     biglemma_trichotomy,
     bipartite_inverse_construct,
@@ -600,74 +596,51 @@ def test_find_special_independent_matches_brute_force(corpus7):
 # -- trichotomy and private-neighbor audit ----------------------------------------------
 
 def test_lemma41_independent_d_vacuous(c4):
-    cert = solvers.optimal_dominating_set(c4)
-    assert lemma41_check(c4, cert) == []
+    assert lemma41_check(c4, solvers.optimal_dominating_set(c4).d_set) == []
 
 
 def test_lemma41_adversarial_non_optimal(p4):
-    cert = DominationCertificate(
-        d_set=mask_of((1, 2)), size=2, alpha_of_d=1, induced_edges=1, isolate_count=0
-    )
-    assert lemma41_check(p4, cert) == [(1, 1), (2, 1)]
+    assert lemma41_check(p4, mask_of((1, 2))) == [(1, 1), (2, 1)]
 
 
 def test_trichotomy_found_s(k2, c4):
     for g in (k2, c4):
-        outcome = biglemma_trichotomy(g, solvers.optimal_dominating_set(g))
-        assert outcome.found_s is not None
-
-
-def _certificate_of(g: Graph, d: int) -> DominationCertificate:
-    """The certificate fields for D, computed from the graph."""
-    return DominationCertificate(
-        d_set=d,
-        size=d.bit_count(),
-        alpha_of_d=solvers.alpha_within(g, d)[0],
-        induced_edges=g.induced_edge_count(d),
-        isolate_count=g.induced_isolates(d).bit_count(),
-    )
+        d = solvers.optimal_dominating_set(g).d_set
+        s = biglemma_trichotomy(g, d)
+        assert s is not None and _is_special_independent(g, d, s)
 
 
 def test_trichotomy_conditions_branch():
-    """The conditions branch on the K5 leaf-clique graph (n = 15) with a
-    hand-built certificate for D = K5.  The plain K5 pendant-pair gadget
+    """The conditions branch on the K5 leaf-clique graph (n = 15) with
+    D = K5: a = 0 and alpha(G[D]) = 1.  The plain K5 pendant-pair gadget
     has a special set, so it cannot drive this branch.  D = K5 is not
     minimum here (gamma = 2): the lemma rules out a gamma-set of size at
     most 4 without a special set, and no gamma = 5 instance is known."""
     g = _pendant_pairs_with_leaf_clique(5)
-    cert = DominationCertificate(
-        d_set=mask_of(range(5)), size=5, alpha_of_d=1, induced_edges=10, isolate_count=0
-    )
-    assert g.is_dominating(cert.d_set)
-    assert cert == _certificate_of(g, cert.d_set)
-    assert _brute_special_independent(g, cert.d_set) is None
-    outcome = biglemma_trichotomy(g, cert)
-    assert outcome.found_s is None
-    conds = outcome.conditions
-    assert conds.cond1 and conds.cond2 and conds.cond3
-    assert conds.isolate_count == 0
+    d = mask_of(range(5))
+    assert g.is_dominating(d)
+    assert _brute_special_independent(g, d) is None
+    assert biglemma_trichotomy(g, d) is None
 
 
 def test_trichotomy_non_minimum_d_can_violate():
     """For a dominating set that is not minimum the either/or guarantee
     does not hold: on the K4 leaf-clique graph D = K4 has no special set
-    and |D| = 4 fails cond3."""
+    and |D| = 4 fails |D| >= a+5.  The error names each inequality."""
     g = _pendant_pairs_with_leaf_clique(4)
-    cert = DominationCertificate(
-        d_set=mask_of(range(4)), size=4, alpha_of_d=1, induced_edges=6, isolate_count=0
-    )
-    assert g.is_dominating(cert.d_set)
-    assert cert == _certificate_of(g, cert.d_set)
-    with pytest.raises(LemmaViolated):
-        biglemma_trichotomy(g, cert)
+    d = mask_of(range(4))
+    assert g.is_dominating(d)
+    with pytest.raises(LemmaViolated) as exc:
+        biglemma_trichotomy(g, d)
+    assert exc.value.context == {
+        "d_set": d, "|D|": 4, "a": 0, "alpha(D)": 1,
+        "a+1 <= alpha(D) <= |D|-3": True, "|V|+a >= 3|D|": True, "|D| >= a+5": False,
+    }
 
 
 def test_trichotomy_rejects_isolates():
     with pytest.raises(HasIsolates):
-        biglemma_trichotomy(
-            Graph(3, [(0, 1)]),
-            DominationCertificate(0b101, 2, 2, 0, 2),
-        )
+        biglemma_trichotomy(Graph(3, [(0, 1)]), 0b101)
 
 
 # -- superisrs ---------------------------------------------------------------------------
@@ -675,33 +648,44 @@ def test_trichotomy_rejects_isolates():
 @pytest.mark.parametrize("base_maker", [lambda: cycle_graph(5), lambda: complete_graph(5)])
 def test_superisrs_on_pendant_gadgets(base_maker):
     g = with_pendant_pairs(base_maker(), 2)
-    cert = solvers.optimal_dominating_set(g)
-    assert cert.size == 5 and cert.alpha_of_d <= 2 and cert.isolate_count == 0
-    ordering = superisrs(g, cert)
-    cells = standard_partition(g, ordering, g.full & ~cert.d_set)
+    d = solvers.optimal_dominating_set(g).d_set
+    assert d.bit_count() == 5 and not g.induced_isolates(d)
+    ordering, cells = superisrs(g, d)
     assert find_isr(g, cells[:3]) is not None
     assert find_isr(g, cells[3:]) is not None
-    assert sorted(ordering) == to_sorted(cert.d_set)
+    assert sorted(ordering) == to_sorted(d)
+    # the cells are disjoint and cover V - D
+    assert sum(cells) == g.full & ~d
+    assert sum(cell.bit_count() for cell in cells) == (g.full & ~d).bit_count()
 
 
 def test_superisrs_rejects_isolates():
     with pytest.raises(HasIsolates):
-        superisrs(Graph(3, [(0, 1)]), DominationCertificate(0b101, 2, 2, 0, 2))
+        superisrs(Graph(3, [(0, 1)]), 0b101)
 
 
 def test_superisrs_precondition_violations(c4):
-    cert = solvers.optimal_dominating_set(c4)
     with pytest.raises(PreconditionViolated):
-        superisrs(c4, cert)  # |D| = 2, not 5
+        superisrs(c4, solvers.optimal_dominating_set(c4).d_set)  # |D| = 2, not 5
 
 
 def test_superisrs_rejects_high_independence():
     g = disjoint_union(Graph(2, [(0, 1)]), Graph(2, [(0, 1)]))
     for _ in range(3):
         g = disjoint_union(g, Graph(2, [(0, 1)]))
-    cert = solvers.optimal_dominating_set(g)  # 5K2: alpha(D) = 5
     with pytest.raises(PreconditionViolated):
-        superisrs(g, cert)
+        superisrs(g, solvers.optimal_dominating_set(g).d_set)  # 5K2: alpha(D) = 5
+
+
+def test_superisrs_solves_the_independence_of_d():
+    """D = P5, the base of its pendant-pair gadget, is a gamma-set whose
+    G[D] has no isolate and alpha(G[D]) = 3: superisrs solves alpha(G[D])
+    itself, so no caller's figure gets D past the bound of 2."""
+    g = with_pendant_pairs(path_graph(5), 2)
+    d = mask_of(range(5))
+    assert solvers.gamma(g)[0] == 5 and not g.induced_isolates(d)
+    with pytest.raises(PreconditionViolated, match=r"alpha\(D\) = 3 > 2"):
+        superisrs(g, d)
 
 
 # -- gamma5 pipeline ----------------------------------------------------------------------
@@ -737,8 +721,7 @@ def test_gamma5_pendant_gadgets_take_the_four_cell_shortcut():
     the shortcut runs on neither gadget."""
     for base in (cycle_graph(5), complete_graph(5)):
         g = with_pendant_pairs(base, 2)
-        optimal = solvers.optimal_dominating_set(g)
-        cells = standard_partition(g, superisrs(g, optimal), g.full & ~optimal.d_set)
+        cells = superisrs(g, solvers.optimal_dominating_set(g).d_set)[1]
         assert max_partial_isr(g, cells).bit_count() >= 4
         cert = gamma5_construct(g)
         assert check_inverse_certificate(g, cert, 5) == []
