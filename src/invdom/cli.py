@@ -82,10 +82,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _parse_checks(raw: str) -> frozenset[str]:
-    """argparse type of ``--checks``: an unknown name is a usage error (exit 2)."""
-    if not raw:
-        return ALL_CHECKS
+    """argparse type of ``--checks``: an unknown name is a usage error (exit 2),
+    and a value that names no check ("", " ", ",") means every check."""
     chosen = frozenset(part.strip().replace("-", "_") for part in raw.split(",") if part.strip())
+    if not chosen:
+        return ALL_CHECKS
     unknown = chosen - ALL_CHECKS
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown checks: {', '.join(sorted(unknown))}")

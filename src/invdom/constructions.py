@@ -10,6 +10,9 @@ Every vertex set is a plain int mask, partial ISRs included.  The cells of
 a standard partition are disjoint, so the cell a member represents follows
 from the member itself, and a partial ISR needs no index bookkeeping.
 Only ``isr_cells`` builds (V-D)-N(F) over D-F; ISR searches take cells.
+One transversal search, ``_transversals``, serves ``find_isr``,
+``max_partial_isr``, ``two_partial_isrs``, ``superisrs`` and the gamma = 5
+pair loop.
 
 The constructions reach the exact solvers in two places only: the gate
 ``_require_minimum_dominating`` decides that D is a gamma-set, because
@@ -110,20 +113,27 @@ def isr_cells(g: Graph, d_set: int, f_set: int, ordering: Sequence[int]) -> tupl
     return standard_partition(g, ordering, g.full & ~d_set & ~g.open_neighborhood(f_set))
 
 
-def _transversals(g: Graph, cells: Sequence[int]) -> Iterator[int]:
-    """All independent transversals of the disjoint cells, as masks, in
-    lexicographic order of their representatives of cells[0], cells[1], ...
+def _transversals(g: Graph, cells: Sequence[int], need: int | None = None) -> Iterator[int]:
+    """The partial ISRs of the disjoint cells that hit at least ``need`` of
+    them (all, when ``need`` is None), as masks, in lexicographic order of
+    their representatives of cells[0], cells[1], ..., a skipped cell ranking
+    after every vertex: a cell is skipped only after each of its vertices
+    has been tried, and only while ``need`` stays reachable.
     """
+    n_cells = len(cells)
 
-    def rec(i: int, chosen: int) -> Iterator[int]:
-        if i == len(cells):
+    def rec(i: int, chosen: int, skips: int) -> Iterator[int]:
+        if i == n_cells:
             yield chosen
             return
         for v in bits(cells[i]):
             if not g.adj[v] & chosen:
-                yield from rec(i + 1, chosen | (1 << v))
+                yield from rec(i + 1, chosen | (1 << v), skips)
+        if skips:
+            yield from rec(i + 1, chosen, skips - 1)
 
-    return rec(0, 0)
+    skips = 0 if need is None else n_cells - need
+    return rec(0, 0, skips) if skips >= 0 else iter(())
 
 
 def find_isr(g: Graph, cells: Sequence[int]) -> int | None:
@@ -132,24 +142,9 @@ def find_isr(g: Graph, cells: Sequence[int]) -> int | None:
 
 
 def max_partial_isr(g: Graph, cells: Sequence[int]) -> int:
-    """Partial ISR hitting the maximum possible number of cells (exact)."""
-    n_cells = len(cells)
-    best = 0
-
-    def rec(i: int, chosen: int) -> None:
-        nonlocal best
-        size = chosen.bit_count()
-        if size > best.bit_count():
-            best = chosen
-        if i == n_cells or size + (n_cells - i) <= best.bit_count():
-            return
-        for v in bits(cells[i]):
-            if not g.adj[v] & chosen:
-                rec(i + 1, chosen | (1 << v))
-        rec(i + 1, chosen)  # skip this cell
-
-    rec(0, 0)
-    return best
+    """The first partial ISR, in ``_transversals``' order, hitting the most
+    cells: the first yielded for the largest ``need`` that yields one."""
+    return next(s for need in range(len(cells), -1, -1) for s in _transversals(g, cells, need))
 
 
 def two_partial_isrs(g: Graph, cells: Sequence[int]) -> tuple[int, int]:
@@ -431,17 +426,11 @@ def find_special_independent(g: Graph, d_set: int) -> int | None:
     g.check_subset(d_set)
     outside = g.full & ~d_set
 
-    def uncovered_ok(s0: int) -> bool:
-        return g.is_independent(d_set & ~g.open_neighborhood(s0))
-
-    def coverable(s0: int, cand: int) -> bool:
-        reach = g.open_neighborhood(s0 | cand)
-        return g.is_independent(d_set & ~reach)
-
     def rec(s0: int, cand: int) -> int | None:
-        if uncovered_ok(s0):
-            return s0 | (d_set & ~g.open_neighborhood(s0))
-        if not cand or not coverable(s0, cand):
+        uncovered = d_set & ~g.open_neighborhood(s0)
+        if g.is_independent(uncovered):
+            return s0 | uncovered
+        if not cand or not g.is_independent(uncovered & ~g.open_neighborhood(cand)):
             return None
         v = cand & -cand
         found = rec(s0, cand ^ v)  # exclude lowest candidate first
@@ -564,14 +553,16 @@ def superisrs(g: Graph, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def gamma5_construct(g: Graph) -> InverseCertificate:
     """Inverse dominating set within alpha(G) for graphs with gamma = 5.
 
-    Cascade over an optimal dominating set D: if D has induced independence
-    at least 3 or an isolated vertex, a special independent set must exist
-    and the alpha-bounded construction finishes.  Otherwise run the
-    two-ISR machinery: a partial ISR of size 4 is an immediate win; failing
-    that, pick the ISR pair minimizing cross edges and analyse the set the
-    pair misses.  Every claim is re-checked; a dead end raises.  Each route
-    solves alpha once, in ``_certify``, and none if the solvers already hold
-    it for g; the optimal gamma-set, too, is solved only if not held.
+    Cascade over an optimal dominating set D.  The first branch is the
+    trichotomy: if D has induced independence at least 3 or an isolated
+    vertex, ``biglemma_trichotomy`` returns a special independent set, or
+    raises ``LemmaViolated``, and the alpha-bounded construction finishes.
+    Otherwise run the two-ISR machinery: a partial ISR of size 4 is an
+    immediate win; failing that, pick the ISR pair minimizing cross edges
+    and analyse the set the pair misses.  Every claim is re-checked; a dead
+    end raises.  Each route solves alpha once, in ``_certify``, and none if
+    the solvers already hold it for g; the optimal gamma-set, too, is solved
+    only if not held.
     """
     _require_isolate_free(g, "gamma5_construct")
     optimal = solvers.optimal_dominating_set(g)
@@ -580,13 +571,9 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
         raise PreconditionViolated(f"gamma = {d.bit_count()}, need exactly 5")
 
     if optimal.alpha_of_d >= 3 or g.induced_isolates(d):
-        s = find_special_independent(g, d)
-        if s is None:
-            raise InternalContradiction(
-                "trichotomy guarantees a special independent set here",
-                {"d_set": d},
-            )
-        return inddom_construct(g, d, s, gamma=5)
+        # |D| = 5 leaves the trichotomy's structural outcome only alpha(G[D])
+        # <= 2 with no isolate, so here it returns the special set or raises
+        return inddom_construct(g, d, biglemma_trichotomy(g, d), gamma=5)
 
     _, cells = superisrs(g, d)
 

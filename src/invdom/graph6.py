@@ -137,7 +137,4 @@ def parse_edge_list(text: str) -> Graph:
     n = n_declared if n_declared is not None else (max((max(u, v) for u, v in pairs), default=-1) + 1)
     if any(u >= n or v >= n for u, v in pairs):
         raise InputFormatError(f"edge endpoint exceeds declared vertex count {n}")
-    try:
-        return Graph(n, pairs)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from None
+    return Graph(n, pairs)

@@ -11,10 +11,11 @@ emits reports in input order either way.  gamma and alpha are solved once
 per graph: the main construction takes the report's gamma for its gate,
 and its bound's alpha is the one the solvers hold from the report's own
 call, since they keep each result for the most recent graph (see
-``solvers``).  When the inverse pass runs, the main construction's D is
-its certificate's D, a gamma-set, and gamma is that set's size; gamma's
-own search runs only on graphs with isolates or when no check needs the
-pass.  A caller that asks the solvers about the same graph after
+``solvers``).  The inverse pass returns (gamma^-1, T, D, strong
+gamma^-1), masks and values with no certificate object; when it runs, the
+main construction's D is its D, a gamma-set, and gamma is that set's size.
+gamma's own search runs only on graphs with isolates or when no check needs
+the pass.  A caller that asks the solvers about the same graph after
 ``analyze_graph``, such as a construction on the same graph6 line parsed
 anew, is answered from those held results.
 ``main_thm_ok`` is True whenever the main construction returns: it
@@ -33,7 +34,7 @@ from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
 from . import constructions, generate, naive, solvers
-from .certificates import check_inverse_certificate
+from .certificates import InverseCertificate, check_inverse_certificate
 from .errors import Graph6Error, InternalContradiction, TooLarge
 from .graph import Graph, bits, mask_of, to_sorted
 from .graph6 import parse_graph6, write_graph6
@@ -109,8 +110,7 @@ def analyze_graph(
     isolate_free = g.n > 0 and not g.has_isolated_vertex()
     inverse = isolate_free and checks & {"conjecture", "three_halves", "strong"}
     if inverse:
-        inv_gamma, cert, strong_inv_gamma = solvers.inverse_pass(g)
-        gamma_set = cert.d_set
+        inv_gamma, _, gamma_set, strong_inv_gamma = solvers.inverse_pass(g)
         gamma_value = gamma_set.bit_count()
     else:
         gamma_value, gamma_set = solvers.gamma(g)
@@ -248,7 +248,7 @@ def check_inverse_gamma(g: Graph) -> list[str]:
 
 
 def check_strong_inverse_gamma(g: Graph) -> list[str]:
-    return _compare("strong", solvers.inverse_pass(g)[2], naive.strong_inverse_gamma_naive(g))
+    return _compare("strong", solvers.inverse_pass(g)[3], naive.strong_inverse_gamma_naive(g))
 
 
 def check_induced_bipartite(g: Graph) -> list[str]:
@@ -259,13 +259,13 @@ def check_component_split(g: Graph) -> list[str]:
     """Solving by component gives the values of one search over the whole
     graph: gamma, alpha, b, the optimal gamma-set and, when g is
     isolate-free, the inverse pass.  The alpha, b and optimal-set witnesses
-    and the inverse certificate's D are the whole graph's too.  The gamma
-    witness and the certificate's T join each part's first least cover,
-    which need not be the whole graph's first, so they are checked for
-    validity: the gamma witness dominates with size gamma, and the
-    certificate passes ``check_inverse_certificate`` against gamma, so its
-    D, which ``analyze_graph`` takes for gamma and the main construction,
-    is a gamma-set."""
+    and the pass's D are the whole graph's too.  The gamma witness and the
+    pass's T join each part's first least cover, which need not be the
+    whole graph's first, so they are checked for validity: the gamma
+    witness dominates with size gamma, and the "exact" certificate built
+    from the pass's D and T passes ``check_inverse_certificate`` against
+    gamma, so its D, which ``analyze_graph`` takes for gamma and the main
+    construction, is a gamma-set."""
     covers = solvers._domination_covers(g)
     size, witness = solvers.gamma(g)
     cert = solvers.optimal_dominating_set(g)
@@ -283,13 +283,14 @@ def check_component_split(g: Graph) -> list[str]:
     if witness.bit_count() != size or not g.is_dominating(witness):
         problems.append(f"gamma witness {to_sorted(witness)} is no dominating set of size {size}")
     if not g.has_isolated_vertex():
-        inverse_size, inverse, strong = solvers.inverse_pass(g)
+        inverse_size, t_set, d_set, strong = solvers.inverse_pass(g)
         whole_size, _, whole_d, whole_strong = solvers._inverse_part(g, g.full)
         pairs.append((
             "inverse pass (size, D, strong)",
-            (inverse_size, inverse.d_set, strong),
+            (inverse_size, d_set, strong),
             (whole_size, whole_d, whole_strong),
         ))
+        inverse = InverseCertificate(d_set, t_set, "exact", inverse_size)
         problems += [f"inverse certificate: {p}" for p in check_inverse_certificate(g, inverse, size)]
     return problems + [
         f"{label}: by component {split}, whole graph {whole}"

@@ -48,10 +48,11 @@ number is the product of the parts' counts (5 * 2^t on C5 + t*K2), so
 search still run on the whole graph.  ``min_dominating_within`` and
 ``alpha_within`` take an arbitrary ``allowed`` mask and do not split either.
 
-The inverse pass's certificate (D, T) has a gamma-set for D, so
-``verify`` takes gamma and the main construction's D from it in place of
-gamma's own search.  ``inverse_pass``'s docstring says how the pass
-limits or skips each gamma-set's search.
+The inverse pass returns (gamma^-1, T, D, strong gamma^-1), with (D, T)
+the masks of its certificate.  D is a gamma-set, so ``verify`` takes gamma
+and the main construction's D from it in place of gamma's own search.
+``inverse_pass``'s docstring says how the pass limits or skips each
+gamma-set's search.
 
 ``optimal_dominating_set`` solves alpha(G[D]) only for a D whose key, with
 a greedy matching's bound in place of alpha, is below the least key so far.
@@ -475,15 +476,17 @@ def _inverse_part(g: Graph, part: int) -> tuple[int, int, int, int]:
     return size, t_mask, d_mask, worst
 
 
-def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
-    """gamma^-1 with its certificate, and strong gamma^-1, from one pass.
+def inverse_pass(g: Graph) -> tuple[int, int, int, int]:
+    """(gamma^-1, T, D, strong gamma^-1) from one pass, with (D, T) the
+    masks that certify gamma^-1.
 
     For each minimum dominating set D, the smallest dominating set disjoint
     from D; gamma^-1 is the least of these sizes, certified by the first D
-    in bitmask order that reaches it, and strong gamma^-1 the largest.
-    Defined only for isolate-free graphs.  Each component runs its own
-    pass: both values add over components, and the certificate's D and T
-    are the unions of the parts' sets.
+    in bitmask order that reaches it and its least disjoint cover T, and
+    strong gamma^-1 the largest.  Defined only for isolate-free graphs.
+    Each component runs its own pass: both values add over components, and
+    D and T are the unions of the parts' sets.  No certificate object is
+    built here; ``inverse_gamma`` builds the "exact" one.
 
     Each D's search stops once it can move neither value.  It starts from
     the greedy cover of V - D.  After a cover of size c the limit is c while
@@ -504,8 +507,7 @@ def inverse_pass(g: Graph) -> tuple[int, InverseCertificate, int]:
     """
     if g.has_isolated_vertex():
         raise HasIsolates("a graph with isolates cannot have an inverse dominating set")
-    size, t_mask, d_mask, strong = _by_component(g, lambda part: _inverse_part(g, part))
-    return size, InverseCertificate(d_mask, t_mask, "exact", size), strong
+    return _by_component(g, lambda part: _inverse_part(g, part))
 
 
 def inverse_gamma(g: Graph) -> tuple[int, InverseCertificate]:
@@ -515,8 +517,8 @@ def inverse_gamma(g: Graph) -> tuple[int, InverseCertificate]:
     because ``perfbench/tracing.py::TRACED`` names it, so deleting it is a
     benchmark change.
     """
-    size, cert, _ = inverse_pass(g)
-    return size, cert
+    size, t_mask, d_mask, _ = inverse_pass(g)
+    return size, InverseCertificate(d_mask, t_mask, "exact", size)
 
 
 def strong_inverse_gamma(g: Graph) -> int:
@@ -525,7 +527,7 @@ def strong_inverse_gamma(g: Graph) -> int:
     Kept, like ``inverse_gamma``, because ``perfbench/tracing.py::TRACED``
     names it.
     """
-    return inverse_pass(g)[2]
+    return inverse_pass(g)[3]
 
 
 # -- optimal dominating sets ----------------------------------------------------

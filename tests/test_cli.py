@@ -10,6 +10,7 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -262,6 +263,26 @@ def test_an_unknown_check_name_exits_2(command, capsys):
         cli.main([command, GOOD[0], "--checks", "conjecture,nope"])
     assert exit_info.value.code == EXIT_INPUT_ERROR
     assert "unknown checks: nope" in capsys.readouterr().err
+
+
+def _report_without_timing(command, tmp_path, capsys, *extra) -> list[str]:
+    """The report ``analyze`` prints or ``verify`` writes for GOOD[0], less
+    its elapsed_micros field."""
+    if command == "analyze":
+        assert cli.main(["analyze", GOOD[0], *extra]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+    else:
+        assert verify(tmp_path, GOOD[:1], *extra) == EXIT_OK
+        lines = (tmp_path / "out.jsonl").read_text().splitlines()
+    return [re.sub(r',"elapsed_micros":\d+', "", line) for line in lines]
+
+
+@pytest.mark.parametrize("spelling", ["", " ", ","])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_a_checks_value_that_names_no_check_means_every_check(command, spelling, tmp_path, capsys):
+    default = _report_without_timing(command, tmp_path, capsys)
+    assert '"main_thm_ok":true' in default[-1]
+    assert _report_without_timing(command, tmp_path, capsys, "--checks", spelling) == default
 
 
 def failing_report(g, graph6_str=None, checks=harness.ALL_CHECKS):

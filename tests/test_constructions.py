@@ -1,6 +1,7 @@
 """Construction machinery: partitions, ISR search, certificate builders,
 the trichotomy, and the gamma-5 pipeline, including negative fixtures."""
 
+import random
 from dataclasses import replace
 from itertools import combinations, permutations, product
 
@@ -134,8 +135,6 @@ def test_find_isr_empty_family(c4):
 
 def test_find_isr_completeness_small(corpus7):
     """Backtracking agrees with brute-force transversal enumeration."""
-    import random
-
     rng = random.Random(11)
     for g in corpus7[6][:80]:
         verts = list(range(g.n))
@@ -177,6 +176,59 @@ def test_max_partial_isr_exactness(corpus7):
             ) or not chosen:
                 best = max(best, len(chosen))
         assert max_partial_isr(g, cells).bit_count() == best
+
+
+def _small_cell_families(corpus7):
+    """(g, cells) on graphs with n <= 6: a seeded random subset of V split
+    into one to four disjoint cells, some of them empty."""
+    rng = random.Random(31)
+    graphs = corpus7[4] + corpus7[5] + corpus7[6][::2]
+    for g in graphs:
+        k = rng.randint(1, 4)
+        cells = [0] * k
+        for v in range(g.n):
+            slot = rng.randint(0, k)  # slot k: v lies in no cell
+            if slot < k:
+                cells[slot] |= 1 << v
+        yield g, cells
+
+
+def _brute_transversals(g: Graph, cells, need: int) -> list[int]:
+    """Every independent choice of at most one vertex per cell hitting at
+    least ``need`` cells, sorted by the per-cell key, a skipped cell (None)
+    ranking after every vertex."""
+    choices = product(*[list(bits(cell)) + [None] for cell in cells])
+    picks = [
+        combo for combo in choices
+        if sum(v is not None for v in combo) >= need
+        and g.is_independent(mask_of(v for v in combo if v is not None))
+    ]
+    picks.sort(key=lambda combo: [g.n if v is None else v for v in combo])
+    return [mask_of(v for v in combo if v is not None) for combo in picks]
+
+
+def test_transversals_match_brute_force_for_every_need(corpus7):
+    families = list(_small_cell_families(corpus7))
+    assert len(families) > 100 and any(0 in cells for _, cells in families)
+    for g, cells in families:
+        assert list(constructions._transversals(g, cells)) == _brute_transversals(
+            g, cells, len(cells)
+        )
+        for need in range(-1, len(cells) + 2):
+            assert list(constructions._transversals(g, cells, need)) == _brute_transversals(
+                g, cells, need
+            )
+
+
+def test_max_partial_isr_is_the_first_largest_transversal(corpus7):
+    without_full_isr = 0
+    for g, cells in _small_cell_families(corpus7):
+        every = _brute_transversals(g, cells, 0)
+        largest = max(isr.bit_count() for isr in every)
+        without_full_isr += largest < len(cells)
+        first = next(isr for isr in every if isr.bit_count() == largest)
+        assert max_partial_isr(g, cells) == first
+    assert without_full_isr > 20
 
 
 # -- two partial ISRs ----------------------------------------------------------------
@@ -726,6 +778,30 @@ def test_gamma5_pendant_gadgets_take_the_four_cell_shortcut():
         cert = gamma5_construct(g)
         assert check_inverse_certificate(g, cert, 5) == []
         assert cert.t_set.bit_count() <= solvers.alpha(g)[0]
+
+
+@pytest.mark.parametrize(
+    "g, a, alpha_d, failing",
+    [
+        # 5K2: every member of D is an isolate of G[D]
+        (pad_with_k2(Graph(0), 5), 5, 5, ("a+1 <= alpha(D) <= |D|-3", "|D| >= a+5")),
+        # the P5 pendant-pair gadget: D = P5, no isolate, alpha(G[D]) = 3
+        (with_pendant_pairs(path_graph(5), 2), 0, 3, ("a+1 <= alpha(D) <= |D|-3",)),
+    ],
+    ids=["5K2", "P5-gadget"],
+)
+def test_gamma5_reaches_the_special_set_through_the_trichotomy(g, a, alpha_d, failing, monkeypatch):
+    """With no special set, the trichotomy branch of ``gamma5_construct``
+    raises ``LemmaViolated`` naming the inequality that fails."""
+    monkeypatch.setattr(constructions, "find_special_independent", lambda h, d: None)
+    d = solvers.optimal_dominating_set(g).d_set
+    with pytest.raises(LemmaViolated) as exc:
+        gamma5_construct(g)
+    inequalities = ("a+1 <= alpha(D) <= |D|-3", "|V|+a >= 3|D|", "|D| >= a+5")
+    assert exc.value.context == {
+        "d_set": d, "|D|": 5, "a": a, "alpha(D)": alpha_d,
+        **{name: name not in failing for name in inequalities},
+    }
 
 
 def test_gamma5_rejects_wrong_gamma(c4):

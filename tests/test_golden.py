@@ -17,6 +17,7 @@ import json
 import random
 
 from invdom import constructions, harness, solvers
+from invdom.certificates import InverseCertificate
 from invdom.errors import InvdomError
 from invdom.generate import (
     all_graphs,
@@ -80,8 +81,8 @@ def _certificates(g) -> dict:
     gamma_value, witness = solvers.gamma(g)
     inverse = _outcome(solvers.inverse_pass, g)
     if not isinstance(inverse, str):
-        size, cert, strong = inverse
-        inverse = [size, cert.to_dict(), strong]
+        size, t_set, d_set, strong = inverse
+        inverse = [size, InverseCertificate(d_set, t_set, "exact", size).to_dict(), strong]
     main = _outcome(lambda: constructions.theorem_main_construct(g, witness).to_dict())
     return {"gamma": [gamma_value, witness], "inverse_pass": inverse, "main": main}
 

@@ -146,3 +146,5 @@ def test_edge_list_errors():
         parse_edge_list("1 1\n")
     with pytest.raises(InputFormatError, match="line 1: negative vertex count"):
         parse_edge_list("-1\n")
+    with pytest.raises(InputFormatError, match="line 1: negative vertex id"):
+        parse_edge_list("0 -1\n")

@@ -100,7 +100,7 @@ def test_analyze_graph_solves_each_invariant_once(
     if g.has_isolated_vertex():
         assert given == []
     elif pass_calls:
-        d = originals["inverse_pass"](g)[1].d_set
+        d = originals["inverse_pass"](g)[2]
         assert given == [(d, d.bit_count())] == [(d, report.gamma)]
     else:
         size, witness = originals["gamma"](g)

@@ -12,7 +12,11 @@ from itertools import combinations
 import pytest
 
 from invdom import constructions, harness, naive, solvers
-from invdom.certificates import DominationCertificate, check_inverse_certificate
+from invdom.certificates import (
+    DominationCertificate,
+    InverseCertificate,
+    check_inverse_certificate,
+)
 from invdom.errors import HasIsolates, PreconditionViolated
 from invdom.generate import (
     complete_graph,
@@ -147,9 +151,10 @@ def test_inverse_chain_inequalities(corpus7):
         assert inv <= strong <= g.n - solvers.gamma(g)[0]
 
 
-def _inverse_pass_reference(g: Graph) -> tuple[int, tuple[int, int], int]:
-    """Unthresholded pass: a full search on every gamma-set of each component,
-    in bitmask order, joined over the components as ``_by_component`` joins."""
+def _inverse_pass_reference(g: Graph) -> tuple[int, int, int, int]:
+    """Unthresholded pass, (gamma^-1, T, D, strong gamma^-1): a full search on
+    every gamma-set of each component, in bitmask order, joined over the
+    components as ``_by_component`` joins."""
     covers = solvers._domination_covers(g)
 
     def part_reference(part: int) -> tuple[int, int, int, int]:
@@ -158,10 +163,9 @@ def _inverse_pass_reference(g: Graph) -> tuple[int, tuple[int, int], int]:
             size, t_mask = solvers._min_cover(covers, part & ~d, part)
             sizes.append((size, d, t_mask))
         size, d, t_mask = min(sizes, key=lambda entry: entry[0])  # the first least
-        return size, d, t_mask, max(entry[0] for entry in sizes)
+        return size, t_mask, d, max(entry[0] for entry in sizes)
 
-    size, d, t_mask, strong = solvers._by_component(g, part_reference)
-    return size, (d, t_mask), strong
+    return solvers._by_component(g, part_reference)
 
 
 def test_inverse_pass_matches_the_per_set_reference(c5, corpus7):
@@ -181,12 +185,11 @@ def test_inverse_pass_matches_the_per_set_reference(c5, corpus7):
     graphs += gamma5_corpus(1)[::12]  # 20 graphs across its families
     graphs.append(parse_graph6("O???ECO?@GCAC?agG?QP@"))  # T is no whole-graph search's
     for g in graphs:
-        size, cert, strong = solvers.inverse_pass(g)
-        assert (size, (cert.d_set, cert.t_set), strong) == _inverse_pass_reference(g)
+        assert solvers.inverse_pass(g) == _inverse_pass_reference(g)
     for g in disjoint_unions(4, 10, isolate_free=True):
         assert len(g.components()) >= 2
-        size, cert, strong = solvers.inverse_pass(g)
-        assert (size, (cert.d_set, cert.t_set), strong) == _inverse_pass_reference(g)
+        size, t_set, d_set, strong = solvers.inverse_pass(g)
+        assert (size, t_set, d_set, strong) == _inverse_pass_reference(g)
         assert (size, strong) == (naive.inverse_gamma_naive(g), naive.strong_inverse_gamma_naive(g))
 
 
@@ -213,9 +216,9 @@ def test_inverse_pass_matches_the_per_set_reference(c5, corpus7):
 )
 def test_inverse_pass_on_both_floors(line, expected):
     g = parse_graph6(line)
-    size, cert, strong = solvers.inverse_pass(g)
-    assert (size, to_sorted(cert.d_set), to_sorted(cert.t_set), strong) == expected
-    assert (size, (cert.d_set, cert.t_set), strong) == _inverse_pass_reference(g)
+    size, t_set, d_set, strong = solvers.inverse_pass(g)
+    assert (size, to_sorted(d_set), to_sorted(t_set), strong) == expected
+    assert (size, t_set, d_set, strong) == _inverse_pass_reference(g)
     assert (size, strong) == (naive.inverse_gamma_naive(g), naive.strong_inverse_gamma_naive(g))
 
 
@@ -245,12 +248,12 @@ def test_a_disjoint_gamma_set_settles_d(t, c5, monkeypatch):
     # first D of a component reaches gamma every later D is skipped
     g = pad_with_k2(c5, t)
     calls = _count_cover_calls(monkeypatch)
-    cert = solvers.inverse_pass(g)[1]
+    d_set = solvers.inverse_pass(g)[2]
     greedy = [allowed for kind, allowed, _ in calls if kind == "greedy"]
     assert len(greedy) == len(g.components()) == 1 + t
     # each is the greedy cover of part - D for the certificate's D
     assert [part & ~allowed for part, allowed in zip(g.components(), greedy)] == [
-        part & cert.d_set for part in g.components()
+        part & d_set for part in g.components()
     ]
 
 
@@ -289,8 +292,9 @@ def test_split_witnesses_are_unions_of_the_parts(line):
     assert witness == gamma_join
     assert witness != solvers._gamma_part(covers, g.full)[1]
     assert witness.bit_count() == size and g.is_dominating(witness)
-    cert = solvers.inverse_pass(g)[1]
-    assert cert.t_set == t_join
+    inverse_size, t_set, d_set, _ = solvers.inverse_pass(g)
+    assert t_set == t_join
+    cert = InverseCertificate(d_set, t_set, "exact", inverse_size)
     assert check_inverse_certificate(g, cert, size) == []
     assert harness.check_component_split(g) == []
 
@@ -551,5 +555,5 @@ def test_empty_graph_edge_cases():
     assert solvers.alpha(g) == (0, 0)
     assert solvers.enumerate_min_dominating_sets(g) == [0]
     assert solvers.min_dominating_within(g, 0) == (0, 0)
-    assert solvers.inverse_pass(g)[0::2] == (0, 0)
+    assert solvers.inverse_pass(g) == (0, 0, 0, 0)
     assert solvers.max_induced_bipartite(g) == (0, 0)
