@@ -64,7 +64,7 @@ def _load_single_graph(arg: str | None, edges_path: str | None) -> Graph:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_single_graph(args.graph, args.edges)
     report = harness.analyze_graph(g, checks=args.checks)
-    if report.inv_gamma is None and g.n > 0 and g.has_isolated_vertex():
+    if report.skipped_for_isolates:
         print("warning: graph has isolated vertices; inverse domination undefined", file=sys.stderr)
     label = {True: "yes", False: "NO", None: "-", "n/a": "n/a"}
     print(f"graph6            {report.graph6}")

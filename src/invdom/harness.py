@@ -3,9 +3,12 @@
 One GraphReport per input graph, serialized as JSONL with a fixed field
 order.  Checks are individually toggleable; undefined quantities (inverse
 domination on graphs with isolates) are omitted rather than faked, and the
-three-halves bound is evaluated in exact integer arithmetic.  gamma^-1 and
-strong gamma^-1 come from one pass over the minimum dominating sets, run
-once per isolate-free graph when any check needs either.  A verify run uses
+three-halves bound is evaluated in exact integer arithmetic.  Every check
+but b needs an isolate-free graph, so a graph with an isolated vertex is
+skipped for isolates exactly when the checks asked include another one.
+gamma^-1 and strong gamma^-1 come from one pass over the minimum
+dominating sets, run once per isolate-free graph when any check needs
+either.  A verify run uses
 ``RunConfig.jobs`` worker processes (the CLI's ``--jobs``, default 1) and
 emits reports in input order either way.  gamma and alpha are solved once
 per graph: the main construction takes the report's gamma for its gate,
@@ -65,8 +68,10 @@ class GraphReport:
     main_thm_ok: bool | None = None
     elapsed_micros: int = 0
     # Kept out of the JSONL report: the InternalContradiction.reproducer() of
-    # a failed construction, logged by verify_stream.
+    # a failed construction, logged by verify_stream, and whether a requested
+    # check went unanswered because the graph has an isolated vertex.
     contradiction: dict | None = None
+    skipped_for_isolates: bool = False
 
     def failed_checks(self) -> list[str]:
         out = []
@@ -88,7 +93,9 @@ class GraphReport:
         return json.dumps(payload, separators=(",", ":"))
 
 
-_REPORT_FIELDS = tuple(f.name for f in fields(GraphReport) if f.name != "contradiction")
+_REPORT_FIELDS = tuple(
+    f.name for f in fields(GraphReport) if f.name not in ("contradiction", "skipped_for_isolates")
+)
 
 
 @dataclass
@@ -107,7 +114,8 @@ def analyze_graph(
     start = time.perf_counter_ns()
     if graph6_str is None:
         graph6_str = write_graph6(g)
-    isolate_free = g.n > 0 and not g.has_isolated_vertex()
+    isolated = g.has_isolated_vertex()
+    isolate_free = g.n > 0 and not isolated
     inverse = isolate_free and checks & {"conjecture", "three_halves", "strong"}
     if inverse:
         inv_gamma, _, gamma_set, strong_inv_gamma = solvers.inverse_pass(g)
@@ -116,7 +124,9 @@ def analyze_graph(
         gamma_value, gamma_set = solvers.gamma(g)
     alpha_value, _ = solvers.alpha(g)
     report = GraphReport(
-        graph6=graph6_str, n=g.n, m=g.m, gamma=gamma_value, alpha=alpha_value
+        graph6=graph6_str, n=g.n, m=g.m, gamma=gamma_value, alpha=alpha_value,
+        # every check but b needs an isolate-free graph
+        skipped_for_isolates=isolated and bool(checks - {"b"}),
     )
     if "b" in checks:
         report.b = solvers.max_induced_bipartite(g)[0]
@@ -208,8 +218,7 @@ def verify_stream(
             continue
         assert report is not None
         summary.graphs += 1
-        undefined = report.n and report.inv_gamma is None  # the empty graph has no isolate
-        if undefined and config.checks & {"conjecture", "three_halves"}:
+        if report.skipped_for_isolates:
             summary.skipped_isolates += 1
         failed = report.failed_checks()
         if report.contradiction:

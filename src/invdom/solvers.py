@@ -10,15 +10,24 @@ search for the largest subset that splits into one or two independent sides
 serves alpha, ``alpha_within`` and b(G).  b takes the held alpha as its
 sides' cap; no other solver runs another for a seed.
 
-A cover-search node with s picks left and u vertices undominated can end
-in a cover only if some candidate covers at least ceil(u / s) of them, so
-it is cut when none does: the cut that a sweep for the largest coverage
-makes.  Its pass over the candidates stops at the first one that does,
-which most nodes reach after a few.  The loop that picks the vertex to
-branch on ends the node at an undominated vertex with no candidate left.
-Covers are symmetric, so that is the sweep's test that the candidates'
-covers reach every undominated vertex.  The node cuts and branches as the
-sweep did, so every search reaches the same covers in the same order.
+The cover search runs a node only where vertices are undominated and a
+pick is left, and settles the other children in the parent.  A node with
+one pick left scans its candidates in increasing id and reports each one
+that dominates every undominated vertex: exactly the children through
+which a full node reaches a cover, and in its order, since they cover the
+most and each lies in every undominated vertex's candidate set.  A node
+with s >= 2 picks left and u vertices undominated can end in a cover only
+if some candidate covers at least ceil(u / s) of them, so it is cut when
+none does: the cut that a sweep for the largest coverage makes.  Its pass
+over the candidates stops at the first one that does, which most nodes
+reach after a few.  The loop that picks the vertex to branch on ends the
+node at an undominated vertex with no candidate left.  Covers are
+symmetric, so that is the sweep's test that the candidates' covers reach
+every undominated vertex.  In its loop over the children, a pick that
+dominates the rest is reported there, a child with a pick left is
+searched, and any other child is skipped, since it has no pick to spend.
+The nodes cut and branch as the sweep did, so every search reaches the
+same covers in the same order.
 
 Besides the count of its candidates, the sides search bounds a node by
 what its candidates must lose (``_side_loss``): a greedy matching inside the
@@ -28,10 +37,11 @@ beat the best so far, so the search meets the same improving leaves in the
 same order, and every alpha and b witness is the one it returned without it.
 An edge loses one of two vertices and a triangle one of three, so the loss
 is at most half the candidates, and it is computed only where that much
-would cut.  For b, each side is independent, so neither holds more than
-alpha of the component; where 2 * alpha is below the component's order,
-a node is also cut when its sides, each capped at alpha, cannot beat the
-best.
+would cut.  The count stops at the first edge or triangle that closes the
+gap between the node's bound and the best, which is all the cut asks.  For
+b, each side is independent, so neither holds more than alpha of the
+component; where 2 * alpha is below the component's order, a node is also
+cut when its sides, each capped at alpha, cannot beat the best.
 
 gamma, alpha, b, the inverse pass and ``optimal_dominating_set`` run their
 searches once per connected component, on the component's mask
@@ -80,6 +90,7 @@ from __future__ import annotations
 
 from functools import wraps
 from operator import add
+from sys import maxsize
 from typing import Callable
 
 from .certificates import DominationCertificate, InverseCertificate
@@ -117,15 +128,19 @@ def _per_graph(solve: Callable) -> Callable:
 
 # -- independent sides: alpha and b(G) -------------------------------------
 
-def _side_loss(adj: tuple[int, ...], cand_a: int, cand_b: int) -> int:
+def _side_loss(adj: tuple[int, ...], cand_a: int, cand_b: int, enough: int = maxsize) -> int:
     """A lower bound on the vertices of ``cand_a | cand_b`` that every split
-    into an independent A <= cand_a and an independent B <= cand_b leaves out.
+    into an independent A <= cand_a and an independent B <= cand_b leaves out,
+    or a count of at least ``enough`` once the bound reaches it.
 
     A vertex of only one candidate set joins only that side, so each edge of
     a greedy matching inside those vertices, one group per side, loses an
     end.  The vertices of both sets that are taken induce a bipartite graph,
     so each of their greedy vertex-disjoint triangles loses a vertex.  The
-    three groups are disjoint, so the losses add.
+    three groups are disjoint, so the losses add.  The count stops at the
+    edge or triangle that brings it to ``enough``: a caller that asks only
+    whether the loss closes a gap needs no more, and one that leaves
+    ``enough`` out gets the whole count.
     """
     loss = 0
     both = cand_a & cand_b
@@ -137,6 +152,8 @@ def _side_loss(adj: tuple[int, ...], cand_a: int, cand_b: int) -> int:
             if mate:
                 rest ^= mate & -mate
                 loss += 1
+                if loss >= enough:
+                    return loss
     rest = both
     while rest:
         low = rest & -rest
@@ -149,6 +166,8 @@ def _side_loss(adj: tuple[int, ...], cand_a: int, cand_b: int) -> int:
             if third:
                 rest &= ~(w | (third & -third))
                 loss += 1
+                if loss >= enough:
+                    return loss
                 break
     return loss
 
@@ -192,8 +211,10 @@ def _max_sides(g: Graph, allowed: int, sides: int, cap: int | None = None) -> tu
             or b.bit_count() + cand_b.bit_count() <= best - cap
         ):
             return
-        # the loss is at most size // 2, so it cuts only a gap of at most that
-        if 2 * (bound - best) <= size and bound - _side_loss(adj, cand_a, cand_b) <= best:
+        # the loss is at most size // 2, so it cuts only a gap of at most that,
+        # and its count stops once it closes the gap
+        gap = bound - best
+        if 2 * gap <= size and _side_loss(adj, cand_a, cand_b, gap) >= gap:
             return
         # taking a free vertex changes no candidate degree: one pass finds both
         free = 0
@@ -304,20 +325,31 @@ def _cover_search(
 ) -> None:
     """Call ``found(S, |S|)`` on covers S <= allowed of target with |S| < limit.
 
-    ``found`` returns the new limit.  Each cover is reached at most once, and
-    every inclusion-minimal one below the limit of the moment is reached.
-    ``covers`` must be symmetric (u in covers[v] iff v in covers[u]), as
-    closed neighborhoods are.
+    ``found`` returns the new limit, at most the old one.  Each cover is
+    reached at most once, and every inclusion-minimal one below the limit of
+    the moment is reached.  ``covers`` must be symmetric (u in covers[v] iff
+    v in covers[u]), as closed neighborhoods are.
+
+    One call of ``search`` is one node: it has vertices left to dominate and
+    at least one pick to spend, and it reports the children that are covers
+    itself.  With one pick left it scans for the candidates that dominate
+    the rest; with more it branches (see the module docstring).
     """
 
     def search(chosen: int, count: int, undom: int, avail: int) -> None:
         nonlocal limit
-        if not undom:
-            if count < limit:  # a sibling's subtree may have lowered the limit
-                limit = found(chosen, count)
-            return
-        slack = limit - count - 1  # picks we may still spend
-        if slack <= 0:
+        slack = limit - count - 1  # picks we may still spend, at least one
+        if slack == 1:
+            # the candidates that cover all of undom, by id; each lies in the
+            # covers of undom's lowest vertex
+            low = undom & -undom
+            rest = avail & covers[low.bit_length() - 1]
+            count += 1
+            while rest and count < limit:
+                low = rest & -rest
+                rest ^= low
+                if not undom & ~covers[low.bit_length() - 1]:
+                    limit = found(chosen | low, count)
             return
         # the slack picks left cover all of undom only if one of them covers
         # need; the first such candidate ends the pass, and none cuts the node
@@ -342,21 +374,32 @@ def _cover_search(
             k = opts.bit_count()
             if k < u_opts:
                 u_opts, u_cands = k, opts
-        # most-covering candidate first, lowest id on ties
+        # most-covering candidate (fewest left uncovered) first, lowest id on ties
         cands = []
         rest = u_cands
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            cands.append((-(covers[v] & undom).bit_count(), v))
+            left = undom & ~covers[v]
+            cands.append((left.bit_count(), v, left))
         cands.sort()
+        count += 1
         remaining = avail  # later branches exclude earlier siblings
-        for _, v in cands:
-            search(chosen | (1 << v), count + 1, undom & ~covers[v], remaining & ~(1 << v))
-            remaining &= ~(1 << v)
+        for _, v, left in cands:
+            bit = 1 << v
+            remaining &= ~bit
+            if not left:
+                if count < limit:  # a sibling's subtree may have lowered the limit
+                    limit = found(chosen | bit, count)
+            elif count + 1 < limit:
+                search(chosen | bit, count, left, remaining)
 
-    search(0, 0, target, allowed)
+    if not target:
+        if limit > 0:
+            found(0, 0)
+    elif limit > 1:
+        search(0, 0, target, allowed)
 
 
 def _min_cover(covers: tuple[int, ...], allowed: int, target: int) -> tuple[int, int] | None:

@@ -15,6 +15,9 @@ against ``invdom.naive``, so they take graphs of any order.
 ``cover_search`` is the plain form of ``solvers._cover_search``: each node
 sweeps every available candidate for the union of their covers and the
 largest coverage, then picks the vertex to branch on in a second loop.
+Every child is a call of its own, a cover or a child with no pick left
+too, and a node with one pick left branches as any other does, where
+``_cover_search`` settles these in the parent and scans for the last pick.
 
 ``haxell_condition`` is Haxell's sufficient condition for an independent
 transversal, checked here as a property of ``find_isr``.  Everything else

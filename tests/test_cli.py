@@ -118,14 +118,25 @@ def test_verify_exits_0_and_skips_bad_lines(tmp_path):
     assert not (tmp_path / "bad.g6").exists()
 
 
+ISOLATE = write_graph6(Graph(3, [(0, 1)]))
+
+
 @pytest.mark.parametrize(
-    "lines, skipped",
-    [(["?", "A_"], 0), ([write_graph6(Graph(3, [(0, 1)])), "A_"], 1)],
-    ids=["empty-graph", "isolate"],
+    "lines, checks, skipped",
+    [(["?", "A_"], (), 0), ([ISOLATE, "A_"], (), 1), ([ISOLATE, "A_"], ("--checks", "strong"), 1),
+     ([ISOLATE, "A_"], ("--checks", "main_thm"), 1), ([ISOLATE, "A_"], ("--checks", "b"), 0)],
+    ids=["empty-graph", "isolate", "isolate-strong", "isolate-main_thm", "isolate-b"],
 )
-def test_verify_counts_only_graphs_with_isolates_as_skipped(lines, skipped, tmp_path, capsys):
-    assert verify(tmp_path, lines) == EXIT_OK
+def test_verify_counts_only_graphs_with_isolates_as_skipped(lines, checks, skipped, tmp_path, capsys):
+    # every check but b needs an isolate-free graph
+    assert verify(tmp_path, lines, *checks) == EXIT_OK
     assert f"verified 2 graphs: 0 failures, {skipped} skipped for isolates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks, warned", [("b", False), ("strong", True), ("main_thm", True)])
+def test_analyze_warns_of_isolates_only_for_a_check_that_needs_none(checks, warned, capsys):
+    assert cli.main(["analyze", "@", "--checks", checks]) == EXIT_OK
+    assert ("isolated vertices" in capsys.readouterr().err) == warned
 
 
 def test_verify_strict_exits_2_on_a_bad_line(tmp_path):

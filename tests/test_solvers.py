@@ -311,19 +311,35 @@ def _found_calls(search, covers, allowed, target, limit, step) -> list[tuple[int
 
 
 def test_cover_search_calls_found_as_its_plain_form_does():
-    """The node that stops at the first candidate covering enough and tests
-    each uncovered vertex for a candidate calls ``found`` with the covers,
-    and in the order, of the node that sweeps every candidate: collecting,
-    stopping at the first cover and improving, on the whole vertex set, on
-    V - D for the lowest gamma-set D and on V - {0}."""
-    steps = (lambda count: count + 1, lambda count: 0, lambda count: count)
+    """The node that stops at the first candidate covering enough, tests each
+    uncovered vertex for a candidate, scans for the last pick and settles
+    covers and children with no pick left in the parent calls ``found`` with
+    the covers, and in the order, of the node that sweeps every candidate and
+    recurses into every child: collecting, stopping at the first cover,
+    improving and the inverse pass's limit, at every root limit from 0 to
+    n + 1, on the whole vertex set, on V - D for the lowest gamma-set D and
+    on V - {0}, each with the whole vertex set, itself and the rest (empty
+    for the whole vertex set) as the target."""
     for g in rewrite_corpus():
         covers = solvers._domination_covers(g)
         lowest = solvers.enumerate_min_dominating_sets(g)[0]
-        for allowed in (g.full, g.full & ~lowest, g.full & ~1):
-            for step in steps:
-                args = (covers, allowed, g.full, g.n + 1, step)
-                assert _found_calls(solvers._cover_search, *args) == _found_calls(cover_search, *args)
+        floor = lowest.bit_count()
+        steps = (
+            lambda count: count + 1,
+            lambda count: 0,
+            lambda count: count,
+            lambda count: count if count > floor else 0,
+        )
+        masks = {
+            (allowed, target)
+            for allowed in (g.full, g.full & ~lowest, g.full & ~1)
+            for target in (g.full, allowed, g.full & ~allowed)
+        }
+        for allowed, target in sorted(masks):
+            for limit in range(g.n + 2):
+                for step in steps:
+                    args = (covers, allowed, target, limit, step)
+                    assert _found_calls(solvers._cover_search, *args) == _found_calls(cover_search, *args)
 
 
 def test_max_induced_bipartite(c4, c5, k4):
@@ -397,6 +413,33 @@ def test_side_loss_is_a_sound_bound(seed):
             assert 0 <= loss
             assert 2 * loss <= (cand_a | cand_b).bit_count()  # what gates the call
             assert _largest_split(g, cand_a, cand_b) <= (cand_a | cand_b).bit_count() - loss
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_side_loss_stops_once_it_has_enough(seed):
+    """Below ``enough`` the count is the whole loss; at or above it the
+    count is at least ``enough``, so a cut at the gap is the same cut."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(3, 9), rng.choice((0.3, 0.5, 0.7)))
+        for _ in range(6):
+            cand_a = rng.getrandbits(g.n)
+            cand_b = rng.choice((0, cand_a, rng.getrandbits(g.n), cand_a | rng.getrandbits(g.n)))
+            loss = solvers._side_loss(g.adj, cand_a, cand_b)
+            for enough in range(loss + 2):
+                counted = solvers._side_loss(g.adj, cand_a, cand_b, enough)
+                assert counted == loss if loss < enough else counted >= enough
+
+
+def test_the_gap_bounded_loss_keeps_every_witness(monkeypatch, corpus7):
+    """``_max_sides`` returns the size and witness it returns when the loss
+    is counted in full, for one and two sides, with and without the cap."""
+    graphs = rewrite_corpus() + [g for n in range(1, 8) for g in corpus7[n]]
+    cases = [(g, sides, cap) for g in graphs for sides in (1, 2) for cap in (None, solvers.alpha(g)[0])]
+    bounded = [solvers._max_sides(g, g.full, sides, cap) for g, sides, cap in cases]
+    side_loss = solvers._side_loss
+    monkeypatch.setattr(solvers, "_side_loss", lambda adj, cand_a, cand_b, _: side_loss(adj, cand_a, cand_b))
+    assert [solvers._max_sides(g, g.full, sides, cap) for g, sides, cap in cases] == bounded
 
 
 def test_side_loss_counts_a_matching_and_disjoint_triangles():
