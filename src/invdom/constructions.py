@@ -40,14 +40,7 @@ from typing import Iterator, Sequence
 
 from . import solvers
 from .certificates import InverseCertificate, check_inverse_certificate
-from .errors import (
-    HasIsolates,
-    InternalContradiction,
-    LemmaViolated,
-    NotDominated,
-    PreconditionViolated,
-    SeedNotIndependent,
-)
+from .errors import HasIsolates, InternalContradiction, LemmaViolated, PreconditionViolated
 from .graph import Graph, bits, mask_of, to_sorted
 
 
@@ -97,7 +90,7 @@ def standard_partition(g: Graph, x_ordered: Sequence[int], y: int) -> tuple[int,
         raise ValueError("x and y intersect")
     if y & ~g.open_neighborhood(x_mask):
         missing = y & ~g.open_neighborhood(x_mask)
-        raise NotDominated(f"universe vertices {list(bits(missing))} have no neighbor in x")
+        raise ValueError(f"universe vertices {list(bits(missing))} have no neighbor in x")
     cells = []
     taken = 0
     for d in x_ordered:
@@ -182,7 +175,7 @@ def expand_to_maximal_independent(g: Graph, seed: int, universe: int) -> int:
     if seed & ~universe:
         raise ValueError("seed not contained in universe")
     if not g.is_independent(seed):
-        raise SeedNotIndependent(f"seed {list(bits(seed))} spans an edge")
+        raise ValueError(f"seed {list(bits(seed))} spans an edge")
     adj = g.adj
     out = seed
     rest = universe & ~seed
@@ -526,24 +519,20 @@ def superisrs(g: Graph, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     outside = g.full & ~d
     for d1, d2 in pairs:
         v1 = g.adj[d1] & outside
-        v2 = g.adj[d2] & outside & ~v1
-        for r1 in bits(v1):
-            for r2 in bits(v2):
-                if g.adj[r1] >> r2 & 1:
+        for r12 in _transversals(g, (v1, g.adj[d2] & outside & ~v1)):
+            blocked = g.closed_neighborhood(r12 | mask_of((d1, d2)))
+            for r3 in bits(g.full & ~blocked):
+                if d >> r3 & 1:
                     continue
-                blocked = g.closed_neighborhood(mask_of((d1, d2, r1, r2)))
-                for r3 in bits(g.full & ~blocked):
-                    if d >> r3 & 1:
-                        continue
-                    d3_opts = g.adj[r3] & d & ~mask_of((d1, d2))
-                    if not d3_opts:
-                        continue
-                    d3 = (d3_opts & -d3_opts).bit_length() - 1
-                    d4, d5 = sorted(bits(d & ~mask_of((d1, d2, d3))))
-                    ordering = (d1, d2, d3, d4, d5)
-                    cells = standard_partition(g, ordering, outside)
-                    if find_isr(g, cells[3:]) is not None:
-                        return ordering, cells
+                d3_opts = g.adj[r3] & d & ~mask_of((d1, d2))
+                if not d3_opts:
+                    continue
+                d3 = (d3_opts & -d3_opts).bit_length() - 1
+                d4, d5 = sorted(bits(d & ~mask_of((d1, d2, d3))))
+                ordering = (d1, d2, d3, d4, d5)
+                cells = standard_partition(g, ordering, outside)
+                if find_isr(g, cells[3:]) is not None:
+                    return ordering, cells
     raise InternalContradiction(
         "no ordering admits the two ISRs; D is likely not an optimal gamma-set",
         {"d_set": d},

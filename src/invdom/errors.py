@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit.
+
+A class stays here only when code catches it by name (the CLI's exit
+codes, ``harness._verify_line``, ``harness.run_check``) or when it names an
+outcome the paper separates: inverse domination undefined on isolated
+vertices, or a counterexample to the trichotomy.  A bad argument that no
+caller handles raises ``ValueError``, and a malformed graph6 string raises
+``Graph6Error`` with a message that says what is wrong.
+"""
 
 
 class InvdomError(Exception):
@@ -14,36 +22,8 @@ class Graph6Error(InputFormatError):
     """Malformed graph6 data."""
 
 
-class MalformedLength(Graph6Error):
-    """Size field that is cut short, not canonical, or in the unsupported eight-byte form."""
-
-
-class TruncatedBody(Graph6Error):
-    """graph6 body shorter than the size byte demands."""
-
-
-class NonAsciiByte(Graph6Error):
-    """Byte outside the printable graph6 alphabet."""
-
-
-class TrailingGarbage(Graph6Error):
-    """Extra bytes after a complete graph6 encoding."""
-
-
 class TooLarge(InvdomError):
     """Graph exceeds the hard size cap of 64 vertices."""
-
-
-class VertexNotInD(InvdomError):
-    """Private-neighbor query for a vertex outside the dominating set."""
-
-
-class NotDominated(InvdomError):
-    """Standard partition requested for a universe the representatives miss."""
-
-
-class SeedNotIndependent(InvdomError):
-    """Independent-set expansion started from a non-independent seed."""
 
 
 class PreconditionViolated(InvdomError):

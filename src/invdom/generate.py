@@ -344,10 +344,7 @@ def pad_with_k2(g: Graph, t: int) -> Graph:
     """Disjoint union of g with t single-edge components; ``TooLarge`` past the vertex cap."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    out = g
-    for _ in range(t):
-        out = disjoint_union(out, Graph(2, [(0, 1)]))
-    return out
+    return disjoint_union(g, Graph(2 * t, [(2 * i, 2 * i + 1) for i in range(t)]))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import TooLarge, VertexNotInD
+from .errors import TooLarge
 
 MAX_VERTICES = 64
 
@@ -115,7 +115,7 @@ class Graph:
         """Vertices outside d_set whose only d_set-neighbor is ``v``."""
         vb = 1 << v
         if not d_set & vb:
-            raise VertexNotInD(f"vertex {v} not in the dominating set")
+            raise ValueError(f"vertex {v} not in the dominating set")
         adj = self.adj
         out = 0
         rest = self.full & ~d_set

@@ -6,19 +6,12 @@ groups, most significant bit first, zero padded, each group emitted as ASCII
 value group+63.  The size is one byte n+63 for n <= 62, and for 63 <= n <= 64
 the long form: '~' followed by n as three 6-bit groups, most significant
 first.  Graphs stop at 64 vertices, so a long size above 64 is ``TooLarge``,
-and the eight-byte form '~~' is rejected as ``MalformedLength``.
+and the eight-byte form '~~' is rejected as ``Graph6Error``.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    InputFormatError,
-    MalformedLength,
-    NonAsciiByte,
-    TooLarge,
-    TrailingGarbage,
-    TruncatedBody,
-)
+from .errors import Graph6Error, InputFormatError, TooLarge
 from .graph import MAX_VERTICES, Graph
 
 HEADER = b">>graph6<<"
@@ -37,36 +30,36 @@ def parse_graph6(data: bytes | str) -> Graph:
         try:
             data = data.encode("ascii")
         except UnicodeEncodeError as exc:
-            raise NonAsciiByte(f"non-ascii character in graph6 input: {exc}") from None
+            raise Graph6Error(f"non-ascii character in graph6 input: {exc}") from None
     data = data.strip()
     if data.startswith(HEADER):
         data = data[len(HEADER):]
     if not data:
-        raise TruncatedBody("empty graph6 input")
+        raise Graph6Error("empty graph6 input")
 
     for b in data:
         if not 63 <= b <= 126:
-            raise NonAsciiByte(f"byte {b} outside graph6 alphabet 63..126")
+            raise Graph6Error(f"byte {b} outside graph6 alphabet 63..126")
     if data[:1] != b"~":
         n, body = data[0] - 63, data[1:]
     elif data[1:2] == b"~":
-        raise MalformedLength("the eight-byte size form '~~' is not supported")
+        raise Graph6Error("the eight-byte size form '~~' is not supported")
     elif len(data) < 4:
-        raise MalformedLength("the long size form needs three bytes after '~'")
+        raise Graph6Error("the long size form needs three bytes after '~'")
     else:
         n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
         body = data[4:]
         if n <= _SHORT_MAX:
-            raise MalformedLength(f"long size form encodes n={n}, which needs the short form")
+            raise Graph6Error(f"long size form encodes n={n}, which needs the short form")
         if n > MAX_VERTICES:
             raise TooLarge(f"graph6 size {n} exceeds {MAX_VERTICES} vertices")
 
     pairs = _pair_count(n)
     need = (pairs + 5) // 6
     if len(body) < need:
-        raise TruncatedBody(f"need {need} body bytes for n={n}, got {len(body)}")
+        raise Graph6Error(f"need {need} body bytes for n={n}, got {len(body)}")
     if len(body) > need:
-        raise TrailingGarbage(f"{len(body) - need} extra bytes after body")
+        raise Graph6Error(f"{len(body) - need} extra bytes after body")
 
     bitstream = 0
     for b in body:

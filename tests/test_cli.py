@@ -183,13 +183,26 @@ def test_verify_exits_2_when_an_output_is_the_corpus_or_the_other_output(
     assert "are the same file" in captured.err and captured.out == ""
 
 
-def test_python_m_invdom_runs_the_cli():
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter with this checkout's ``src`` first on its path."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "invdom", "selftest", "--max-n", "3"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_invdom_runs_the_cli():
+    done = _fresh_python("-m", "invdom", "selftest", "--max-n", "3")
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.splitlines()[-1] == "selftest: PASS"
+
+
+def test_the_certificate_checker_imports_no_solver():
+    done = _fresh_python("-c", "import sys, invdom.graph6, invdom.certificates; "
+                               "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'invdom'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "invdom", "invdom.certificates", "invdom.errors", "invdom.graph", "invdom.graph6",
+    ]
 
 
 NOT_UTF8 = b"Dhc\n\xff\xfe\n"

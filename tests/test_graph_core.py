@@ -3,7 +3,7 @@ connected components."""
 
 import pytest
 
-from invdom.errors import TooLarge, VertexNotInD
+from invdom.errors import TooLarge
 from invdom.generate import all_graphs, cycle_graph, pad_with_k2, path_graph
 from invdom.graph import Graph, bits, disjoint_union, mask_of, to_sorted
 
@@ -60,7 +60,7 @@ def test_private_neighbors_p4(p4):
 
 
 def test_private_neighbors_requires_membership(c4):
-    with pytest.raises(VertexNotInD):
+    with pytest.raises(ValueError, match="vertex 1 not in the dominating set"):
         c4.private_neighbors(mask_of((0, 2)), 1)
 
 
