@@ -249,7 +249,13 @@ def check_gamma(g: Graph) -> list[str]:
 
 
 def check_alpha(g: Graph) -> list[str]:
-    return _compare("alpha", solvers.alpha(g)[0], naive.alpha_naive(g)[0])
+    """alpha matches the oracle, and its witness is independent with alpha
+    vertices."""
+    size, witness = solvers.alpha(g)
+    problems = _compare("alpha", size, naive.alpha_naive(g)[0])
+    if witness.bit_count() != size or not g.is_independent(witness):
+        problems.append(f"alpha witness {to_sorted(witness)} is no independent set of size {size}")
+    return problems
 
 
 def check_inverse_gamma(g: Graph) -> list[str]:
@@ -260,35 +266,49 @@ def check_strong_inverse_gamma(g: Graph) -> list[str]:
     return _compare("strong", solvers.inverse_pass(g)[3], naive.strong_inverse_gamma_naive(g))
 
 
+def _bipartite_witness(g: Graph, size: int, witness: int) -> list[str]:
+    if witness.bit_count() == size and g.is_bipartite_subset(witness):
+        return []
+    return [f"b witness {to_sorted(witness)} induces no bipartite graph of order {size}"]
+
+
 def check_induced_bipartite(g: Graph) -> list[str]:
-    return _compare("b", solvers.max_induced_bipartite(g)[0], naive.b_naive(g))
+    """b matches the oracle, and its witness induces a bipartite graph with b
+    vertices: part of it comes from a greedy seed, so it is checked, not
+    trusted."""
+    size, witness = solvers.max_induced_bipartite(g)
+    return _compare("b", size, naive.b_naive(g)) + _bipartite_witness(g, size, witness)
 
 
 def check_component_split(g: Graph) -> list[str]:
     """Solving by component gives the values of one search over the whole
     graph: gamma, alpha, b, the optimal gamma-set and, when g is
-    isolate-free, the inverse pass.  The alpha, b and optimal-set witnesses
-    and the pass's D are the whole graph's too.  The gamma witness and the
+    isolate-free, the inverse pass.  The alpha and optimal-set witnesses and
+    the pass's D are the whole graph's too.  The gamma witness and the
     pass's T join each part's first least cover, which need not be the
-    whole graph's first, so they are checked for validity: the gamma
-    witness dominates with size gamma, and the "exact" certificate built
-    from the pass's D and T passes ``check_inverse_certificate`` against
-    gamma, so its D, which ``analyze_graph`` takes for gamma and the main
-    construction, is a gamma-set."""
+    whole graph's first, and b's witness joins each part's seed split or
+    the first leaf that beats it, which one unseeded search need not reach.
+    So they are checked for validity: the gamma witness dominates with size
+    gamma, b's witness induces a bipartite graph with b vertices, and the
+    "exact" certificate built from the pass's D and T passes
+    ``check_inverse_certificate`` against gamma, so its D, which
+    ``analyze_graph`` takes for gamma and the main construction, is a
+    gamma-set."""
     covers = solvers._domination_covers(g)
     size, witness = solvers.gamma(g)
+    b, b_witness = solvers.max_induced_bipartite(g)
     cert = solvers.optimal_dominating_set(g)
     pairs = [
         ("gamma", size, solvers._gamma_part(covers, g.full)[0]),
         ("alpha", solvers.alpha(g), solvers._max_sides(g, g.full, 1)),
-        ("b", solvers.max_induced_bipartite(g), solvers._max_sides(g, g.full, 2)),
+        ("b", b, solvers._max_sides(g, g.full, 2)[0]),
         (
             "optimal (-alpha(D), edges, D)",
             (-cert.alpha_of_d, cert.induced_edges, cert.d_set),
             solvers._optimal_part(g, g.full),
         ),
     ]
-    problems = []
+    problems = _bipartite_witness(g, b, b_witness)
     if witness.bit_count() != size or not g.is_dominating(witness):
         problems.append(f"gamma witness {to_sorted(witness)} is no dominating set of size {size}")
     if not g.has_isolated_vertex():

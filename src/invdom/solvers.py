@@ -7,8 +7,11 @@ dominating sets and the inverse pass: it branches on the undominated vertex
 with the fewest candidates, most-dominating candidate first, and excludes
 earlier siblings from later branches, so it reaches each set once.  One
 search for the largest subset that splits into one or two independent sides
-serves alpha, ``alpha_within`` and b(G).  b takes the held alpha as its
-sides' cap; no other solver runs another for a seed.
+serves alpha, ``alpha_within`` and b(G).  b reads the held alpha's
+witness: its size on a component is the sides' cap, and the witness with a
+greedy independent set of the component's other vertices is the split b's
+search starts from and only has to beat.  No other solver runs another for
+a seed.
 
 The cover search runs a node only where vertices are undominated and a
 pick is left, and settles the other children in the parent.  A node with
@@ -48,11 +51,13 @@ searches once per connected component, on the component's mask
 (``Graph.components``).  A closed neighborhood stays inside its component,
 so a search over one component's mask solves the subgraph it induces.  The
 values add over components, and ``_by_component`` joins the parts: each
-witness is the union of the parts' own witnesses.  For alpha, b, the
-inverse certificate's D and the optimal gamma-set, that union is also what
-one search over the whole graph returns.  For the least covers behind
-gamma and the certificate's T it is a least cover too, but not always the
-first one a whole-graph search reaches.  The gamma-sets do not add: their
+witness is the union of the parts' own witnesses.  For alpha, the inverse
+certificate's D and the optimal gamma-set, that union is also what one
+search over the whole graph returns.  For the least covers behind gamma
+and the certificate's T it is a least cover too, but not always the first
+one a whole-graph search reaches, and for b it is a largest bipartite
+split: the parts' seeds or the leaves that beat them, which a search from
+no seed need not reach.  The gamma-sets do not add: their
 number is the product of the parts' counts (5 * 2^t on C5 + t*K2), so
 ``enumerate_min_dominating_sets``, whose output is that product, is the one
 search still run on the whole graph.  ``min_dominating_within`` and
@@ -69,8 +74,8 @@ a greedy matching's bound in place of alpha, is below the least key so far.
 
 Every result is deterministic: minimum dominating sets come back in
 increasing bitmask order, each component's witness is the first optimum
-its search reaches, and ties in ``optimal_dominating_set`` break toward the
-smallest bitmask.
+its search reaches (for b, its seed or the first leaf that beats it), and
+ties in ``optimal_dominating_set`` break toward the smallest bitmask.
 
 The solvers that one graph's callers ask more than once (gamma, alpha, b,
 the closed neighborhoods, each component's gamma-sets and the optimal
@@ -172,7 +177,9 @@ def _side_loss(adj: tuple[int, ...], cand_a: int, cand_b: int, enough: int = max
     return loss
 
 
-def _max_sides(g: Graph, allowed: int, sides: int, cap: int | None = None) -> tuple[int, int]:
+def _max_sides(
+    g: Graph, allowed: int, sides: int, cap: int | None = None, seed: int = 0
+) -> tuple[int, int]:
     """Largest subset of ``allowed`` splitting into ``sides`` (1 or 2)
     independent sets A and B: (size, witness A | B).
 
@@ -189,10 +196,15 @@ def _max_sides(g: Graph, allowed: int, sides: int, cap: int | None = None) -> tu
     reached only when it beats the best, and a cut subtree holds no such
     leaf, so the cuts change neither the order in which the best improves
     nor the witness.
+
+    ``seed``, when given, is a split of ``allowed`` into ``sides`` independent
+    sets, and the best starts at it.  The witness is then the seed, or the
+    first leaf that beats it.  A seed of min(2 * cap, |allowed|) vertices
+    ends the search at its root.
     """
     g.check_subset(allowed)
     adj = g.adj
-    best, best_mask = 0, 0
+    best, best_mask = seed.bit_count(), seed
     capped = cap is not None and 2 * cap < allowed.bit_count()
 
     def grow(a: int, b: int, count: int, cand_a: int, cand_b: int) -> None:
@@ -276,15 +288,45 @@ def alpha(g: Graph) -> tuple[int, int]:
     return _by_component(g, lambda part: _max_sides(g, part, 1))
 
 
+def _greedy_independent(adj: tuple[int, ...], allowed: int) -> int:
+    """An independent subset of ``allowed``, each pick a vertex of least
+    degree among those left, lowest id on ties, its neighbours then dropped."""
+    chosen = 0
+    rest = allowed
+    while rest:
+        pick, least = 0, maxsize
+        scan = rest
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            d = (adj[low.bit_length() - 1] & rest).bit_count()
+            if d < least:
+                pick, least = low, d
+        chosen |= pick
+        rest &= ~(adj[pick.bit_length() - 1] | pick)
+    return chosen
+
+
 @_per_graph
 def max_induced_bipartite(g: Graph) -> tuple[int, int]:
     """Largest vertex set inducing an odd-cycle-free subgraph: (b(G), witness).
 
     Each side is independent, so alpha caps it: a component's cap is the
     part of alpha's witness inside it, held when alpha was asked first.
+    That part and a greedy independent set of the component's other vertices
+    are two disjoint independent sets, so together they induce a bipartite
+    graph: the seed split, which the component's search only has to beat.
+    The witness is the seed, or the first leaf the search reaches that beats
+    it.
     """
     independent = alpha(g)[1]
-    return _by_component(g, lambda part: _max_sides(g, part, 2, (independent & part).bit_count()))
+
+    def solve(part: int) -> tuple[int, int]:
+        inside = independent & part
+        seed = inside | _greedy_independent(g.adj, part & ~inside)
+        return _max_sides(g, part, 2, inside.bit_count(), seed)
+
+    return _by_component(g, solve)
 
 
 # -- domination --------------------------------------------------------------

@@ -30,9 +30,9 @@ def side_searches(monkeypatch):
     searches = []
     max_sides = solvers._max_sides
 
-    def counted(h, allowed, sides, cap=None):
+    def counted(h, allowed, sides, *args, **kwargs):
         searches.append((allowed, sides))
-        return max_sides(h, allowed, sides, cap)
+        return max_sides(h, allowed, sides, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "_max_sides", counted)
     return searches

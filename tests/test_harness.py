@@ -213,6 +213,24 @@ def test_selftest_check_holds_up_to_six_vertices(isolate_free_only, check, corpu
     assert failures == []
 
 
+PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # alpha = 2, b = 3
+NOT_BIPARTITE = "b witness [0, 1, 2] induces no bipartite graph of order 3"
+
+
+@pytest.mark.parametrize(
+    "check, solver, answer, problem",
+    [
+        (harness.check_alpha, "alpha", (2, 0b0011), "alpha witness [0, 1] is no independent set of size 2"),
+        (harness.check_induced_bipartite, "max_induced_bipartite", (3, 0b0111), NOT_BIPARTITE),
+        (harness.check_component_split, "max_induced_bipartite", (3, 0b0111), NOT_BIPARTITE),
+    ],
+    ids=["alpha", "b", "split"],
+)
+def test_a_witness_with_the_right_value_is_still_checked(monkeypatch, check, solver, answer, problem):
+    monkeypatch.setattr(solvers, solver, lambda g: answer)
+    assert check(PAW) == [problem]
+
+
 def test_a_check_that_checked_no_graph_fails():
     lines: list[str] = []
     assert harness.selftest(max_n=1, out=lines.append) is False

@@ -28,7 +28,7 @@ from invdom.generate import (
 from invdom.graph import Graph, disjoint_union, mask_of, to_sorted
 from invdom.graph6 import parse_graph6, write_graph6
 from oracles import cover_search, optimal_key
-from test_golden import rewrite_corpus
+from test_golden import golden_corpus, rewrite_corpus
 
 
 def disjoint_unions(seed: int, count: int, isolate_free: bool = False) -> list[Graph]:
@@ -478,6 +478,50 @@ def test_the_side_cap_cuts_nodes(monkeypatch):
     losses.clear()
     assert solvers._max_sides(g, g.full, 2, cap) == uncapped
     assert len(losses) < uncapped_losses
+
+
+def _seed_split(g: Graph, part: int) -> int:
+    """b's seed on a component: alpha's witness inside it and a greedy
+    independent set of its other vertices."""
+    inside = solvers.alpha(g)[1] & part
+    return inside | solvers._greedy_independent(g.adj, part & ~inside)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle_graph(6), Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])],
+    ids=["C6", "K3,3"],
+)
+def test_a_seed_of_every_vertex_is_b_and_its_witness(g):
+    assert _seed_split(g, g.full) == g.full
+    assert solvers.max_induced_bipartite(g) == (6, g.full)
+
+
+def test_the_search_beats_a_seed_below_b():
+    # the smallest graph whose seed is below b: a double star, whose alpha
+    # takes the four leaves and the greedy set one of the two centres
+    g = parse_graph6("E?ow")
+    seed = _seed_split(g, g.full)
+    assert seed.bit_count() == 5
+    assert solvers._max_sides(g, g.full, 2, 4, seed) == (6, g.full)
+    assert solvers.max_induced_bipartite(g) == (6, g.full)
+
+
+def test_a_seeded_search_finds_b_and_keeps_at_least_its_seed():
+    """On each component, the search from the seed split gives the value of
+    the search from nothing, and a bipartite witness no smaller than the
+    seed."""
+    rng = random.Random(34)
+    graphs = golden_corpus() + [random_graph(rng, 16, p) for p in (0.15, 0.3, 0.5) for _ in range(8)]
+    for g in graphs:
+        for part in g.components():
+            seed = _seed_split(g, part)
+            assert g.is_bipartite_subset(seed), write_graph6(g)
+            cap = (solvers.alpha(g)[1] & part).bit_count()
+            size, witness = solvers._max_sides(g, part, 2, cap, seed)
+            assert size == solvers._max_sides(g, part, 2, cap)[0], write_graph6(g)
+            assert witness.bit_count() == size >= seed.bit_count(), write_graph6(g)
+            assert not witness & ~part and g.is_bipartite_subset(witness), write_graph6(g)
 
 
 def test_optimal_dominating_set_c4(c4):
