@@ -90,12 +90,15 @@ class GraphReport:
             if value is None:
                 continue
             payload[name] = value
-        return json.dumps(payload, separators=(",", ":"))
+        return _REPORT_ENCODER.encode(payload)
 
 
 _REPORT_FIELDS = tuple(
     f.name for f in fields(GraphReport) if f.name not in ("contradiction", "skipped_for_isolates")
 )
+# json.dumps builds a new encoder on each call that sets separators; one
+# shared encoder writes the same bytes
+_REPORT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass
@@ -300,8 +303,8 @@ def check_component_split(g: Graph) -> list[str]:
     cert = solvers.optimal_dominating_set(g)
     pairs = [
         ("gamma", size, solvers._gamma_part(covers, g.full)[0]),
-        ("alpha", solvers.alpha(g), solvers._max_sides(g, g.full, 1)),
-        ("b", b, solvers._max_sides(g, g.full, 2)[0]),
+        ("alpha", solvers.alpha(g), solvers._max_independent(g, g.full)),
+        ("b", b, solvers._max_sides(g, g.full)[0]),
         (
             "optimal (-alpha(D), edges, D)",
             (-cert.alpha_of_d, cert.induced_edges, cert.d_set),

@@ -1,17 +1,22 @@
 """Exact solvers for the domination-theory invariants.
 
 All searches are branch-and-bound over bitmask vertex sets, tuned for
-graphs of a few dozen vertices, and two of them serve every solver.  One
+graphs of a few dozen vertices, and three of them serve every solver.  One
 set-cover search serves gamma, ``min_dominating_within``, the minimum
 dominating sets and the inverse pass: it branches on the undominated vertex
 with the fewest candidates, most-dominating candidate first, and excludes
 earlier siblings from later branches, so it reaches each set once.  One
-search for the largest subset that splits into one or two independent sides
-serves alpha, ``alpha_within`` and b(G).  b reads the held alpha's
-witness: its size on a component is the sides' cap, and the witness with a
-greedy independent set of the component's other vertices is the split b's
-search starts from and only has to beat.  No other solver runs another for
-a seed.
+search for the largest independent set (``_max_independent``) serves alpha
+and ``alpha_within``, by the textbook rule (Fomin and Kratsch, Exact
+Exponential Algorithms, ch. 1): a candidate with at most one candidate
+neighbour is taken outright, and otherwise the search branches over the
+closed neighbourhood N[v] of a least-degree candidate v, since every
+largest set holds a vertex of N[v].  One search for the largest subset that
+splits into two independent sides (``_max_sides``) serves b(G).  b reads
+the held alpha's witness: its size on a component is the sides' cap, and
+the witness with a greedy independent set of the component's other
+vertices is the split b's search starts from and only has to beat.  No
+other solver runs another for a seed.
 
 The cover search runs a node only where vertices are undominated and a
 pick is left, and settles the other children in the parent.  A node with
@@ -32,19 +37,21 @@ searched, and any other child is skipped, since it has no pick to spend.
 The nodes cut and branch as the sweep did, so every search reaches the
 same covers in the same order.
 
-Besides the count of its candidates, the sides search bounds a node by
-what its candidates must lose (``_side_loss``): a greedy matching inside the
-vertices that can join only one side, and greedy vertex-disjoint triangles
-inside those that can join either.  The bound cuts only subtrees that cannot
-beat the best so far, so the search meets the same improving leaves in the
-same order, and every alpha and b witness is the one it returned without it.
-An edge loses one of two vertices and a triangle one of three, so the loss
-is at most half the candidates, and it is computed only where that much
-would cut.  The count stops at the first edge or triangle that closes the
-gap between the node's bound and the best, which is all the cut asks.  For
-b, each side is independent, so neither holds more than alpha of the
-component; where 2 * alpha is below the component's order, a node is also
-cut when its sides, each capped at alpha, cannot beat the best.
+Besides the count of its candidates, each of the two independent-set
+searches bounds a node by what its candidates must lose (``_side_loss``): a
+greedy matching inside the vertices that can join only one side, and greedy
+vertex-disjoint triangles inside those that can join either.  alpha's
+search has one side, so its loss is a matching.  The bound cuts only
+subtrees that cannot beat the best so far, so a search meets the same
+improving leaves in the same order, and every alpha and b witness is the
+one it returned without it.  An edge loses one of two vertices and a
+triangle one of three, so the loss is at most half the candidates, and it
+is computed only where that much would cut.  The count stops at the first
+edge or triangle that closes the gap between the node's bound and the best,
+which is all the cut asks.  For b, each side is independent, so neither
+holds more than alpha of the component; where 2 * alpha is below the
+component's order, a node is also cut when its sides, each capped at alpha,
+cannot beat the best.
 
 gamma, alpha, b, the inverse pass and ``optimal_dominating_set`` run their
 searches once per connected component, on the component's mask
@@ -53,7 +60,8 @@ so a search over one component's mask solves the subgraph it induces.  The
 values add over components, and ``_by_component`` joins the parts: each
 witness is the union of the parts' own witnesses.  For alpha, the inverse
 certificate's D and the optimal gamma-set, that union is also what one
-search over the whole graph returns.  For the least covers behind gamma
+search over the whole graph returns: there, each component's picks keep
+the order of its own search.  For the least covers behind gamma
 and the certificate's T it is a least cover too, but not always the first
 one a whole-graph search reaches, and for b it is a largest bipartite
 split: the parts' seeds or the leaves that beat them, which a search from
@@ -177,11 +185,9 @@ def _side_loss(adj: tuple[int, ...], cand_a: int, cand_b: int, enough: int = max
     return loss
 
 
-def _max_sides(
-    g: Graph, allowed: int, sides: int, cap: int | None = None, seed: int = 0
-) -> tuple[int, int]:
-    """Largest subset of ``allowed`` splitting into ``sides`` (1 or 2)
-    independent sets A and B: (size, witness A | B).
+def _max_sides(g: Graph, allowed: int, cap: int | None = None, seed: int = 0) -> tuple[int, int]:
+    """Largest subset of ``allowed`` splitting into two independent sets A
+    and B, the search behind b(G): (size, witness A | B).
 
     A node takes every free candidate (no candidate neighbour), onto A where
     A can take it, then puts the pivot (highest candidate degree, lowest id)
@@ -197,7 +203,7 @@ def _max_sides(
     leaf, so the cuts change neither the order in which the best improves
     nor the witness.
 
-    ``seed``, when given, is a split of ``allowed`` into ``sides`` independent
+    ``seed``, when given, is a split of ``allowed`` into two independent
     sets, and the best starts at it.  The witness is then the seed, or the
     first leaf that beats it.  A seed of min(2 * cap, |allowed|) vertices
     ends the search at its root.
@@ -256,17 +262,101 @@ def _max_sides(
             grow(a, b | pb, count + 1, cand_a & ~pb, cand_b & ~(adj[pivot] | pb))
         grow(a, b, count, cand_a & ~pb, cand_b & ~pb)
 
-    grow(0, 0, 0, allowed, allowed if sides == 2 else 0)
+    grow(0, 0, 0, allowed, allowed)
+    return best, best_mask
+
+
+def _max_independent(g: Graph, allowed: int) -> tuple[int, int]:
+    """Largest independent subset of ``allowed``: (size, witness mask), the
+    search behind alpha and ``alpha_within``.
+
+    A node first takes, while one is left, the candidate with at most one
+    candidate neighbour (least degree, lowest id) and drops that neighbour:
+    some largest set holds such a vertex.  It is cut when its size plus its
+    candidates, less ``_side_loss`` with one side, cannot beat the best so
+    far.  Otherwise it branches on v, the candidate of least degree with the
+    lowest id.  Every largest set holds a vertex of N[v], so one branch per
+    vertex of N[v] covers them all: each neighbour u of v, by id, adds u and
+    drops the neighbours branched on before it, and v's own branch comes
+    last, which leaves b a larger seed more often than taking v first.  The
+    parent skips a child that cannot beat the best by its count alone, and
+    v's branch runs in the node's own loop.  A leaf is reached only when it
+    beats the best, and the cuts change neither the order in which the best
+    improves nor the witness, the first largest set the search reaches.
+    """
+    g.check_subset(allowed)
+    adj = g.adj
+    best, best_mask = 0, 0
+
+    def grow(chosen: int, count: int, cand: int) -> None:
+        nonlocal best, best_mask
+        while True:  # one node a pass: v's branch, the last, runs in place
+            size = cand.bit_count()
+            if count + size <= best:
+                return
+            # a free vertex stays free and changes no candidate degree, so
+            # the pass takes the free vertices up to the lowest vertex of
+            # degree one and stops there, or scans all and finds v
+            free = one = 0
+            v, least = -1, maxsize
+            rest = cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                d = (adj[u] & cand).bit_count()
+                if d > 1:
+                    if d < least:
+                        v, least = u, d
+                elif not d:
+                    free |= low
+                else:
+                    one = low
+                    break
+            if free:
+                chosen |= free
+                cand ^= free
+                taken = free.bit_count()
+                count += taken
+                size -= taken
+            if one:
+                chosen |= one
+                count += 1
+                cand &= ~(adj[one.bit_length() - 1] | one)
+                continue
+            if v < 0:
+                best, best_mask = count, chosen
+                return
+            # the loss is at most size // 2, so it cuts only a gap of at most
+            # that, and its count stops once it closes the gap
+            gap = count + size - best
+            if 2 * gap <= size and _side_loss(adj, cand, 0, gap) >= gap:
+                return
+            count += 1
+            rest = adj[v] & cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cand ^= low  # later branches drop this neighbour
+                child = cand & ~adj[low.bit_length() - 1]
+                if count + child.bit_count() > best:
+                    grow(chosen | low, count, child)
+            low = 1 << v
+            chosen |= low
+            cand ^= low
+
+    grow(0, 0, allowed)
     return best, best_mask
 
 
 def alpha_within(g: Graph, allowed: int) -> tuple[int, int]:
-    """Largest independent subset of ``allowed``: (size, witness mask).
+    """Largest independent subset of ``allowed``: (size, witness mask), from
+    one ``_max_independent`` search over the whole mask.
 
     Independence inside ``allowed`` equals independence in the induced
     subgraph, so this doubles as alpha of G[allowed].
     """
-    return _max_sides(g, allowed, 1)
+    return _max_independent(g, allowed)
 
 
 def _by_component(g: Graph, solve: Callable[[int], tuple[int, ...]]) -> tuple[int, ...]:
@@ -285,7 +375,7 @@ def _by_component(g: Graph, solve: Callable[[int], tuple[int, ...]]) -> tuple[in
 @_per_graph
 def alpha(g: Graph) -> tuple[int, int]:
     """Independence number with a maximum independent set witness."""
-    return _by_component(g, lambda part: _max_sides(g, part, 1))
+    return _by_component(g, lambda part: _max_independent(g, part))
 
 
 def _greedy_independent(adj: tuple[int, ...], allowed: int) -> int:
@@ -312,19 +402,20 @@ def max_induced_bipartite(g: Graph) -> tuple[int, int]:
     """Largest vertex set inducing an odd-cycle-free subgraph: (b(G), witness).
 
     Each side is independent, so alpha caps it: a component's cap is the
-    part of alpha's witness inside it, held when alpha was asked first.
-    That part and a greedy independent set of the component's other vertices
-    are two disjoint independent sets, so together they induce a bipartite
-    graph: the seed split, which the component's search only has to beat.
-    The witness is the seed, or the first leaf the search reaches that beats
-    it.
+    part of alpha's witness, the first largest set ``_max_independent``
+    reaches, inside it, held when alpha was asked first.  That part and a
+    greedy independent set of the component's other vertices are two
+    disjoint independent sets, so together they induce a bipartite graph:
+    the seed split, which the component's ``_max_sides`` search only has to
+    beat.  The witness is the seed, or the first leaf the search reaches
+    that beats it.
     """
     independent = alpha(g)[1]
 
     def solve(part: int) -> tuple[int, int]:
         inside = independent & part
         seed = inside | _greedy_independent(g.adj, part & ~inside)
-        return _max_sides(g, part, 2, inside.bit_count(), seed)
+        return _max_sides(g, part, inside.bit_count(), seed)
 
     return _by_component(g, solve)
 

@@ -26,15 +26,22 @@ def no_held_results():
 
 @pytest.fixture
 def side_searches(monkeypatch):
-    """Each ``solvers._max_sides`` search the test makes, as (allowed, sides)."""
+    """Each independent-sides search the test makes, as (allowed, sides):
+    one side for ``solvers._max_independent``, two for ``solvers._max_sides``."""
     searches = []
+    max_independent = solvers._max_independent
     max_sides = solvers._max_sides
 
-    def counted(h, allowed, sides, *args, **kwargs):
-        searches.append((allowed, sides))
-        return max_sides(h, allowed, sides, *args, **kwargs)
+    def one_side(h, allowed):
+        searches.append((allowed, 1))
+        return max_independent(h, allowed)
 
-    monkeypatch.setattr(solvers, "_max_sides", counted)
+    def two_sides(h, allowed, *args, **kwargs):
+        searches.append((allowed, 2))
+        return max_sides(h, allowed, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_max_independent", one_side)
+    monkeypatch.setattr(solvers, "_max_sides", two_sides)
     return searches
 
 

@@ -35,7 +35,7 @@ from invdom.graph6 import write_graph6
 GOLDEN_SHA256 = "9bfa2671d69a326cd44745af13f3145abce32b0fea16be077ed76fbbf6e3a08e"
 CONSTRUCTIONS_SHA256 = "4875ac4eaf2d275650ac6698314a489486d49c47cbe7a872e3a8cab46eca9d5d"
 GAMMA5_CORPUS_SHA256 = "ee3fcebbcdb3f229b3e6d1fb094d3ce82ab2cb39553461921c114a24ce73be4e"
-WITNESS_SHA256 = "1daf56371347293476e43dc20a91f0b3be4449b60511cc8405973ed96f698a14"
+WITNESS_SHA256 = "98500f9a51f69de12632aa0b2b27239bbd26dff0b1c9da8ad47e8a5657d3247d"
 
 
 def golden_corpus():

@@ -23,7 +23,9 @@ from invdom.generate import (
     cycle_graph,
     gamma5_corpus,
     pad_with_k2,
+    path_graph,
     random_graph,
+    star_graph,
 )
 from invdom.graph import Graph, disjoint_union, mask_of, to_sorted
 from invdom.graph6 import parse_graph6, write_graph6
@@ -363,6 +365,18 @@ def _sides_cases():
         yield pytest.param(g, None, id=f"union-{i}")
 
 
+def _largest_independent_within(g: Graph, allowed: int) -> int:
+    """Size of the largest independent subset of ``allowed``, by trying every
+    subset of it."""
+    best = 0
+    s = allowed
+    while s:
+        if s.bit_count() > best and g.is_independent(s):
+            best = s.bit_count()
+        s = (s - 1) & allowed
+    return best
+
+
 @pytest.mark.parametrize("g, closed_form", _sides_cases())
 def test_alpha_and_b_match_the_oracles(g, closed_form):
     a, b = naive.alpha_naive(g)[0], naive.b_naive(g)
@@ -374,8 +388,54 @@ def test_alpha_and_b_match_the_oracles(g, closed_form):
     for allowed in [rng.getrandbits(g.n) for _ in range(4)]:
         size, witness = solvers.alpha_within(g, allowed)
         assert witness & ~allowed == 0 and witness.bit_count() == size and g.is_independent(witness)
-        subsets = (s for s in range(1 << g.n) if not s & ~allowed and g.is_independent(s))
-        assert size == max(s.bit_count() for s in subsets)
+        assert size == _largest_independent_within(g, allowed)
+
+
+def _random_tree(rng: random.Random, n: int) -> Graph:
+    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def _independent_cases():
+    # graphs where a vertex of candidate degree at most one is taken at the root
+    rng = random.Random(35)
+    low = [path_graph(n) for n in range(1, 10)] + [star_graph(k) for k in range(1, 7)]
+    low += [_random_tree(rng, n) for n in range(2, 15)]
+    low += [pad_with_k2(cycle_graph(5), t) for t in range(1, 5)] + [parse_graph6("E?ow")]
+    for i, g in enumerate(low):
+        yield pytest.param(g, True, id=f"low-degree-{i}")
+    # graphs of least degree two or more, where the root branches at once
+    high = [complete_graph(n) for n in range(3, 8)] + [cycle_graph(n) for n in range(3, 10)]
+    high += [Graph(2 * k, [(u, v) for u in range(k) for v in range(k, 2 * k)]) for k in range(2, 6)]
+    high += [_petersen()]
+    for i, g in enumerate(high):
+        yield pytest.param(g, False, id=f"branching-{i}")
+    rng = random.Random(36)
+    for i in range(24):
+        yield pytest.param(random_graph(rng, 16, (0.15, 0.3, 0.5)[i % 3]), None, id=f"gnp16-{i}")
+
+
+@pytest.mark.parametrize("g, takes_low_degree", _independent_cases())
+def test_max_independent_matches_the_oracles(g, takes_low_degree):
+    """Value and witness of ``_max_independent`` on the whole graph and on
+    random masks; a multi-component graph gets alpha's by-component witness."""
+    if takes_low_degree is not None:
+        least = min((g.adj[v].bit_count() for v in range(g.n)), default=0)
+        assert (least <= 1) is takes_low_degree
+    size, witness = solvers._max_independent(g, g.full)
+    assert size == naive.alpha_naive(g)[0]
+    assert witness.bit_count() == size and g.is_independent(witness)
+    assert solvers.alpha(g) == (size, witness)
+    rng = random.Random(g.n)
+    for allowed in [rng.getrandbits(g.n) for _ in range(6)]:
+        size, witness = solvers._max_independent(g, allowed)
+        assert size == _largest_independent_within(g, allowed), (write_graph6(g), allowed)
+        assert not witness & ~allowed and witness.bit_count() == size and g.is_independent(witness)
 
 
 def _largest_split(g: Graph, cand_a: int, cand_b: int) -> int:
@@ -432,14 +492,22 @@ def test_side_loss_stops_once_it_has_enough(seed):
 
 
 def test_the_gap_bounded_loss_keeps_every_witness(monkeypatch, corpus7):
-    """``_max_sides`` returns the size and witness it returns when the loss
-    is counted in full, for one and two sides, with and without the cap."""
+    """``_max_independent``, and ``_max_sides`` with and without the cap,
+    return the size and witness they return when the loss is counted in
+    full."""
     graphs = rewrite_corpus() + [g for n in range(1, 8) for g in corpus7[n]]
-    cases = [(g, sides, cap) for g in graphs for sides in (1, 2) for cap in (None, solvers.alpha(g)[0])]
-    bounded = [solvers._max_sides(g, g.full, sides, cap) for g, sides, cap in cases]
+    caps = [solvers.alpha(g)[0] for g in graphs]
+
+    def searches() -> list[tuple[int, int]]:
+        out = [solvers._max_independent(g, g.full) for g in graphs]
+        for g, cap in zip(graphs, caps):
+            out += [solvers._max_sides(g, g.full), solvers._max_sides(g, g.full, cap)]
+        return out
+
+    bounded = searches()
     side_loss = solvers._side_loss
     monkeypatch.setattr(solvers, "_side_loss", lambda adj, cand_a, cand_b, _: side_loss(adj, cand_a, cand_b))
-    assert [solvers._max_sides(g, g.full, sides, cap) for g, sides, cap in cases] == bounded
+    assert searches() == bounded
 
 
 def test_side_loss_counts_a_matching_and_disjoint_triangles():
@@ -458,7 +526,7 @@ def test_the_side_cap_keeps_b_and_its_witness(corpus7):
     graphs += [random_graph(rng, 16 + i % 9, (0.3, 0.5, 0.7)[i % 3]) for i in range(40)]
     for g in graphs:
         cap = solvers.alpha(g)[0]
-        assert solvers._max_sides(g, g.full, 2, cap) == solvers._max_sides(g, g.full, 2)
+        assert solvers._max_sides(g, g.full, cap) == solvers._max_sides(g, g.full)
 
 
 def test_the_side_cap_cuts_nodes(monkeypatch):
@@ -473,10 +541,10 @@ def test_the_side_cap_cuts_nodes(monkeypatch):
         return side_loss(*args)
 
     monkeypatch.setattr(solvers, "_side_loss", counted)
-    uncapped = solvers._max_sides(g, g.full, 2)
+    uncapped = solvers._max_sides(g, g.full)
     uncapped_losses = len(losses)
     losses.clear()
-    assert solvers._max_sides(g, g.full, 2, cap) == uncapped
+    assert solvers._max_sides(g, g.full, cap) == uncapped
     assert len(losses) < uncapped_losses
 
 
@@ -503,7 +571,7 @@ def test_the_search_beats_a_seed_below_b():
     g = parse_graph6("E?ow")
     seed = _seed_split(g, g.full)
     assert seed.bit_count() == 5
-    assert solvers._max_sides(g, g.full, 2, 4, seed) == (6, g.full)
+    assert solvers._max_sides(g, g.full, 4, seed) == (6, g.full)
     assert solvers.max_induced_bipartite(g) == (6, g.full)
 
 
@@ -518,8 +586,8 @@ def test_a_seeded_search_finds_b_and_keeps_at_least_its_seed():
             seed = _seed_split(g, part)
             assert g.is_bipartite_subset(seed), write_graph6(g)
             cap = (solvers.alpha(g)[1] & part).bit_count()
-            size, witness = solvers._max_sides(g, part, 2, cap, seed)
-            assert size == solvers._max_sides(g, part, 2, cap)[0], write_graph6(g)
+            size, witness = solvers._max_sides(g, part, cap, seed)
+            assert size == solvers._max_sides(g, part, cap)[0], write_graph6(g)
             assert witness.bit_count() == size >= seed.bit_count(), write_graph6(g)
             assert not witness & ~part and g.is_bipartite_subset(witness), write_graph6(g)
 
@@ -620,12 +688,12 @@ def test_held_results_are_the_cold_ones(corpus7):
 def test_equal_graphs_share_one_search_and_only_one_graph_is_held(side_searches, c5):
     parsed = parse_graph6(write_graph6(c5))
     assert parsed is not c5 and parsed.adj == c5.adj
-    assert solvers.alpha(parsed) == solvers.alpha(c5) == (2, 0b101)
+    assert solvers.alpha(parsed) == solvers.alpha(c5) == (2, 0b1010)
     assert len(side_searches) == 1
     other = cycle_graph(7)
     solvers.alpha(other)
     assert solvers._held[0] == other.adj
-    assert solvers.alpha(c5) == (2, 0b101)
+    assert solvers.alpha(c5) == (2, 0b1010)
     assert len(side_searches) == 3  # other replaced c5's results
 
 
