@@ -1,18 +1,25 @@
 """Graph corpora: exhaustive isomorphism-free generation, structured
 families, and seeded random graphs.
 
-The exhaustive generator grows graphs one vertex at a time and keeps a
-child when it is the first to reach its isomorphism class, recognised by
-a canonical form computed by color refinement plus individualization, so
-no external tooling is needed for the small-order sweeps (n <= 8: 1, 2,
-4, 11, 34, 156, 1044, 12346 graphs).  The automorphisms the canonical
-form finds prune twice: subtrees of its own search that are images of
-explored ones, and children that an automorphism of the parent maps to
-an earlier child.  Both skip only work whose outcome is already decided,
-so the canonical keys, the representatives and their order are those of
-the unpruned search.  Refinement keeps a coloring as its list of class
-masks and refines only against what just split (McKay 1981; McKay and
-Piperno, "Practical graph isomorphism, II", 2014).  It keys only the
+The exhaustive generator grows graphs one vertex at a time by canonical
+augmentation (McKay, "Isomorph-free exhaustive generation", 1998): a
+child is kept iff its new vertex lies in the automorphism orbit of the
+last vertex of its canonical labelling, so no set of keys is kept and
+each parent's children depend on that parent alone.  Two cheap tests, the
+new vertex's degree and one refinement of the child's unit coloring,
+decide most children; only the rest run ``canonical_form``, a search by
+color refinement plus individualization, so no external tooling is
+needed for the small-order sweeps (n <= 8: 1, 2, 4, 11, 34, 156, 1044,
+12346 graphs).  The automorphisms the canonical form finds prune twice:
+subtrees of its own search that are images of explored ones, and attach
+masks that an automorphism of the parent maps to a smaller one.  Both
+skip only work whose outcome is already decided.  ``all_graphs`` says
+why each cheap test is sound and how the automorphisms are computed
+lazily.
+
+Refinement keeps a coloring as its list of class masks and refines only
+against what just split (McKay 1981; McKay and Piperno, "Practical graph
+isomorphism, II", 2014).  It keys only the
 members of classes that can split, and only by their counts into the
 fresh classes: the pieces of the classes that split the round before,
 less the last piece of each.  A singleton class never splits, and its
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Sequence
 
 from . import solvers
 from .graph import Graph, disjoint_union
@@ -102,7 +110,7 @@ def _refine(
         fresh = parted
 
 
-def _closure(mask: int, perms: list[bytes]) -> int:
+def _closure(mask: int, perms: Sequence[bytes]) -> int:
     """Union of the orbits of ``mask``'s vertices under the group ``perms`` generate."""
     frontier = mask
     while frontier:
@@ -118,8 +126,9 @@ def _closure(mask: int, perms: list[bytes]) -> int:
     return mask
 
 
-def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...]]:
-    """(n, bits) key identical across isomorphic graphs, and automorphisms of g.
+def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...], bytes]:
+    """(n, bits) key identical across isomorphic graphs, automorphisms of g,
+    and the vertex order of the first leaf with the least code.
 
     The key is the smallest code over the leaves of the
     individualization-refinement tree.  A node is an equitable coloring
@@ -142,18 +151,23 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...]]:
     degree.  Two leaves with the same code differ by an automorphism, the
     permutation taking the first leaf's order to the other's; each one
     found is recorded as bytes ``p`` with ``p[v]`` the image of ``v``
-    (compact, since ``all_graphs`` keeps them for every graph it
+    (compact, since ``all_graphs`` keeps them for the graphs it
     generates).  A node individualizes one vertex of its target cell per
     orbit under the automorphisms found so far that fix the node's
     individualized vertices: a skipped subtree is the image of an explored
     one, with the same codes, so the minimum is that of the whole tree.
     Since every leaf is compared with the first leaf of its code, the
     automorphisms returned generate all of Aut(g) (McKay, "Practical graph
-    isomorphism", 1981).
+    isomorphism", 1981).  The order comes as bytes, ``order[i]`` the vertex
+    at position i; relabelling g by it, ``order[i]`` to i, gives the graph
+    the key encodes.  Any two leaves with the least code differ by an
+    automorphism, so the orbit of ``order[-1]`` under Aut(g) is a
+    canonical choice of vertex: an isomorphism between two graphs maps
+    the one orbit onto the other.
     """
     n = g.n
     if n <= 1:
-        return (n, 0), ()
+        return (n, 0), (), bytes(n)
     adj = g.adj
     full = (1 << n) - 1
     leaves: dict[int, list[int]] = {}
@@ -228,13 +242,15 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...]]:
             covered = _closure(explored, stabilizer) if stabilizer else explored
 
     rec(_refine(adj, n, [full]), 0)
-    return (n, min(leaves)), tuple(autos)
+    least = min(leaves)
+    return (n, least), tuple(autos), bytes(cell.bit_length() - 1 for cell in leaves[least])
 
 
 # -- exhaustive corpus -----------------------------------------------------------
 
-# n -> (the graphs on n vertices, the automorphisms canonical_form found for each)
-_ALL_GRAPHS: dict[int, tuple[tuple[Graph, ...], tuple[tuple[bytes, ...], ...]]] = {}
+# n -> (the graphs on n vertices, generators of each one's automorphism group:
+# those canonical_form found, or None until the next order needs them)
+_ALL_GRAPHS: dict[int, tuple[tuple[Graph, ...], list[tuple[bytes, ...] | None]]] = {}
 
 
 def _mask_images(p: bytes, width: int) -> list[int]:
@@ -246,59 +262,126 @@ def _mask_images(p: bytes, width: int) -> list[int]:
     return images
 
 
+def _attach_masks(parent: Graph, autos: tuple[bytes, ...]) -> list[int]:
+    """The neighborhoods a new vertex is given in ``parent``, in increasing order.
+
+    A mask is left out when the new vertex would have less than the
+    child's largest degree (test 1): some parent vertex already has more
+    neighbors, or as many and gains the new vertex.  Of the rest, only the
+    smallest mask of each orbit under the group ``autos`` generate is
+    kept: the children of one orbit are isomorphic by an isomorphism that
+    fixes the new vertex.  An orbit passes or fails test 1 as a whole,
+    since its masks have one size and the parent's largest-degree vertices
+    are a union of orbits.
+    """
+    new = parent.n
+    degrees = [row.bit_count() for row in parent.adj]
+    top = max(degrees, default=0)
+    busiest = sum(1 << v for v, d in enumerate(degrees) if d == top)
+    images = [_mask_images(p, new) for p in autos]
+    tried = bytearray(1 << new)  # masks already met in some orbit
+    masks = []
+    for attach in range(1 << new):
+        size = attach.bit_count()
+        if size < top or size == top and attach & busiest or tried[attach]:
+            continue
+        masks.append(attach)
+        # attach is the first mask of its orbit met, so the smallest: mark the orbit
+        stack = [attach]
+        while stack:
+            m = stack.pop()
+            for table in images:
+                if not tried[table[m]]:
+                    tried[table[m]] = 1
+                    stack.append(table[m])
+    return masks
+
+
+def _settled(adj: tuple[int, ...], n: int) -> bool | None:
+    """Test 2 on a child whose new vertex v is n - 1: keep it (True), reject
+    it (False), or None when only ``canonical_form`` can tell.
+
+    The last class of the child's root coloring holds every vertex that
+    can come last in a leaf, and is a union of Aut(child)-orbits.  So v
+    is outside the canonical last vertex's orbit if it is outside that
+    class, and is that vertex if the class is {v}.
+    """
+    v = 1 << n - 1
+    last = _refine(adj, n, [(1 << n) - 1])[-1]
+    if not last & v:
+        return False
+    return True if last == v else None
+
+
 def all_graphs(n: int) -> tuple[Graph, ...]:
     """All non-isomorphic simple graphs on exactly n vertices.
 
-    Each graph on n - 1 vertices (a parent) is extended by one vertex
-    joined to a set ``attach`` of parent vertices (a child), parents in
-    the order of ``all_graphs(n - 1)`` and masks in increasing order, and
-    a child is kept if it is the first to reach its isomorphism class.
-    A mask is tried only if it is the smallest in its orbit under the
-    parent's automorphisms: if p(attach) < attach, the child of p(attach)
-    is isomorphic and comes earlier, so the later one could never be kept.
-    The graphs kept, their labels and their order are therefore the same
-    as with every mask tried.  A parent's automorphisms are those
-    ``canonical_form`` found when the parent was kept as a child.
+    Orderly generation by canonical augmentation (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).  Each graph P of
+    ``all_graphs(n - 1)`` (a parent) is extended by a vertex v = n - 1
+    joined to a mask of P's vertices (a child C), parents in order and
+    masks in increasing order, one mask per orbit under Aut(P).  C is kept
+    iff v lies in the Aut(C)-orbit of C's canonical last vertex, the last
+    vertex of the order ``canonical_form`` returns.  Every class is kept
+    once: deleting the canonical last vertex of any graph of the class
+    leaves a graph isomorphic to one parent, and one mask orbit of it
+    gives the class that way; two kept children of one class differ by an
+    isomorphism taking v to v, so they share a parent and their masks
+    share an orbit of Aut(P).  No set of keys is kept, and each parent's
+    children depend on that parent alone.
+
+    Two cheap tests decide most children before any search.  A leaf's
+    order refines the root's equitable coloring in place, and the first
+    round of refinement sorts vertices by degree, ascending, so the last
+    position always lies in the root's last class, and that class holds
+    only vertices of the largest degree.  Test 1 (``_attach_masks``)
+    rejects C if v has less than the largest degree, read off the parent's
+    degrees before C is built.  Test 2 (``_settled``) refines C's unit
+    coloring and rejects C if v is outside the last class, or keeps it if
+    the last class is {v}.  Only the children left run ``canonical_form``,
+    and the orbit of the last vertex comes from ``_closure`` over the
+    automorphisms it found, which generate Aut(C).
+
+    A kept child's automorphisms are kept with it for the masks of the
+    next order: those its search found, or for a child kept by test 2,
+    those of a ``canonical_form`` run when ``all_graphs(n + 1)`` first
+    needs them.  So the top order runs no search on the children test 2
+    keeps.  Each representative is labelled as its parent plus v.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n in _ALL_GRAPHS:
         return _ALL_GRAPHS[n][0]
-    seen: set[tuple[int, int]] = set()
     graphs: list[Graph] = []
-    automorphisms: list[tuple[bytes, ...]] = []
+    automorphisms: list[tuple[bytes, ...] | None] = []
     if n == 0:
         graphs.append(Graph(0))
         automorphisms.append(())
     else:
         new = n - 1
-        for parent, parent_autos in zip(all_graphs(new), _ALL_GRAPHS[new][1]):
-            images = [_mask_images(p, new) for p in parent_autos]
-            tried = bytearray(1 << new)  # masks already met in some orbit
-            for attach in range(1 << new):
-                if tried[attach]:
-                    continue
-                # attach is the first mask of its orbit met, so the smallest: mark the orbit
-                stack = [attach]
-                tried[attach] = 1
-                while stack:
-                    m = stack.pop()
-                    for table in images:
-                        if not tried[table[m]]:
-                            tried[table[m]] = 1
-                            stack.append(table[m])
-                rows = [
-                    parent.adj[v] | ((attach >> v & 1) << new) for v in range(new)
-                ]
+        bit = 1 << new
+        parents = all_graphs(new)
+        parent_autos = _ALL_GRAPHS[new][1]
+        for i, parent in enumerate(parents):
+            if parent_autos[i] is None:
+                parent_autos[i] = canonical_form(parent)[1]
+            for attach in _attach_masks(parent, parent_autos[i]):
+                rows = [row | bit if attach >> v & 1 else row for v, row in enumerate(parent.adj)]
                 rows.append(attach)
+                adj = tuple(rows)
+                keep = _settled(adj, n)
+                if keep is False:
+                    continue
                 child = Graph(n)  # rows symmetric and loop-free by construction
-                child.adj = tuple(rows)
-                key, autos = canonical_form(child)
-                if key not in seen:
-                    seen.add(key)
-                    graphs.append(child)
-                    automorphisms.append(autos)
-    _ALL_GRAPHS[n] = tuple(graphs), tuple(automorphisms)
+                child.adj = adj
+                autos = None
+                if keep is None:
+                    _, autos, order = canonical_form(child)
+                    if not _closure(1 << order[-1], autos) & bit:
+                        continue
+                graphs.append(child)
+                automorphisms.append(autos)
+    _ALL_GRAPHS[n] = tuple(graphs), automorphisms
     return _ALL_GRAPHS[n][0]
 
 

@@ -19,6 +19,9 @@ Every child is a call of its own, a cover or a child with no pick left
 too, and a node with one pick left branches as any other does, where
 ``_cover_search`` settles these in the parent and scans for the last pick.
 
+``relabelled_bits`` packs a graph's upper triangle under a vertex order,
+the code ``generate.canonical_form`` keys a leaf by.
+
 ``haxell_condition`` is Haxell's sufficient condition for an independent
 transversal, checked here as a property of ``find_isr``.  Everything else
 here tries every subset or every relabelling, so keep the cells and graphs
@@ -116,7 +119,7 @@ def haxell_condition(g: Graph, cells: Sequence[int]) -> tuple[int, ...] | None:
     return None
 
 
-def _relabelled_bits(g: Graph, order: Sequence[int]) -> int:
+def relabelled_bits(g: Graph, order: Sequence[int]) -> int:
     """Upper triangle of g with vertex order[i] placed at position i, packed row by row."""
     out = 0
     for i, j in combinations(range(g.n), 2):
@@ -126,7 +129,7 @@ def _relabelled_bits(g: Graph, order: Sequence[int]) -> int:
 
 def canonical_form(g: Graph) -> tuple[int, int]:
     """(n, smallest packed upper triangle over all n! vertex orders)."""
-    return g.n, min(_relabelled_bits(g, order) for order in permutations(range(g.n)))
+    return g.n, min(relabelled_bits(g, order) for order in permutations(range(g.n)))
 
 
 def refine(adj: Sequence[int], n: int, colors: list[int]) -> list[int]:

@@ -1,8 +1,11 @@
 """The exhaustive generator and its canonical form.
 
-``all_graphs`` is pinned graph6 line by graph6 line, so a change to how
-it prunes cannot silently change which representative a class gets or
-the order of the corpus.  ``canonical_form`` is checked against the
+``all_graphs`` is pinned twice: by the sorted canonical keys of its
+graphs, a pin of the class set that no relabelling moves, and graph6
+line by graph6 line, so a change to how it prunes cannot silently change
+which representative a class gets or the order of the corpus.  Its two
+cheap tests are checked against the full orbit test on every child of
+every parent.  ``canonical_form`` is checked against the
 brute-force oracles in ``oracles.py`` on every graph with n <= 6 and on
 seeded relabellings of each; isomorphism and |Aut(G)| do not change under
 relabelling, so the oracles run once per class.  Its output itself, keys
@@ -14,7 +17,8 @@ fresh, with only the two halves of an individualized cell fresh, with only
 the individualized vertex fresh, and as ``canonical_form`` runs it: the
 first round split by the vertex's neighborhood, then the non-neighbor
 pieces fresh.  The work of a cold ``all_graphs(7)`` is pinned as call
-counts, so a keyed round brought back per child shows up.
+counts, so a search or a keyed round brought back per child shows up.
+The count at n = 9 is a ``slow`` test, run with ``-m slow``.
 """
 
 import hashlib
@@ -30,19 +34,64 @@ from invdom.graph6 import write_graph6
 import oracles
 
 # SHA-256 of the graph6 lines of all_graphs(1), ..., all_graphs(7), in order, joined by "\n"
-ALL_GRAPHS_SHA256 = "ebc1aa37ba4bc59466c49b5b787c5448b591396e8f7605a973504dee79f94610"
+ALL_GRAPHS_SHA256 = "ea663816bc86160be4ea828c5b57f7fc402bde46f92d0f6c589efc61603a3abc"
+# SHA-256 of repr(key) for the sorted canonical_form keys of all_graphs(1), ..., all_graphs(7), joined by "\n"
+CLASS_KEYS_SHA256 = "62700041589a679bf855cedef3843d0a711b9685c50a2b470f73e5d27ab2d191"
 # number of isomorphism classes of graphs on n vertices, n = 0..7
 CLASSES = (1, 1, 2, 4, 11, 34, 156, 1044)
 # SHA-256 of repr(canonical_form(g)) for every graph of _classes(1), ..., _classes(7), in order, joined by "\n"
-CANONICAL_FORM_SHA256 = "54c436923a9dfcdb9a81b767b7845aec5116c57f5e82d2e323fe01c13ca8551b"
+CANONICAL_FORM_SHA256 = "46ad60b98b30725d4d9667e8034ab2967c9c013ad198df58b27f2b8ea751b301"
 # SHA-256 of repr(canonical_form(g)) for every graph of _sample(8), in order, joined by "\n"
-CANONICAL_FORM_8_SHA256 = "48ad694531aa74da604fc648511599b9d573a9e3fe3a0d34dd02fe85f0a8aa11"
+CANONICAL_FORM_8_SHA256 = "a1d524d60139559f47cb97fd08a55d16b5b94b24bc359fe23c875c4f1bccdef2"
 
 
 def test_all_graphs_output_is_pinned():
     assert tuple(len(all_graphs(n)) for n in range(8)) == CLASSES
     lines = [write_graph6(g) for n in range(1, 8) for g in all_graphs(n)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ALL_GRAPHS_SHA256
+
+
+def test_all_graphs_keeps_the_pinned_classes():
+    """The classes as their sorted keys: a pin that holds under any choice
+    of representatives and any order."""
+    keys = sorted(canonical_form(g)[0] for n in range(1, 8) for g in all_graphs(n))
+    assert hashlib.sha256("\n".join(map(repr, keys)).encode()).hexdigest() == CLASS_KEYS_SHA256
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_all_graphs_holds_no_two_isomorphic_graphs(n):
+    forms = [oracles.canonical_form(g) for g in all_graphs(n)]
+    assert len(set(forms)) == len(forms) == CLASSES[n]
+
+
+@pytest.mark.slow
+def test_all_graphs_counts_the_graphs_on_nine_vertices():
+    assert len(all_graphs(9)) == 274668
+
+
+def _orbit_verdict(child: Graph) -> bool:
+    """The keep rule in full: the new vertex lies in the Aut(child)-orbit of
+    the last vertex of the order canonical_form returns."""
+    _, autos, order = canonical_form(child)
+    return bool(generate._closure(1 << order[-1], autos) >> child.n - 1 & 1)
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_the_cheap_tests_agree_with_the_orbit_test(n):
+    """On every child on n vertices of every parent, every mask tried: test
+    1 leaves a mask out exactly when the new vertex's degree is below the
+    child's largest, and then the orbit test rejects it too; test 2, where
+    it decides, decides as the orbit test does."""
+    new = n - 1
+    for parent in all_graphs(new):
+        tried = set(generate._attach_masks(parent, ()))
+        for attach in range(1 << new):
+            child = Graph(n, [*parent.edges(), *((v, new) for v in bits(attach))])
+            top = max(child.adj[v].bit_count() for v in range(n))
+            assert (attach in tried) == (attach.bit_count() == top)
+            verdict = generate._settled(child.adj, n) if attach in tried else False
+            if verdict is not None:
+                assert verdict == _orbit_verdict(child), (write_graph6(child), verdict)
 
 
 def test_all_graphs_puts_each_graph_through_canonical_form_once(monkeypatch):
@@ -158,8 +207,6 @@ def test_refine_matches_the_reference_refinement(n):
 def test_canonical_form_keys_agree_with_isomorphism(n):
     classes = _classes(n)
     forms = [oracles.canonical_form(labellings[0]) for labellings in classes]
-    # all_graphs(n) holds one graph of every class: as many as there are, no two isomorphic
-    assert len(set(forms)) == len(classes) == CLASSES[n]
     # copies of one class are isomorphic by construction; same key iff same class
     pairs = {(canonical_form(g)[0], form) for labellings, form in zip(classes, forms) for g in labellings}
     assert len(pairs) == len({key for key, _ in pairs}) == len(classes)
@@ -170,17 +217,26 @@ def test_canonical_form_automorphisms_generate_the_whole_group(n):
     for labellings in _classes(n):
         order = len(oracles.automorphisms(labellings[0]))
         for g in labellings:
-            _, autos = canonical_form(g)
+            _, autos, _ = canonical_form(g)
             for p in autos:
                 assert sorted(p) == list(range(n))
                 assert all(g.adj[p[u]] >> p[v] & 1 == g.adj[u] >> v & 1 for u in range(n) for v in range(n))
             assert _group_order(n, autos) == order, write_graph6(g)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_relabelling_by_the_returned_order_gives_the_key(n):
+    for labellings in _classes(n, copies=1):
+        for g in labellings:
+            (size, code), _, order = canonical_form(g)
+            assert sorted(order) == list(range(n))
+            assert (size, code) == (n, oracles.relabelled_bits(g, order)), write_graph6(g)
+
+
 def test_canonical_form_output_is_pinned():
-    """The keys and the automorphisms, in the order found, on every graph
-    with n <= 7 and three relabellings of each: a faster search must
-    reach the same leaves in the same order."""
+    """The keys, the automorphisms in the order found and the least-code
+    leaf's order, on every graph with n <= 7 and three relabellings of
+    each: a faster search must reach the same leaves in the same order."""
     lines = [repr(canonical_form(g)) for n in range(1, 8) for labellings in _classes(n) for g in labellings]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CANONICAL_FORM_SHA256
 
@@ -229,7 +285,8 @@ def test_canonical_form_on_symmetric_graphs(name):
     generators give all of it."""
     g, order = SYMMETRIC[name]
     n = g.n
-    key, autos = canonical_form(g)
+    key, autos, leaf = canonical_form(g)
+    assert key == (n, oracles.relabelled_bits(g, leaf))
     rng = random.Random(name)
     for _ in range(2):
         p = list(range(n))
@@ -243,11 +300,11 @@ def test_canonical_form_on_symmetric_graphs(name):
 
 
 def test_all_graphs_work_is_pinned(monkeypatch):
-    """A cold all_graphs(7) puts 5,759 children through canonical_form and
-    refines 9,676 times: once per canonical form for the unit coloring, and
-    once per explored child whose first round, split by the individualized
-    vertex's neighborhood, split some class (29,541 with a keyed round per
-    child)."""
+    """A cold all_graphs(7) runs 543 canonical forms, 442 on children the
+    cheap tests leave open and 101 on parents that test 2 kept, and refines
+    2,955 times: 1,640 for test 2, once per child whose new vertex has the
+    largest degree, and 1,315 in the searches (5,759 canonical forms and
+    9,676 refinements with a search per child)."""
     calls = {"canonical_form": 0, "_refine": 0}
 
     def counted(name, f):
@@ -260,4 +317,4 @@ def test_all_graphs_work_is_pinned(monkeypatch):
     monkeypatch.setattr(generate, "canonical_form", counted("canonical_form", canonical_form))
     monkeypatch.setattr(generate, "_refine", counted("_refine", generate._refine))
     all_graphs(7)
-    assert calls == {"canonical_form": 5759, "_refine": 9676}
+    assert calls == {"canonical_form": 543, "_refine": 2955}

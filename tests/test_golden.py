@@ -2,7 +2,9 @@
 
 Covers the gamma witness, the inverse-pass certificate, the main
 construction's certificate and the ``verify`` JSONL (less its timing field)
-on every graph with n <= 6 and on twelve seeded G(16, p) graphs.  A second
+on one graph of every class with n <= 6, read from the graph6 fixture
+``data/graphs_1_6.g6`` so that a change to the generator's representatives
+moves no digest, and on twelve seeded G(16, p) graphs.  A second
 digest pins the other three constructions on that corpus and on the gamma = 5
 graphs: 5K2, five K1,3 and the pendant-pair gadgets on C5 and K5.  A third
 pins all four constructions on the 240 graphs of ``gamma5_corpus(1)``, 26 of
@@ -15,12 +17,14 @@ means to alter them must re-pin the digest and say why.
 import hashlib
 import json
 import random
+from pathlib import Path
 
 from invdom import constructions, harness, solvers
 from invdom.certificates import InverseCertificate
 from invdom.errors import InvdomError
 from invdom.generate import (
     all_graphs,
+    canonical_form,
     complete_graph,
     cycle_graph,
     gamma5_corpus,
@@ -30,16 +34,23 @@ from invdom.generate import (
     with_pendant_pairs,
 )
 from invdom.graph import Graph, disjoint_union
-from invdom.graph6 import write_graph6
+from invdom.graph6 import parse_graph6, write_graph6
 
 GOLDEN_SHA256 = "9bfa2671d69a326cd44745af13f3145abce32b0fea16be077ed76fbbf6e3a08e"
 CONSTRUCTIONS_SHA256 = "4875ac4eaf2d275650ac6698314a489486d49c47cbe7a872e3a8cab46eca9d5d"
-GAMMA5_CORPUS_SHA256 = "ee3fcebbcdb3f229b3e6d1fb094d3ce82ab2cb39553461921c114a24ce73be4e"
+GAMMA5_CORPUS_SHA256 = "f6dbe57603d1e461fde22b5f8574f188852e0839aa80f70a166e96ba331535b3"
 WITNESS_SHA256 = "98500f9a51f69de12632aa0b2b27239bbd26dff0b1c9da8ad47e8a5657d3247d"
+
+# one graph of every class with 1 <= n <= 6, by order: all_graphs(1..6) as an earlier generator labelled them
+SMALL_GRAPHS = Path(__file__).parent / "data" / "graphs_1_6.g6"
+
+
+def small_graphs() -> list[Graph]:
+    return [parse_graph6(line) for line in SMALL_GRAPHS.read_text(encoding="ascii").split()]
 
 
 def golden_corpus():
-    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    graphs = small_graphs()
     for seed in range(1, 5):
         rng = random.Random(seed)
         graphs.extend(random_graph(rng, 16, p) for p in (0.15, 0.3, 0.5))
@@ -157,6 +168,16 @@ def witness_digest() -> str:
         for g in golden_corpus()
     ]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_the_small_graphs_hold_one_graph_of_every_class():
+    by_order: dict[int, list] = {}
+    for g in small_graphs():
+        by_order.setdefault(g.n, []).append(canonical_form(g)[0])
+    assert sorted(by_order) == list(range(1, 7))
+    for n, keys in by_order.items():
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {canonical_form(g)[0] for g in all_graphs(n)}
 
 
 def test_certificates_and_reports_match_the_pinned_digest():

@@ -120,7 +120,8 @@ def test_components_come_lowest_vertex_first():
 def test_components_are_fresh_on_every_built_graph(k2):
     assert k2.components() == (k2.full,)  # memoised before k2 is reused below
     assert Graph(3, [(0, 1)]).components() == (0b11, 0b100)
-    assert all_graphs(3)[1].components() == (0b101, 0b10)  # edge 0-2, vertex 1 alone
+    one_edge = next(g for g in all_graphs(3) if g.m == 1)  # whichever labelling all_graphs gives it
+    assert list(one_edge.components()) == oracles.components(one_edge)
     assert disjoint_union(k2, path_graph(3)).components() == (0b11, 0b11100)
     padded = pad_with_k2(cycle_graph(5), 2)
     assert padded.components() == (0b11111, 0b1100000, 0b110000000)
