@@ -6,16 +6,16 @@ augmentation (McKay, "Isomorph-free exhaustive generation", 1998): a
 child is kept iff its new vertex lies in the automorphism orbit of the
 last vertex of its canonical labelling, so no set of keys is kept and
 each parent's children depend on that parent alone.  Two cheap tests, the
-new vertex's degree and one refinement of the child's unit coloring,
-decide most children; only the rest run ``canonical_form``, a search by
-color refinement plus individualization, so no external tooling is
-needed for the small-order sweeps (n <= 8: 1, 2, 4, 11, 34, 156, 1044,
-12346 graphs).  The automorphisms the canonical form finds prune twice:
-subtrees of its own search that are images of explored ones, and attach
-masks that an automorphism of the parent maps to a smaller one.  Both
-skip only work whose outcome is already decided.  ``all_graphs`` says
-why each cheap test is sound and how the automorphisms are computed
-lazily.
+new vertex's degree and refining the child's degree classes until that
+decides, settle most children; the rest run ``canonical_form`` from test
+2's coloring, a search by color refinement plus individualization, so no
+external tooling is needed for the small-order sweeps (n <= 8: 1, 2, 4,
+11, 34, 156, 1044, 12346 graphs).  The automorphisms the canonical form
+finds prune twice: subtrees of its own search that are images of
+explored ones, and attach masks that an automorphism of the parent maps
+to a smaller one.  Both skip only work whose outcome is already decided.
+``all_graphs`` says why each cheap test is sound and how the
+automorphisms are computed lazily.
 
 Refinement keeps a coloring as its list of class masks and refines only
 against what just split (McKay 1981; McKay and Piperno, "Practical graph
@@ -49,19 +49,49 @@ from .graph import Graph, disjoint_union
 
 # -- canonical forms -----------------------------------------------------------
 
+def _round(
+    adj: tuple[int, ...], n: int, masks: list[int], fresh: list[int]
+) -> tuple[list[int], list[int]]:
+    """One round of ``_refine``: the members of each class of two or more
+    are keyed by their neighbor counts into the ``fresh`` classes, in color
+    order, packed base n + 1, and the class splits by key, in sorted order.
+    Returns the coloring and the classes fresh in the next round, the parts
+    of each class that split less its last part, in color order.
+    """
+    base = n + 1
+    split = []
+    parted = []
+    for cell in masks:
+        if not cell & (cell - 1):
+            split.append(cell)
+            continue
+        parts: dict[int, int] = {}
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = adj[low.bit_length() - 1]
+            key = 0
+            for cm in fresh:
+                key = key * base + (row & cm).bit_count()
+            parts[key] = parts.get(key, 0) | low
+        if len(parts) == 1:
+            split.append(cell)
+        else:
+            pieces = [parts[key] for key in sorted(parts)]
+            split += pieces
+            parted += pieces[:-1]
+    return split, parted
+
+
 def _refine(
     adj: tuple[int, ...], n: int, masks: list[int], fresh: list[int] | None = None
 ) -> list[int]:
     """Equitable color refinement: split classes by neighbor counts.
 
     A coloring is the list of its class masks, ``masks[c]`` the vertices of
-    color ``c``.  Each round walks the classes in color order.  A singleton
-    cannot split and keeps its place; the members of a larger class are
-    keyed by their neighbor count into every fresh class, in color order,
-    packed base n + 1, and the class splits into one class per distinct
-    key, in sorted order.  ``fresh`` is every class when not given, and in
-    each later round the parts of the classes that split in the round
-    before, less the last part of each, in color order.
+    color ``c``.  ``_round`` runs from ``fresh``, every class when not
+    given, until no class splits.
 
     Precondition: for each class of ``masks`` and each class C not in
     ``fresh``, the members of the class agree on their counts into C, or C
@@ -76,38 +106,13 @@ def _refine(
     part can differ between two members only after a sibling's, earlier
     in color order, has: the order of (old color, counts into every class)
     over all vertices, the coloring of keying every vertex into every
-    class, is the one found.  The coloring is stable once no class splits.
+    class, is the one found.
     """
-    base = n + 1
     if fresh is None:
         fresh = masks
-    while True:
-        split = []
-        parted = []
-        for cell in masks:
-            if not cell & (cell - 1):
-                split.append(cell)
-                continue
-            parts: dict[int, int] = {}
-            rest = cell
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                row = adj[low.bit_length() - 1]
-                key = 0
-                for cm in fresh:
-                    key = key * base + (row & cm).bit_count()
-                parts[key] = parts.get(key, 0) | low
-            if len(parts) == 1:
-                split.append(cell)
-            else:
-                pieces = [parts[key] for key in sorted(parts)]
-                split += pieces
-                parted += pieces[:-1]
-        if not parted:
-            return masks
-        masks = split
-        fresh = parted
+    while fresh:
+        masks, fresh = _round(adj, n, masks, fresh)
+    return masks
 
 
 def _closure(mask: int, perms: Sequence[bytes]) -> int:
@@ -126,7 +131,9 @@ def _closure(mask: int, perms: Sequence[bytes]) -> int:
     return mask
 
 
-def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...], bytes]:
+def canonical_form(
+    g: Graph, root: list[int] | None = None
+) -> tuple[tuple[int, int], tuple[bytes, ...], bytes]:
     """(n, bits) key identical across isomorphic graphs, automorphisms of g,
     and the vertex order of the first leaf with the least code.
 
@@ -163,7 +170,8 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...], bytes]
     the key encodes.  Any two leaves with the least code differ by an
     automorphism, so the orbit of ``order[-1]`` under Aut(g) is a
     canonical choice of vertex: an isomorphism between two graphs maps
-    the one orbit onto the other.
+    the one orbit onto the other.  The search starts from the refinement
+    of the unit coloring, or from ``root`` if given, which must be it.
     """
     n = g.n
     if n <= 1:
@@ -241,7 +249,7 @@ def canonical_form(g: Graph) -> tuple[tuple[int, int], tuple[bytes, ...], bytes]
             checked = len(autos)
             covered = _closure(explored, stabilizer) if stabilizer else explored
 
-    rec(_refine(adj, n, [full]), 0)
+    rec(root or _refine(adj, n, [full]), 0)
     least = min(leaves)
     return (n, least), tuple(autos), bytes(cell.bit_length() - 1 for cell in leaves[least])
 
@@ -297,20 +305,29 @@ def _attach_masks(parent: Graph, autos: tuple[bytes, ...]) -> list[int]:
     return masks
 
 
-def _settled(adj: tuple[int, ...], n: int) -> bool | None:
+def _settled(adj: tuple[int, ...], n: int) -> bool | list[int]:
     """Test 2 on a child whose new vertex v is n - 1: keep it (True), reject
-    it (False), or None when only ``canonical_form`` can tell.
+    it (False), or, when only ``canonical_form`` can tell, the child's
+    root coloring for it to start from.
 
     The last class of the child's root coloring holds every vertex that
     can come last in a leaf, and is a union of Aut(child)-orbits.  So v
     is outside the canonical last vertex's orbit if it is outside that
-    class, and is that vertex if the class is {v}.
+    class, and is that vertex if the class is {v}.  Refinement starts from
+    the degree classes, the unit coloring's first round, and stops once it
+    decides, since each round's last class lies in the one before.
     """
     v = 1 << n - 1
-    last = _refine(adj, n, [(1 << n) - 1])[-1]
-    if not last & v:
+    by_degree = [0] * n
+    for u, row in enumerate(adj):
+        by_degree[row.bit_count()] |= 1 << u
+    masks = [cell for cell in by_degree if cell]
+    fresh = masks[:-1]
+    while fresh and masks[-1] & v and masks[-1] != v:
+        masks, fresh = _round(adj, n, masks, fresh)
+    if not masks[-1] & v:
         return False
-    return True if last == v else None
+    return True if masks[-1] == v else masks
 
 
 def all_graphs(n: int) -> tuple[Graph, ...]:
@@ -336,10 +353,11 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     position always lies in the root's last class, and that class holds
     only vertices of the largest degree.  Test 1 (``_attach_masks``)
     rejects C if v has less than the largest degree, read off the parent's
-    degrees before C is built.  Test 2 (``_settled``) refines C's unit
-    coloring and rejects C if v is outside the last class, or keeps it if
-    the last class is {v}.  Only the children left run ``canonical_form``,
-    and the orbit of the last vertex comes from ``_closure`` over the
+    degrees before C is built.  Test 2 (``_settled``) refines C's degree
+    classes and rejects C once v is outside the last class, or keeps it
+    once the last class is {v}.  Only the children it leaves open run
+    ``canonical_form``, from the root coloring test 2 refined, and the
+    orbit of the last vertex comes from ``_closure`` over the
     automorphisms it found, which generate Aut(C).
 
     A kept child's automorphisms are kept with it for the masks of the
@@ -375,8 +393,8 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
                 child = Graph(n)  # rows symmetric and loop-free by construction
                 child.adj = adj
                 autos = None
-                if keep is None:
-                    _, autos, order = canonical_form(child)
+                if keep is not True:
+                    _, autos, order = canonical_form(child, keep)
                     if not _closure(1 << order[-1], autos) & bit:
                         continue
                 graphs.append(child)

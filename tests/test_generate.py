@@ -2,10 +2,13 @@
 
 ``all_graphs`` is pinned twice: by the sorted canonical keys of its
 graphs, a pin of the class set that no relabelling moves, and graph6
-line by graph6 line, so a change to how it prunes cannot silently change
-which representative a class gets or the order of the corpus.  Its two
-cheap tests are checked against the full orbit test on every child of
-every parent.  ``canonical_form`` is checked against the
+line by graph6 line up to n = 8 (n = 9 is ``slow``), so a change to how
+it prunes cannot silently change which representative a class gets or
+the order of the corpus.  Its two cheap tests are checked against the
+full orbit test on every child of every parent, and test 2 against
+refining to stable, the coloring it hands ``canonical_form`` included;
+``canonical_form`` given that coloring returns what it returns without
+it.  ``canonical_form`` is checked against the
 brute-force oracles in ``oracles.py`` on every graph with n <= 6 and on
 seeded relabellings of each; isomorphism and |Aut(G)| do not change under
 relabelling, so the oracles run once per class.  Its output itself, keys
@@ -16,9 +19,10 @@ checked against the plain refinement ``oracles.refine`` with every class
 fresh, with only the two halves of an individualized cell fresh, with only
 the individualized vertex fresh, and as ``canonical_form`` runs it: the
 first round split by the vertex's neighborhood, then the non-neighbor
-pieces fresh.  The work of a cold ``all_graphs(7)`` is pinned as call
-counts, so a search or a keyed round brought back per child shows up.
-The count at n = 9 is a ``slow`` test, run with ``-m slow``.
+pieces fresh.  The work of a cold ``all_graphs(7)`` is pinned as calls
+of ``canonical_form``, ``_refine`` and the keyed round ``_round``, so a
+search, a refinement or a keyed round brought back per child shows up.
+The pin at n = 9 is a ``slow`` test, run with ``-m slow``.
 """
 
 import hashlib
@@ -37,18 +41,28 @@ import oracles
 ALL_GRAPHS_SHA256 = "ea663816bc86160be4ea828c5b57f7fc402bde46f92d0f6c589efc61603a3abc"
 # SHA-256 of repr(key) for the sorted canonical_form keys of all_graphs(1), ..., all_graphs(7), joined by "\n"
 CLASS_KEYS_SHA256 = "62700041589a679bf855cedef3843d0a711b9685c50a2b470f73e5d27ab2d191"
-# number of isomorphism classes of graphs on n vertices, n = 0..7
-CLASSES = (1, 1, 2, 4, 11, 34, 156, 1044)
+# SHA-256 of the graph6 lines of all_graphs(8), in order, joined by "\n"
+ALL_GRAPHS_8_SHA256 = "a8f4cdd1b7335856a6e8fb43671e8879d542c294240fed8e2aeae6ec746dd848"
+# the same for all_graphs(9)
+ALL_GRAPHS_9_SHA256 = "fc1b43a9eaebeaa77241ab5407983ab1f23a3dc5ede055b4cb7ffb2891e49d68"
+# number of isomorphism classes of graphs on n vertices, n = 0..8
+CLASSES = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 # SHA-256 of repr(canonical_form(g)) for every graph of _classes(1), ..., _classes(7), in order, joined by "\n"
 CANONICAL_FORM_SHA256 = "46ad60b98b30725d4d9667e8034ab2967c9c013ad198df58b27f2b8ea751b301"
 # SHA-256 of repr(canonical_form(g)) for every graph of _sample(8), in order, joined by "\n"
 CANONICAL_FORM_8_SHA256 = "a1d524d60139559f47cb97fd08a55d16b5b94b24bc359fe23c875c4f1bccdef2"
 
 
+def _digest(graphs) -> str:
+    return hashlib.sha256("\n".join(map(write_graph6, graphs)).encode()).hexdigest()
+
+
 def test_all_graphs_output_is_pinned():
-    assert tuple(len(all_graphs(n)) for n in range(8)) == CLASSES
-    lines = [write_graph6(g) for n in range(1, 8) for g in all_graphs(n)]
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ALL_GRAPHS_SHA256
+    """n = 8 on its own: it is the ``exhaustive8`` benchmark's corpus, whose
+    per-graph figures depend on the representatives and their order."""
+    assert tuple(len(all_graphs(n)) for n in range(len(CLASSES))) == CLASSES
+    assert _digest(g for n in range(1, 8) for g in all_graphs(n)) == ALL_GRAPHS_SHA256
+    assert _digest(all_graphs(8)) == ALL_GRAPHS_8_SHA256
 
 
 def test_all_graphs_keeps_the_pinned_classes():
@@ -65,8 +79,9 @@ def test_all_graphs_holds_no_two_isomorphic_graphs(n):
 
 
 @pytest.mark.slow
-def test_all_graphs_counts_the_graphs_on_nine_vertices():
+def test_all_graphs_output_is_pinned_at_nine_vertices():
     assert len(all_graphs(9)) == 274668
+    assert _digest(all_graphs(9)) == ALL_GRAPHS_9_SHA256
 
 
 def _orbit_verdict(child: Graph) -> bool:
@@ -76,12 +91,25 @@ def _orbit_verdict(child: Graph) -> bool:
     return bool(generate._closure(1 << order[-1], autos) >> child.n - 1 & 1)
 
 
+def _test_2_reference(child: Graph) -> bool | list[int]:
+    """Test 2 without its early exits: the unit coloring refined to stable
+    by the plain refinement, and the verdict read off its last class."""
+    n = child.n
+    stable = _masks(oracles.refine(child.adj, n, [0] * n))
+    v = 1 << n - 1
+    if not stable[-1] & v:
+        return False
+    return True if stable[-1] == v else stable
+
+
 @pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
 def test_the_cheap_tests_agree_with_the_orbit_test(n):
     """On every child on n vertices of every parent, every mask tried: test
     1 leaves a mask out exactly when the new vertex's degree is below the
-    child's largest, and then the orbit test rejects it too; test 2, where
-    it decides, decides as the orbit test does."""
+    child's largest, and then the orbit test rejects it too; test 2 returns
+    what refining to stable would, so its early exits neither leave open
+    a child that refinement decides nor hand ``canonical_form`` another
+    coloring, and where it decides, it decides as the orbit test does."""
     new = n - 1
     for parent in all_graphs(new):
         tried = set(generate._attach_masks(parent, ()))
@@ -90,7 +118,9 @@ def test_the_cheap_tests_agree_with_the_orbit_test(n):
             top = max(child.adj[v].bit_count() for v in range(n))
             assert (attach in tried) == (attach.bit_count() == top)
             verdict = generate._settled(child.adj, n) if attach in tried else False
-            if verdict is not None:
+            if attach in tried:
+                assert verdict == _test_2_reference(child), write_graph6(child)
+            if isinstance(verdict, bool):
                 assert verdict == _orbit_verdict(child), (write_graph6(child), verdict)
 
 
@@ -99,7 +129,7 @@ def test_all_graphs_puts_each_graph_through_canonical_form_once(monkeypatch):
     child, so from a cold cache no graph goes through canonical_form twice."""
     seen = []
     monkeypatch.setattr(generate, "_ALL_GRAPHS", {})
-    monkeypatch.setattr(generate, "canonical_form", lambda g: seen.append(g) or canonical_form(g))
+    monkeypatch.setattr(generate, "canonical_form", lambda g, root=None: seen.append(g) or canonical_form(g, root))
     all_graphs(6)
     assert len(seen) == len(set(seen)) > 0
 
@@ -248,6 +278,15 @@ def test_canonical_form_output_is_pinned_at_eight_vertices():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CANONICAL_FORM_8_SHA256
 
 
+def test_canonical_form_from_the_root_coloring_is_unchanged():
+    """Given the stable refinement of the unit coloring, as test 2 hands it
+    over, canonical_form returns exactly what it returns without it."""
+    graphs = [g for n in range(1, 8) for labellings in _classes(n) for g in labellings]
+    for g in graphs + _sample(8):
+        root = _masks(oracles.refine(g.adj, g.n, [0] * g.n))
+        assert canonical_form(g, root) == canonical_form(g), write_graph6(g)
+
+
 def _cycle_product(a: int, b: int) -> Graph:
     """The Cartesian product C_a x C_b, vertex (i, j) numbered i * b + j."""
     edges = []
@@ -301,11 +340,14 @@ def test_canonical_form_on_symmetric_graphs(name):
 
 def test_all_graphs_work_is_pinned(monkeypatch):
     """A cold all_graphs(7) runs 543 canonical forms, 442 on children the
-    cheap tests leave open and 101 on parents that test 2 kept, and refines
-    2,955 times: 1,640 for test 2, once per child whose new vertex has the
-    largest degree, and 1,315 in the searches (5,759 canonical forms and
-    9,676 refinements with a search per child)."""
-    calls = {"canonical_form": 0, "_refine": 0}
+    cheap tests leave open and 101 on parents that test 2 kept, and 2,459
+    keyed rounds: 1,307 in test 2 on the 1,640 children whose new vertex
+    has the largest degree, and 1,152 in the 873 refinements of the
+    searches, which start each open child from test 2's coloring.  Test 2
+    refining every child to stable and each search refining it again took
+    2,955 refinements and 7,109 rounds; a search per child took 5,759
+    canonical forms and 9,676 refinements."""
+    calls = {"canonical_form": 0, "_refine": 0, "_round": 0}
 
     def counted(name, f):
         def call(*args):
@@ -314,7 +356,7 @@ def test_all_graphs_work_is_pinned(monkeypatch):
         return call
 
     monkeypatch.setattr(generate, "_ALL_GRAPHS", {})
-    monkeypatch.setattr(generate, "canonical_form", counted("canonical_form", canonical_form))
-    monkeypatch.setattr(generate, "_refine", counted("_refine", generate._refine))
+    for name in calls:
+        monkeypatch.setattr(generate, name, counted(name, getattr(generate, name)))
     all_graphs(7)
-    assert calls == {"canonical_form": 543, "_refine": 2955}
+    assert calls == {"canonical_form": 543, "_refine": 873, "_round": 2459}
