@@ -113,20 +113,20 @@ def _transversals(g: Graph, cells: Sequence[int], need: int | None = None) -> It
     after every vertex: a cell is skipped only after each of its vertices
     has been tried, and only while ``need`` stays reachable.
     """
-    n_cells = len(cells)
+    skips = 0 if need is None else len(cells) - need
+    return _isrs(g.adj, cells, 0, 0, skips) if skips >= 0 else iter(())
 
-    def rec(i: int, chosen: int, skips: int) -> Iterator[int]:
-        if i == n_cells:
-            yield chosen
-            return
-        for v in bits(cells[i]):
-            if not g.adj[v] & chosen:
-                yield from rec(i + 1, chosen | (1 << v), skips)
-        if skips:
-            yield from rec(i + 1, chosen, skips - 1)
 
-    skips = 0 if need is None else n_cells - need
-    return rec(0, 0, skips) if skips >= 0 else iter(())
+def _isrs(adj: Sequence[int], cells: Sequence[int], i: int, isr: int, skips: int) -> Iterator[int]:
+    """``_transversals`` from cell i; module-level, as callers may abandon it."""
+    if i == len(cells):
+        yield isr
+        return
+    for v in bits(cells[i]):
+        if not adj[v] & isr:
+            yield from _isrs(adj, cells, i + 1, isr | 1 << v, skips)
+    if skips:
+        yield from _isrs(adj, cells, i + 1, isr, skips - 1)
 
 
 def find_isr(g: Graph, cells: Sequence[int]) -> int | None:
@@ -414,10 +414,10 @@ def find_special_independent(g: Graph, d_set: int) -> int | None:
     D - N(S0) independent, in which case S0 | (D - N(S0)) works.  The search
     walks independent subsets of V-D (excluding first, so an independent D
     returns S = D immediately) and prunes branches whose remaining
-    candidates cannot neutralize every edge inside G[D].
+    candidates cannot neutralize every edge inside G[D].  ``rec`` deletes
+    its own cell once the root returns.
     """
     g.check_subset(d_set)
-    outside = g.full & ~d_set
 
     def rec(s0: int, cand: int) -> int | None:
         uncovered = d_set & ~g.open_neighborhood(s0)
@@ -429,10 +429,11 @@ def find_special_independent(g: Graph, d_set: int) -> int | None:
         found = rec(s0, cand ^ v)  # exclude lowest candidate first
         if found is not None:
             return found
-        vid = v.bit_length() - 1
-        return rec(s0 | v, cand & ~(g.adj[vid] | v))
+        return rec(s0 | v, cand & ~(g.adj[v.bit_length() - 1] | v))
 
-    return rec(0, outside)
+    found = rec(0, g.full & ~d_set)
+    del rec
+    return found
 
 
 def lemma41_check(g: Graph, d: int) -> list[tuple[int, int]]:

@@ -172,6 +172,7 @@ def canonical_form(
     canonical choice of vertex: an isomorphism between two graphs maps
     the one orbit onto the other.  The search starts from the refinement
     of the unit coloring, or from ``root`` if given, which must be it.
+    ``rec`` deletes its own cell once the root returns.
     """
     n = g.n
     if n <= 1:
@@ -250,6 +251,7 @@ def canonical_form(
             covered = _closure(explored, stabilizer) if stabilizer else explored
 
     rec(root or _refine(adj, n, [full]), 0)
+    del rec
     least = min(leaves)
     return (n, least), tuple(autos), bytes(cell.bit_length() - 1 for cell in leaves[least])
 
@@ -404,14 +406,6 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
 
 
 # -- structured families -----------------------------------------------------------
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, combinations(range(n), 2))
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, ((i, i + 1) for i in range(n - 1)))
-
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:

@@ -27,11 +27,6 @@ def gamma_naive(g: Graph) -> tuple[int, int]:
     return best, best_mask
 
 
-def min_dominating_sets_naive(g: Graph) -> list[int]:
-    k = gamma_naive(g)[0]
-    return [s for s in range(1 << g.n) if s.bit_count() == k and g.is_dominating(s)]
-
-
 def _least_disjoint_sizes(g: Graph) -> list[int]:
     """For each minimum dominating set D, the least size of a dominating set
     disjoint from D, by direct search over all disjoint pairs (D, T)."""

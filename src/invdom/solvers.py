@@ -80,6 +80,10 @@ gamma-set's search.
 ``optimal_dominating_set`` solves alpha(G[D]) only for a D whose key, with
 a greedy matching's bound in place of alpha, is below the least key so far.
 
+Every recursive closure in ``invdom`` deletes its own cell once its root
+call returns, and a recursion a caller may abandon is module-level, so a
+call leaves no cycle for the cyclic collector (test_reference_cycles.py).
+
 Every result is deterministic: minimum dominating sets come back in
 increasing bitmask order, each component's witness is the first optimum
 its search reaches (for b, its seed or the first leaf that beats it), and
@@ -201,7 +205,7 @@ def _max_sides(g: Graph, allowed: int, cap: int | None = None, seed: int = 0) ->
     where 2 * cap < |allowed|, the dense case, where it pays.  A leaf is
     reached only when it beats the best, and a cut subtree holds no such
     leaf, so the cuts change neither the order in which the best improves
-    nor the witness.
+    nor the witness.  ``grow`` deletes its own cell once the root returns.
 
     ``seed``, when given, is a split of ``allowed`` into two independent
     sets, and the best starts at it.  The witness is then the seed, or the
@@ -263,6 +267,7 @@ def _max_sides(g: Graph, allowed: int, cap: int | None = None, seed: int = 0) ->
         grow(a, b, count, cand_a & ~pb, cand_b & ~pb)
 
     grow(0, 0, 0, allowed, allowed)
+    del grow
     return best, best_mask
 
 
@@ -283,6 +288,7 @@ def _max_independent(g: Graph, allowed: int) -> tuple[int, int]:
     v's branch runs in the node's own loop.  A leaf is reached only when it
     beats the best, and the cuts change neither the order in which the best
     improves nor the witness, the first largest set the search reaches.
+    ``grow`` deletes its own cell once the root returns.
     """
     g.check_subset(allowed)
     adj = g.adj
@@ -346,6 +352,7 @@ def _max_independent(g: Graph, allowed: int) -> tuple[int, int]:
             cand ^= low
 
     grow(0, 0, allowed)
+    del grow
     return best, best_mask
 
 
@@ -466,7 +473,8 @@ def _cover_search(
     One call of ``search`` is one node: it has vertices left to dominate and
     at least one pick to spend, and it reports the children that are covers
     itself.  With one pick left it scans for the candidates that dominate
-    the rest; with more it branches (see the module docstring).
+    the rest; with more it branches (see the module docstring).  ``search``
+    deletes its own cell once the root returns.
     """
 
     def search(chosen: int, count: int, undom: int, avail: int) -> None:
@@ -533,6 +541,7 @@ def _cover_search(
             found(0, 0)
     elif limit > 1:
         search(0, 0, target, allowed)
+    del search
 
 
 def _min_cover(covers: tuple[int, ...], allowed: int, target: int) -> tuple[int, int] | None:

@@ -7,14 +7,9 @@ from __future__ import annotations
 import pytest
 
 from invdom import solvers
-from invdom.generate import (
-    all_graphs,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    star_graph,
-)
+from invdom.generate import all_graphs, cycle_graph, star_graph
 from invdom.graph import Graph
+from oracles import complete_graph, path_graph
 
 
 @pytest.fixture(autouse=True)

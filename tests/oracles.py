@@ -1,4 +1,8 @@
-"""Brute-force oracles that only tests use.
+"""Brute-force oracles and small fixtures that only tests use.
+
+``complete_graph`` and ``path_graph`` build K_n and P_n.
+``min_dominating_sets_naive`` lists the gamma-sets by trying every subset,
+against ``invdom.naive.gamma_naive``.
 
 ``components`` labels vertices by union-find over the edge list, apart from
 the bitmask walk of ``Graph.components``.
@@ -31,8 +35,23 @@ small.
 from itertools import combinations, permutations
 from typing import Callable, Sequence
 
-from invdom import solvers
+from invdom import naive, solvers
 from invdom.graph import Graph, bits, mask_of
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, combinations(range(n), 2))
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
+
+
+def min_dominating_sets_naive(g: Graph) -> list[int]:
+    """Every dominating set of size ``naive.gamma_naive(g)``, in increasing
+    bitmask order, by trying all 2^n subsets."""
+    k = naive.gamma_naive(g)[0]
+    return [s for s in range(1 << g.n) if s.bit_count() == k and g.is_dominating(s)]
 
 
 def grow_bipartite(g: Graph, seed: int, universe: int) -> int | None:

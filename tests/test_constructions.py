@@ -35,17 +35,15 @@ from invdom.errors import (
     TooLarge,
 )
 from invdom.generate import (
-    complete_graph,
     cycle_graph,
     disjoint_union,
     pad_with_k2,
-    path_graph,
     star_graph,
     with_pendant_pairs,
 )
 from invdom.graph import Graph, bits, mask_of, to_sorted
 from invdom.graph6 import write_graph6
-from oracles import grow_bipartite, haxell_condition
+from oracles import complete_graph, grow_bipartite, haxell_condition, path_graph
 from test_golden import gamma5_graphs, rewrite_corpus
 
 

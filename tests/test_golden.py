@@ -25,7 +25,6 @@ from invdom.errors import InvdomError
 from invdom.generate import (
     all_graphs,
     canonical_form,
-    complete_graph,
     cycle_graph,
     gamma5_corpus,
     pad_with_k2,
@@ -35,6 +34,7 @@ from invdom.generate import (
 )
 from invdom.graph import Graph, disjoint_union
 from invdom.graph6 import parse_graph6, write_graph6
+from oracles import complete_graph
 
 GOLDEN_SHA256 = "9bfa2671d69a326cd44745af13f3145abce32b0fea16be077ed76fbbf6e3a08e"
 CONSTRUCTIONS_SHA256 = "4875ac4eaf2d275650ac6698314a489486d49c47cbe7a872e3a8cab46eca9d5d"

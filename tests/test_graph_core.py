@@ -4,7 +4,7 @@ connected components."""
 import pytest
 
 from invdom.errors import TooLarge
-from invdom.generate import all_graphs, cycle_graph, pad_with_k2, path_graph
+from invdom.generate import all_graphs, cycle_graph, pad_with_k2
 from invdom.graph import Graph, bits, disjoint_union, mask_of, to_sorted
 
 import oracles
@@ -71,9 +71,7 @@ def test_induced_isolates(c4, k2, p4):
 
 
 def test_utility_predicates(k2):
-    from invdom.generate import complete_graph
-
-    assert complete_graph(5).is_clique()
+    assert oracles.complete_graph(5).is_clique()
     assert not Graph(3, [(0, 1)]).is_clique()
     assert disjoint_union(Graph(1), k2).has_isolated_vertex()
     assert not k2.has_isolated_vertex()
@@ -122,7 +120,7 @@ def test_components_are_fresh_on_every_built_graph(k2):
     assert Graph(3, [(0, 1)]).components() == (0b11, 0b100)
     one_edge = next(g for g in all_graphs(3) if g.m == 1)  # whichever labelling all_graphs gives it
     assert list(one_edge.components()) == oracles.components(one_edge)
-    assert disjoint_union(k2, path_graph(3)).components() == (0b11, 0b11100)
+    assert disjoint_union(k2, oracles.path_graph(3)).components() == (0b11, 0b11100)
     padded = pad_with_k2(cycle_graph(5), 2)
     assert padded.components() == (0b11111, 0b1100000, 0b110000000)
 

@@ -19,17 +19,21 @@ from invdom.certificates import (
 )
 from invdom.errors import HasIsolates, PreconditionViolated
 from invdom.generate import (
-    complete_graph,
     cycle_graph,
     gamma5_corpus,
     pad_with_k2,
-    path_graph,
     random_graph,
     star_graph,
 )
 from invdom.graph import Graph, disjoint_union, mask_of, to_sorted
 from invdom.graph6 import parse_graph6, write_graph6
-from oracles import cover_search, optimal_key
+from oracles import (
+    complete_graph,
+    cover_search,
+    min_dominating_sets_naive,
+    optimal_key,
+    path_graph,
+)
 from test_golden import golden_corpus, rewrite_corpus
 
 
@@ -86,7 +90,7 @@ def test_enumeration_matches_the_oracle(corpus7):
     # FCpdo (n = 7, gamma = 2) reaches a larger cover before its gamma-sets
     graphs = [g for n in range(1, 7) for g in corpus7[n]] + [parse_graph6("FCpdo")]
     for g in graphs:
-        assert solvers.enumerate_min_dominating_sets(g) == naive.min_dominating_sets_naive(g)
+        assert solvers.enumerate_min_dominating_sets(g) == min_dominating_sets_naive(g)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -647,7 +651,7 @@ def test_the_gate_passes_exactly_the_gamma_sets(corpus7):
             k = naive.gamma_naive(g)[0]
             cases = [
                 (s, None if s == d else f"gate: |d_set| = {k + 1} but gamma = {k}")
-                for d in naive.min_dominating_sets_naive(g)
+                for d in min_dominating_sets_naive(g)
                 for s in [d, *(d | 1 << v for v in range(g.n) if not d >> v & 1)]
             ]
             for warm in (False, True):
