@@ -18,9 +18,9 @@ import sys
 from . import harness
 from .certificates import check_inverse_certificate
 from .constructions import (
+    biglemma_trichotomy,
     bipartite_inverse_construct,
     gamma5_construct,
-    find_special_independent,
     inddom_construct,
     theorem_main_construct,
 )
@@ -164,8 +164,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                 cert = theorem_main_construct(g, d_set)
             elif args.which == "bipartite":
                 cert = bipartite_inverse_construct(g, d_set)
-            else:  # inddom
-                s = find_special_independent(g, d_set)
+            else:  # inddom; D is a gamma-set, so a failed trichotomy is a counterexample
+                s = biglemma_trichotomy(g, d_set)
                 if s is None:
                     raise PreconditionViolated(
                         "no independent set S with S-D dominating D-S exists"

@@ -10,9 +10,9 @@ Every vertex set is a plain int mask, partial ISRs included.  The cells of
 a standard partition are disjoint, so the cell a member represents follows
 from the member itself, and a partial ISR needs no index bookkeeping.
 Only ``isr_cells`` builds (V-D)-N(F) over D-F; ISR searches take cells.
-One transversal search, ``_transversals``, serves ``find_isr``,
-``max_partial_isr``, ``two_partial_isrs``, ``superisrs`` and the gamma = 5
-pair loop.
+One transversal search, the generator ``_transversals(adj, cells,
+skips)``, serves ``find_isr``, ``max_partial_isr``, ``two_partial_isrs``,
+``superisrs`` and the gamma = 5 pair loop.
 
 The constructions reach the exact solvers in two places only: the gate
 ``_require_minimum_dominating`` decides that D is a gamma-set, because
@@ -106,38 +106,36 @@ def isr_cells(g: Graph, d_set: int, f_set: int, ordering: Sequence[int]) -> tupl
     return standard_partition(g, ordering, g.full & ~d_set & ~g.open_neighborhood(f_set))
 
 
-def _transversals(g: Graph, cells: Sequence[int], need: int | None = None) -> Iterator[int]:
-    """The partial ISRs of the disjoint cells that hit at least ``need`` of
-    them (all, when ``need`` is None), as masks, in lexicographic order of
-    their representatives of cells[0], cells[1], ..., a skipped cell ranking
-    after every vertex: a cell is skipped only after each of its vertices
-    has been tried, and only while ``need`` stays reachable.
+def _transversals(
+    adj: Sequence[int], cells: Sequence[int], skips: int = 0, i: int = 0, isr: int = 0
+) -> Iterator[int]:
+    """The partial ISRs of the disjoint cells that skip at most ``skips`` of
+    them (full ISRs by default), as masks, in lexicographic order of their
+    representatives of cells[0], cells[1], ..., a skipped cell ranking after
+    every vertex: a cell is skipped only after each of its vertices has been
+    tried, and only while a skip is left.  ``i`` and ``isr``, which callers
+    leave out, are the recursion's cell and the members chosen before it;
+    the generator is module-level, as callers may abandon it.
     """
-    skips = 0 if need is None else len(cells) - need
-    return _isrs(g.adj, cells, 0, 0, skips) if skips >= 0 else iter(())
-
-
-def _isrs(adj: Sequence[int], cells: Sequence[int], i: int, isr: int, skips: int) -> Iterator[int]:
-    """``_transversals`` from cell i; module-level, as callers may abandon it."""
     if i == len(cells):
         yield isr
         return
     for v in bits(cells[i]):
         if not adj[v] & isr:
-            yield from _isrs(adj, cells, i + 1, isr | 1 << v, skips)
+            yield from _transversals(adj, cells, skips, i + 1, isr | 1 << v)
     if skips:
-        yield from _isrs(adj, cells, i + 1, isr, skips - 1)
+        yield from _transversals(adj, cells, skips - 1, i + 1, isr)
 
 
 def find_isr(g: Graph, cells: Sequence[int]) -> int | None:
     """The lexicographically first full independent transversal, or None."""
-    return next(_transversals(g, cells), None)
+    return next(_transversals(g.adj, cells), None)
 
 
 def max_partial_isr(g: Graph, cells: Sequence[int]) -> int:
     """The first partial ISR, in ``_transversals``' order, hitting the most
-    cells: the first yielded for the largest ``need`` that yields one."""
-    return next(s for need in range(len(cells), -1, -1) for s in _transversals(g, cells, need))
+    cells: the first yielded for the fewest ``skips`` that yields one."""
+    return next(s for skips in range(len(cells) + 1) for s in _transversals(g.adj, cells, skips))
 
 
 def two_partial_isrs(g: Graph, cells: Sequence[int]) -> tuple[int, int]:
@@ -520,7 +518,7 @@ def superisrs(g: Graph, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     outside = g.full & ~d
     for d1, d2 in pairs:
         v1 = g.adj[d1] & outside
-        for r12 in _transversals(g, (v1, g.adj[d2] & outside & ~v1)):
+        for r12 in _transversals(g.adj, (v1, g.adj[d2] & outside & ~v1)):
             blocked = g.closed_neighborhood(r12 | mask_of((d1, d2)))
             for r3 in bits(g.full & ~blocked):
                 if d >> r3 & 1:
@@ -581,8 +579,8 @@ def gamma5_construct(g: Graph) -> InverseCertificate:
     # choose the (R1, R2) pair minimizing edges between the two sides
     best_pair: tuple[int, int] | None = None
     best_edges = -1
-    for m1 in _transversals(g, cells[:3]):
-        for m2 in _transversals(g, cells[3:]):
+    for m1 in _transversals(g.adj, cells[:3]):
+        for m2 in _transversals(g.adj, cells[3:]):
             cross = sum((g.adj[v] & m1).bit_count() for v in bits(m2))
             if best_pair is None or cross < best_edges:
                 best_pair, best_edges = (m1, m2), cross

@@ -302,8 +302,8 @@ def check_component_split(g: Graph) -> list[str]:
     b, b_witness = solvers.max_induced_bipartite(g)
     cert = solvers.optimal_dominating_set(g)
     pairs = [
-        ("gamma", size, solvers._gamma_part(covers, g.full)[0]),
-        ("alpha", solvers.alpha(g), solvers._max_independent(g, g.full)),
+        ("gamma", size, solvers._min_cover(covers, g.full, g.full)[0]),
+        ("alpha", solvers.alpha(g), solvers.alpha_within(g, g.full)),
         ("b", b, solvers._max_sides(g, g.full)[0]),
         (
             "optimal (-alpha(D), edges, D)",

@@ -6,8 +6,8 @@ set-cover search serves gamma, ``min_dominating_within``, the minimum
 dominating sets and the inverse pass: it branches on the undominated vertex
 with the fewest candidates, most-dominating candidate first, and excludes
 earlier siblings from later branches, so it reaches each set once.  One
-search for the largest independent set (``_max_independent``) serves alpha
-and ``alpha_within``, by the textbook rule (Fomin and Kratsch, Exact
+search for the largest independent set, ``alpha_within``, serves alpha and
+every alpha(G[D]), by the textbook rule (Fomin and Kratsch, Exact
 Exponential Algorithms, ch. 1): a candidate with at most one candidate
 neighbour is taken outright, and otherwise the search branches over the
 closed neighbourhood N[v] of a least-degree candidate v, since every
@@ -271,9 +271,10 @@ def _max_sides(g: Graph, allowed: int, cap: int | None = None, seed: int = 0) ->
     return best, best_mask
 
 
-def _max_independent(g: Graph, allowed: int) -> tuple[int, int]:
+def alpha_within(g: Graph, allowed: int) -> tuple[int, int]:
     """Largest independent subset of ``allowed``: (size, witness mask), the
-    search behind alpha and ``alpha_within``.
+    search behind alpha.  Independence inside ``allowed`` equals independence
+    in the induced subgraph, so this is alpha of G[allowed] too.
 
     A node first takes, while one is left, the candidate with at most one
     candidate neighbour (least degree, lowest id) and drops that neighbour:
@@ -356,16 +357,6 @@ def _max_independent(g: Graph, allowed: int) -> tuple[int, int]:
     return best, best_mask
 
 
-def alpha_within(g: Graph, allowed: int) -> tuple[int, int]:
-    """Largest independent subset of ``allowed``: (size, witness mask), from
-    one ``_max_independent`` search over the whole mask.
-
-    Independence inside ``allowed`` equals independence in the induced
-    subgraph, so this doubles as alpha of G[allowed].
-    """
-    return _max_independent(g, allowed)
-
-
 def _by_component(g: Graph, solve: Callable[[int], tuple[int, ...]]) -> tuple[int, ...]:
     """Run ``solve`` on each component mask and add its results term by term.
 
@@ -382,7 +373,7 @@ def _by_component(g: Graph, solve: Callable[[int], tuple[int, ...]]) -> tuple[in
 @_per_graph
 def alpha(g: Graph) -> tuple[int, int]:
     """Independence number with a maximum independent set witness."""
-    return _by_component(g, lambda part: _max_independent(g, part))
+    return _by_component(g, lambda part: alpha_within(g, part))
 
 
 def _greedy_independent(adj: tuple[int, ...], allowed: int) -> int:
@@ -409,7 +400,7 @@ def max_induced_bipartite(g: Graph) -> tuple[int, int]:
     """Largest vertex set inducing an odd-cycle-free subgraph: (b(G), witness).
 
     Each side is independent, so alpha caps it: a component's cap is the
-    part of alpha's witness, the first largest set ``_max_independent``
+    part of alpha's witness, the first largest set ``alpha_within``
     reaches, inside it, held when alpha was asked first.  That part and a
     greedy independent set of the component's other vertices are two
     disjoint independent sets, so together they induce a bipartite graph:
@@ -569,28 +560,12 @@ def _domination_covers(g: Graph) -> tuple[int, ...]:
     return tuple(g.adj[v] | (1 << v) for v in range(g.n))
 
 
-def _gamma_part(covers: tuple[int, ...], part: int) -> tuple[int, int]:
-    """Domination number of G[part] with its witness."""
-    result = _min_cover(covers, part, part)
-    assert result is not None  # part always dominates itself
-    return result
-
-
 @_per_graph
 def gamma(g: Graph) -> tuple[int, int]:
     """Domination number with a minimum dominating set witness."""
     covers = _domination_covers(g)
-    return _by_component(g, lambda part: _gamma_part(covers, part))
-
-
-def min_dominating_within(g: Graph, allowed: int) -> tuple[int, int] | None:
-    """Smallest dominating set of g contained in ``allowed``, if any.
-
-    No code in ``invdom`` calls it, but ``perfbench/tracing.py::TRACED``
-    names it, so deleting it is a benchmark change.
-    """
-    g.check_subset(allowed)
-    return _min_cover(_domination_covers(g), allowed, g.full)
+    # part dominates itself, so no part's search returns None
+    return _by_component(g, lambda part: _min_cover(covers, part, part))
 
 
 @_per_graph
@@ -695,23 +670,24 @@ def inverse_pass(g: Graph) -> tuple[int, int, int, int]:
     return _by_component(g, lambda part: _inverse_part(g, part))
 
 
-def inverse_gamma(g: Graph) -> tuple[int, InverseCertificate]:
-    """Smallest inverse dominating set size, with a realizing (D, T) pair.
+# -- kept for the benchmark ----------------------------------------------------
+# No code in ``invdom`` calls these three, but ``perfbench/tracing.py::TRACED``
+# names them, so deleting one is a benchmark change.
 
-    ``inverse_pass`` serves every caller in ``invdom``; this wrapper stays
-    because ``perfbench/tracing.py::TRACED`` names it, so deleting it is a
-    benchmark change.
-    """
+def min_dominating_within(g: Graph, allowed: int) -> tuple[int, int] | None:
+    """Smallest dominating set of g contained in ``allowed``, if any."""
+    g.check_subset(allowed)
+    return _min_cover(_domination_covers(g), allowed, g.full)
+
+
+def inverse_gamma(g: Graph) -> tuple[int, InverseCertificate]:
+    """Smallest inverse dominating set size, with a realizing (D, T) pair."""
     size, t_mask, d_mask, _ = inverse_pass(g)
     return size, InverseCertificate(d_mask, t_mask, "exact", size)
 
 
 def strong_inverse_gamma(g: Graph) -> int:
-    """Largest, over minimum dominating sets D, of the best disjoint size.
-
-    Kept, like ``inverse_gamma``, because ``perfbench/tracing.py::TRACED``
-    names it.
-    """
+    """Largest, over minimum dominating sets D, of the best disjoint size."""
     return inverse_pass(g)[3]
 
 

@@ -22,20 +22,20 @@ def no_held_results():
 @pytest.fixture
 def side_searches(monkeypatch):
     """Each independent-sides search the test makes, as (allowed, sides):
-    one side for ``solvers._max_independent``, two for ``solvers._max_sides``."""
+    one side for ``solvers.alpha_within``, two for ``solvers._max_sides``."""
     searches = []
-    max_independent = solvers._max_independent
+    alpha_within = solvers.alpha_within
     max_sides = solvers._max_sides
 
     def one_side(h, allowed):
         searches.append((allowed, 1))
-        return max_independent(h, allowed)
+        return alpha_within(h, allowed)
 
     def two_sides(h, allowed, *args, **kwargs):
         searches.append((allowed, 2))
         return max_sides(h, allowed, *args, **kwargs)
 
-    monkeypatch.setattr(solvers, "_max_independent", one_side)
+    monkeypatch.setattr(solvers, "alpha_within", one_side)
     monkeypatch.setattr(solvers, "_max_sides", two_sides)
     return searches
 

@@ -39,6 +39,30 @@ def test_selftest_passes_and_exits_0(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+SELFTEST_6 = """\
+PASS  graph6 round-trip: 208/208
+PASS  gamma vs oracle: 208/208
+PASS  alpha vs oracle: 208/208
+PASS  inverse gamma vs oracle: 155/155
+PASS  strong inverse vs oracle: 155/155
+PASS  induced bipartite vs oracle: 208/208
+PASS  split by component: 208/208
+PASS  Ore complement dominates: 155/155
+PASS  optimal-set audits: 155/155
+PASS  main construction in bound: 155/155
+PASS  ISR pair machinery: 155/155
+PASS  single-edge padding shifts: 155/155
+selftest: PASS
+"""
+
+
+def test_selftest_output_up_to_six_vertices_is_pinned(capsys):
+    """Every row and count: 208 graphs with 1 <= n <= 6, 155 of them
+    isolate-free."""
+    assert cli.main(["selftest", "--max-n", "6"]) == EXIT_OK
+    assert capsys.readouterr().out == SELFTEST_6
+
+
 def test_failing_selftest_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(harness, "selftest", lambda max_n: False)
     assert cli.main(["selftest"]) == EXIT_CHECK_FAILED
@@ -372,6 +396,26 @@ def test_construct_exits_3_on_a_violated_precondition(capsys):
     argv = ["construct", write_graph6(cycle_graph(4)), "--which", "gamma5"]
     assert cli.main(argv) == EXIT_PRECONDITION
     assert "gamma = 2, need exactly 5" in capsys.readouterr().err
+
+
+def test_construct_inddom_exits_4_when_the_trichotomy_fails(monkeypatch, capsys):
+    """D is the optimal gamma-set, so finding no special set while the
+    structural inequalities fail is a counterexample (exit 4), not a
+    violated precondition (exit 3)."""
+    monkeypatch.setattr(constructions, "find_special_independent", lambda h, d: None)
+    argv = ["construct", write_graph6(cycle_graph(5)), "--which", "inddom"]
+    assert cli.main(argv) == EXIT_CONTRADICTION
+    dump = json.loads(capsys.readouterr().err)
+    assert dump == {
+        "error": "no special independent set and the structural inequalities fail",
+        "context": {
+            "d_set": "5", "|D|": "2", "a": "2", "alpha(D)": "2",
+            "a+1 <= alpha(D) <= |D|-3": "False",
+            "|V|+a >= 3|D|": "True",
+            "|D| >= a+5": "False",
+        },
+        "graph6": "Dhc",
+    }
 
 
 def test_construct_exits_4_and_dumps_the_contradiction(monkeypatch, capsys):

@@ -207,12 +207,12 @@ def test_transversals_match_brute_force_for_every_need(corpus7):
     families = list(_small_cell_families(corpus7))
     assert len(families) > 100 and any(0 in cells for _, cells in families)
     for g, cells in families:
-        assert list(constructions._transversals(g, cells)) == _brute_transversals(
+        assert list(constructions._transversals(g.adj, cells)) == _brute_transversals(
             g, cells, len(cells)
         )
-        for need in range(-1, len(cells) + 2):
-            assert list(constructions._transversals(g, cells, need)) == _brute_transversals(
-                g, cells, need
+        for skips in range(len(cells) + 2):  # need = len(cells) - skips, down to -1
+            assert list(constructions._transversals(g.adj, cells, skips)) == _brute_transversals(
+                g, cells, len(cells) - skips
             )
 
 

@@ -292,11 +292,11 @@ def test_split_witnesses_are_unions_of_the_parts(line):
     covers = solvers._domination_covers(g)
     gamma_join = t_join = 0
     for part in g.components():
-        gamma_join |= solvers._gamma_part(covers, part)[1]
+        gamma_join |= solvers._min_cover(covers, part, part)[1]
         t_join |= solvers._inverse_part(g, part)[1]
     size, witness = solvers.gamma(g)
     assert witness == gamma_join
-    assert witness != solvers._gamma_part(covers, g.full)[1]
+    assert witness != solvers._min_cover(covers, g.full, g.full)[1]
     assert witness.bit_count() == size and g.is_dominating(witness)
     inverse_size, t_set, d_set, _ = solvers.inverse_pass(g)
     assert t_set == t_join
@@ -426,18 +426,18 @@ def _independent_cases():
 
 @pytest.mark.parametrize("g, takes_low_degree", _independent_cases())
 def test_max_independent_matches_the_oracles(g, takes_low_degree):
-    """Value and witness of ``_max_independent`` on the whole graph and on
+    """Value and witness of ``alpha_within`` on the whole graph and on
     random masks; a multi-component graph gets alpha's by-component witness."""
     if takes_low_degree is not None:
         least = min((g.adj[v].bit_count() for v in range(g.n)), default=0)
         assert (least <= 1) is takes_low_degree
-    size, witness = solvers._max_independent(g, g.full)
+    size, witness = solvers.alpha_within(g, g.full)
     assert size == naive.alpha_naive(g)[0]
     assert witness.bit_count() == size and g.is_independent(witness)
     assert solvers.alpha(g) == (size, witness)
     rng = random.Random(g.n)
     for allowed in [rng.getrandbits(g.n) for _ in range(6)]:
-        size, witness = solvers._max_independent(g, allowed)
+        size, witness = solvers.alpha_within(g, allowed)
         assert size == _largest_independent_within(g, allowed), (write_graph6(g), allowed)
         assert not witness & ~allowed and witness.bit_count() == size and g.is_independent(witness)
 
@@ -496,14 +496,14 @@ def test_side_loss_stops_once_it_has_enough(seed):
 
 
 def test_the_gap_bounded_loss_keeps_every_witness(monkeypatch, corpus7):
-    """``_max_independent``, and ``_max_sides`` with and without the cap,
+    """``alpha_within``, and ``_max_sides`` with and without the cap,
     return the size and witness they return when the loss is counted in
     full."""
     graphs = rewrite_corpus() + [g for n in range(1, 8) for g in corpus7[n]]
     caps = [solvers.alpha(g)[0] for g in graphs]
 
     def searches() -> list[tuple[int, int]]:
-        out = [solvers._max_independent(g, g.full) for g in graphs]
+        out = [solvers.alpha_within(g, g.full) for g in graphs]
         for g, cap in zip(graphs, caps):
             out += [solvers._max_sides(g, g.full), solvers._max_sides(g, g.full, cap)]
         return out
