@@ -7,11 +7,12 @@ child is kept iff its new vertex lies in the automorphism orbit of the
 last vertex of its canonical labelling, so no set of keys is kept and
 each parent's children depend on that parent alone.  Two cheap tests, the
 new vertex's degree and refining the child's degree classes until that
-decides, settle most children; the rest run ``canonical_form`` from test
-2's coloring, a search by color refinement plus individualization, so no
-external tooling is needed for the small-order sweeps (n <= 8: 1, 2, 4,
-11, 34, 156, 1044, 12346 graphs).  The automorphisms the canonical form
-finds prune twice: subtrees of its own search that are images of
+decides, settle most children, most of them from the parent's degree
+classes before the child is built; the rest run ``canonical_form`` from
+test 2's coloring, a search by color refinement plus individualization,
+so no external tooling is needed for the small-order sweeps (n <= 8: 1,
+2, 4, 11, 34, 156, 1044, 12346 graphs).  The automorphisms the canonical
+form finds prune twice: subtrees of its own search that are images of
 explored ones, and attach masks that an automorphism of the parent maps
 to a smaller one.  Both skip only work whose outcome is already decided.
 ``all_graphs`` says why each cheap test is sound and how the
@@ -263,17 +264,24 @@ def canonical_form(
 _ALL_GRAPHS: dict[int, tuple[tuple[Graph, ...], list[tuple[bytes, ...] | None]]] = {}
 
 
-def _mask_images(p: bytes, width: int) -> list[int]:
-    """images[m] = the vertex set m mapped by p, for every m below 1 << width."""
-    images = [0] * (1 << width)
-    for m in range(1, 1 << width):
-        low = m & -m
-        images[m] = images[m ^ low] | 1 << p[low.bit_length() - 1]
-    return images
+def _mask_images(p: bytes, width: int) -> list[list[int]]:
+    """[low, high]: p maps each m below 1 << width to ``low[m & (1 << half)
+    - 1] | high[m >> half]``, half = ceil(width / 2), in 2^half +
+    2^(width - half) entries."""
+    half = width + 1 >> 1
+    tables = []
+    for part in (p[:half], p[half:width]):
+        images = [0] * (1 << len(part))
+        for m in range(1, len(images)):
+            low = m & -m
+            images[m] = images[m ^ low] | 1 << part[low.bit_length() - 1]
+        tables.append(images)
+    return tables
 
 
-def _attach_masks(parent: Graph, autos: tuple[bytes, ...]) -> list[int]:
-    """The neighborhoods a new vertex is given in ``parent``, in increasing order.
+def _attach_masks(classes: list[int], autos: tuple[bytes, ...]) -> list[int]:
+    """The neighborhoods a new vertex is given in a parent whose vertices of
+    degree d are ``classes[d]``, in increasing order.
 
     A mask is left out when the new vertex would have less than the
     child's largest degree (test 1): some parent vertex already has more
@@ -282,12 +290,13 @@ def _attach_masks(parent: Graph, autos: tuple[bytes, ...]) -> list[int]:
     kept: the children of one orbit are isomorphic by an isomorphism that
     fixes the new vertex.  An orbit passes or fails test 1 as a whole,
     since its masks have one size and the parent's largest-degree vertices
-    are a union of orbits.
+    are a union of orbits.  Each generator maps masks by ``_mask_images``.
     """
-    new = parent.n
-    degrees = [row.bit_count() for row in parent.adj]
-    top = max(degrees, default=0)
-    busiest = sum(1 << v for v, d in enumerate(degrees) if d == top)
+    new = len(classes)
+    top = max((d for d, cell in enumerate(classes) if cell), default=0)
+    busiest = classes[top] if classes else 0
+    half = new + 1 >> 1
+    lows = (1 << half) - 1
     images = [_mask_images(p, new) for p in autos]
     tried = bytearray(1 << new)  # masks already met in some orbit
     masks = []
@@ -300,36 +309,64 @@ def _attach_masks(parent: Graph, autos: tuple[bytes, ...]) -> list[int]:
         stack = [attach]
         while stack:
             m = stack.pop()
-            for table in images:
-                if not tried[table[m]]:
-                    tried[table[m]] = 1
-                    stack.append(table[m])
+            for low, high in images:
+                image = low[m & lows] | high[m >> half]
+                if not tried[image]:
+                    tried[image] = 1
+                    stack.append(image)
     return masks
 
 
-def _settled(adj: tuple[int, ...], n: int) -> bool | list[int]:
-    """Test 2 on a child whose new vertex v is n - 1: keep it (True), reject
-    it (False), or, when only ``canonical_form`` can tell, the child's
-    root coloring for it to start from.
+def _settled(
+    adj: tuple[int, ...], classes: list[int], attach: int
+) -> tuple[tuple[int, ...], list[int] | None] | None:
+    """Test 2 on the child joining v = len(adj) to ``attach``, a mask test 1
+    passed, in the parent with rows ``adj`` and degree classes ``classes``:
+    None to reject it, else its rows and None to keep it or, when only
+    ``canonical_form`` can tell, its root coloring.
 
     The last class of the child's root coloring holds every vertex that
     can come last in a leaf, and is a union of Aut(child)-orbits.  So v
     is outside the canonical last vertex's orbit if it is outside that
-    class, and is that vertex if the class is {v}.  Refinement starts from
-    the degree classes, the unit coloring's first round, and stops once it
-    decides, since each round's last class lies in the one before.
+    class, and is that vertex if the class is {v}.  The child's class of
+    degree d is the parent's outside ``attach`` and its class d - 1 inside;
+    v's, of degree |attach|, is the last.  Round one keeps of it those
+    keyed highest by counts into the classes before it, which miss v, so
+    a member's key is its parent row's: a key above v's rejects the child
+    and none tying it keeps it, before any rows are built.  Otherwise
+    refinement runs from the degree classes until it decides, since each
+    round's last class lies in the one before.
     """
+    n = len(adj) + 1
     v = 1 << n - 1
     by_degree = [0] * n
-    for u, row in enumerate(adj):
-        by_degree[row.bit_count()] |= 1 << u
+    for d, cell in enumerate(classes):
+        if cell:
+            by_degree[d] |= cell & ~attach
+            by_degree[d + 1] |= cell & attach
+    by_degree[attach.bit_count()] |= v
     masks = [cell for cell in by_degree if cell]
     fresh = masks[:-1]
+    key = [(attach & cell).bit_count() for cell in fresh]
+    tied = False
+    rest = masks[-1] ^ v
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = adj[low.bit_length() - 1]
+        other = [(row & cell).bit_count() for cell in fresh]
+        if other >= key:
+            if other != key:
+                return None
+            tied = True
+    rows = (*[row | v if attach >> u & 1 else row for u, row in enumerate(adj)], attach)
+    if not tied:
+        return rows, None
     while fresh and masks[-1] & v and masks[-1] != v:
-        masks, fresh = _round(adj, n, masks, fresh)
+        masks, fresh = _round(rows, n, masks, fresh)
     if not masks[-1] & v:
-        return False
-    return True if masks[-1] == v else masks
+        return None
+    return rows, None if masks[-1] == v else masks
 
 
 def all_graphs(n: int) -> tuple[Graph, ...]:
@@ -357,10 +394,11 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     rejects C if v has less than the largest degree, read off the parent's
     degrees before C is built.  Test 2 (``_settled``) refines C's degree
     classes and rejects C once v is outside the last class, or keeps it
-    once the last class is {v}.  Only the children it leaves open run
-    ``canonical_form``, from the root coloring test 2 refined, and the
-    orbit of the last vertex comes from ``_closure`` over the
-    automorphisms it found, which generate Aut(C).
+    once the last class is {v}.  It reads round one off P's degree classes,
+    so C's rows are built only if C is kept or left open.  Only the
+    children it leaves open run ``canonical_form``, from the root coloring
+    test 2 refined, and the orbit of the last vertex comes from
+    ``_closure`` over the automorphisms it found, which generate Aut(C).
 
     A kept child's automorphisms are kept with it for the masks of the
     next order: those its search found, or for a child kept by test 2,
@@ -385,18 +423,18 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
         for i, parent in enumerate(parents):
             if parent_autos[i] is None:
                 parent_autos[i] = canonical_form(parent)[1]
-            for attach in _attach_masks(parent, parent_autos[i]):
-                rows = [row | bit if attach >> v & 1 else row for v, row in enumerate(parent.adj)]
-                rows.append(attach)
-                adj = tuple(rows)
-                keep = _settled(adj, n)
-                if keep is False:
+            classes = [0] * new
+            for u, row in enumerate(parent.adj):
+                classes[row.bit_count()] |= 1 << u
+            for attach in _attach_masks(classes, parent_autos[i]):
+                settled = _settled(parent.adj, classes, attach)
+                if settled is None:
                     continue
                 child = Graph(n)  # rows symmetric and loop-free by construction
-                child.adj = adj
+                child.adj, root = settled
                 autos = None
-                if keep is not True:
-                    _, autos, order = canonical_form(child, keep)
+                if root is not None:
+                    _, autos, order = canonical_form(child, root)
                     if not _closure(1 << order[-1], autos) & bit:
                         continue
                 graphs.append(child)

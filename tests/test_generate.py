@@ -4,13 +4,17 @@
 graphs, a pin of the class set that no relabelling moves, and graph6
 line by graph6 line up to n = 8 (n = 9 is ``slow``), so a change to how
 it prunes cannot silently change which representative a class gets or
-the order of the corpus.  Its two cheap tests are checked against the
-full orbit test on every child of every parent, and test 2 against
-refining to stable, the coloring it hands ``canonical_form`` included;
-``canonical_form`` given that coloring returns what it returns without
-it.  ``canonical_form`` is checked against the
-brute-force oracles in ``oracles.py`` on every graph with n <= 6 and on
-seeded relabellings of each; isomorphism and |Aut(G)| do not change under
+the order of the corpus.  Every graph it generates is also the graph
+``Graph.__init__`` builds from its edges, so a wrong row, which no graph6
+line reads, shows up.  Its two cheap tests are checked against the full
+orbit test on every child of every parent, and test 2, which reads its
+first round off the parent, against refining the child to stable, the
+coloring and rows it hands on included; ``canonical_form`` given that
+coloring returns what it returns without it.  The half-width tables that
+map attach masks are checked against mapping each mask vertex by vertex.
+``canonical_form`` is checked against the brute-force oracles in
+``oracles.py`` on every graph with n <= 6 and on seeded relabellings of
+each; isomorphism and |Aut(G)| do not change under
 relabelling, so the oracles run once per class.  Its output itself, keys
 and automorphisms in the order found, is pinned for n <= 7 and on a
 sample of n = 8, and beyond the pins on six symmetric graphs of 10 to 64
@@ -32,7 +36,7 @@ import pytest
 
 from invdom import generate
 from invdom.generate import all_graphs, canonical_form
-from invdom.graph import Graph, bits
+from invdom.graph import Graph, bits, mask_of
 from invdom.graph6 import write_graph6
 
 import oracles
@@ -78,10 +82,41 @@ def test_all_graphs_holds_no_two_isomorphic_graphs(n):
     assert len(set(forms)) == len(forms) == CLASSES[n]
 
 
+def _assert_validated(graphs) -> None:
+    """Each graph equals the one ``Graph.__init__`` builds from its edges,
+    rows and vertex mask alike: ``all_graphs`` sets its rows itself."""
+    for g in graphs:
+        assert Graph(g.n, g.edges()) == g, write_graph6(g)
+        assert g.full == (1 << g.n) - 1, write_graph6(g)
+
+
+@pytest.mark.parametrize("n", range(len(CLASSES)))
+def test_all_graphs_survive_the_validator(n):
+    _assert_validated(all_graphs(n))
+
+
 @pytest.mark.slow
 def test_all_graphs_output_is_pinned_at_nine_vertices():
     assert len(all_graphs(9)) == 274668
     assert _digest(all_graphs(9)) == ALL_GRAPHS_9_SHA256
+    _assert_validated(all_graphs(9))
+
+
+@pytest.mark.parametrize("width", range(13))
+def test_half_width_tables_map_every_mask(width):
+    """On the identity and on seeded random permutations, the two tables
+    of ``_mask_images`` give every mask below 1 << width the image of its
+    vertices one by one: odd widths, 0 and 1 included."""
+    rng = random.Random(width)
+    perms = [list(range(width))]
+    for _ in range(3):
+        perms.append(rng.sample(range(width), width))
+    half = (width + 1) // 2
+    for p in perms:
+        low, high = generate._mask_images(bytes(p), width)
+        assert len(low) + len(high) == (1 << half) + (1 << width - half)
+        for m in range(1 << width):
+            assert low[m & (1 << half) - 1] | high[m >> half] == mask_of(p[v] for v in bits(m)), (p, m)
 
 
 def _orbit_verdict(child: Graph) -> bool:
@@ -106,19 +141,27 @@ def _test_2_reference(child: Graph) -> bool | list[int]:
 def test_the_cheap_tests_agree_with_the_orbit_test(n):
     """On every child on n vertices of every parent, every mask tried: test
     1 leaves a mask out exactly when the new vertex's degree is below the
-    child's largest, and then the orbit test rejects it too; test 2 returns
-    what refining to stable would, so its early exits neither leave open
-    a child that refinement decides nor hand ``canonical_form`` another
-    coloring, and where it decides, it decides as the orbit test does."""
+    child's largest, and then the orbit test rejects it too; test 2, given
+    the parent's degree classes and the mask, returns what refining the
+    child to stable would, so its early exits neither leave open a child
+    that refinement decides nor hand ``canonical_form`` another coloring,
+    and where it decides, it decides as the orbit test does.  The rows it
+    returns for a child it keeps or leaves open are the child's."""
     new = n - 1
     for parent in all_graphs(new):
-        tried = set(generate._attach_masks(parent, ()))
+        classes = [mask_of(v for v in range(new) if parent.adj[v].bit_count() == d) for d in range(new)]
+        tried = set(generate._attach_masks(classes, ()))
         for attach in range(1 << new):
             child = Graph(n, [*parent.edges(), *((v, new) for v in bits(attach))])
             top = max(child.adj[v].bit_count() for v in range(n))
             assert (attach in tried) == (attach.bit_count() == top)
-            verdict = generate._settled(child.adj, n) if attach in tried else False
+            verdict = False
             if attach in tried:
+                settled = generate._settled(parent.adj, classes, attach)
+                if settled is not None:
+                    rows, root = settled
+                    assert rows == child.adj, write_graph6(child)
+                    verdict = True if root is None else root
                 assert verdict == _test_2_reference(child), write_graph6(child)
             if isinstance(verdict, bool):
                 assert verdict == _orbit_verdict(child), (write_graph6(child), verdict)
@@ -340,13 +383,15 @@ def test_canonical_form_on_symmetric_graphs(name):
 
 def test_all_graphs_work_is_pinned(monkeypatch):
     """A cold all_graphs(7) runs 543 canonical forms, 442 on children the
-    cheap tests leave open and 101 on parents that test 2 kept, and 2,459
-    keyed rounds: 1,307 in test 2 on the 1,640 children whose new vertex
-    has the largest degree, and 1,152 in the 873 refinements of the
-    searches, which start each open child from test 2's coloring.  Test 2
-    refining every child to stable and each search refining it again took
-    2,955 refinements and 7,109 rounds; a search per child took 5,759
-    canonical forms and 9,676 refinements."""
+    cheap tests leave open and 101 on parents that test 2 kept, and 1,914
+    keyed rounds: 762 in test 2 on the 464 of the 1,640 children whose new
+    vertex has the largest degree that its first round, read off the
+    parent, leaves open, and 1,152 in the 873 refinements of the searches,
+    which start each open child from test 2's coloring.  Test 2 running
+    its first round as a keyed round on every such child took 2,459
+    rounds, 1,307 of them in test 2; refining every child to stable and
+    each search refining it again took 2,955 refinements and 7,109 rounds;
+    a search per child took 5,759 canonical forms and 9,676 refinements."""
     calls = {"canonical_form": 0, "_refine": 0, "_round": 0}
 
     def counted(name, f):
@@ -359,4 +404,4 @@ def test_all_graphs_work_is_pinned(monkeypatch):
     for name in calls:
         monkeypatch.setattr(generate, name, counted(name, getattr(generate, name)))
     all_graphs(7)
-    assert calls == {"canonical_form": 543, "_refine": 873, "_round": 2459}
+    assert calls == {"canonical_form": 543, "_refine": 873, "_round": 1914}
